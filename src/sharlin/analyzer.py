@@ -31,7 +31,6 @@ operators stay exact.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -69,17 +68,16 @@ from .shlin_sl import (
     union_sl,
 )
 from .terms import (
-    App,
-    CONS,
-    NIL,
+    ParseError,
+    Scanner,
     Substitution,
     Term,
     UnificationError,
     Var,
     format_term,
     is_linear_term,
-    is_variable_name,
     mgu_terms,
+    read_term,
     term_vars,
 )
 
@@ -103,15 +101,6 @@ __all__ = [
     "DOMAINS",
     "DomainOps",
 ]
-
-
-class ParseError(SyntaxError):
-    """Program syntax error with line and column attached."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.lineno = line
-        self.offset = column
 
 
 class PredicateMismatch(Exception):
@@ -175,119 +164,27 @@ class Program:
 
 # --- program syntax ----------------------------------------------------------
 
-_PROGRAM_TOKEN = re.compile(r"(:-|[A-Za-z0-9_']+|\[\]|[()\[\],|.])")
 
-
-class _ProgramScanner:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch == "\n":
-                line += 1
-                col = 1
-                pos += 1
-                continue
-            if ch.isspace():
-                col += 1
-                pos += 1
-                continue
-            if ch == "%":
-                while pos < len(text) and text[pos] != "\n":
-                    pos += 1
-                continue
-            m = _PROGRAM_TOKEN.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            self.tokens.append((m.group(1), line, col))
-            col += m.end() - pos
-            pos = m.end()
-        self.idx = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.idx][0] if self.idx < len(self.tokens) else None
-
-    def next(self) -> tuple[str, int, int]:
-        if self.idx >= len(self.tokens):
-            last = self.tokens[-1] if self.tokens else ("", 1, 1)
-            raise ParseError("unexpected end of input", last[1], last[2])
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok, line, col = self.next()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, got {tok!r}", line, col)
-
-
-def _parse_pterm(sc: _ProgramScanner) -> Term:
-    tok, line, col = sc.next()
-    if tok == "[":
-        return _parse_plist(sc)
-    if tok == "[]":
-        return App(NIL)
-    if not tok[0].isalnum() and tok[0] not in "_'":
-        raise ParseError(f"unexpected {tok!r}", line, col)
-    if sc.peek() == "(":
-        sc.expect("(")
-        args = [_parse_pterm(sc)]
-        while sc.peek() == ",":
-            sc.expect(",")
-            args.append(_parse_pterm(sc))
-        sc.expect(")")
-        return App(tok, tuple(args))
-    return Var(tok) if is_variable_name(tok) else App(tok)
-
-
-def _parse_plist(sc: _ProgramScanner) -> Term:
-    if sc.peek() == "]":
-        sc.expect("]")
-        return App(NIL)
-    items = [_parse_pterm(sc)]
-    while sc.peek() == ",":
-        sc.expect(",")
-        items.append(_parse_pterm(sc))
-    tail: Term = App(NIL)
-    if sc.peek() == "|":
-        sc.expect("|")
-        tail = _parse_pterm(sc)
-    sc.expect("]")
-    for item in reversed(items):
-        tail = App(CONS, (item, tail))
-    return tail
-
-
-def _parse_atom(sc: _ProgramScanner) -> Atom:
-    tok, line, col = sc.next()
-    if not tok[0].isalpha():
-        raise ParseError(f"expected a predicate name, got {tok!r}", line, col)
-    args: list[Term] = []
-    if sc.peek() == "(":
-        sc.expect("(")
-        args.append(_parse_pterm(sc))
-        while sc.peek() == ",":
-            sc.expect(",")
-            args.append(_parse_pterm(sc))
-        sc.expect(")")
-    return Atom(tok, tuple(args))
+def _read_atom(sc: Scanner) -> Atom:
+    tok = sc.peek()
+    if tok is None or not tok[0].isalpha():
+        sc.fail("expected a predicate name")
+    t = read_term(sc)
+    if isinstance(t, Var):
+        return Atom(t.name, ())
+    return Atom(t.symbol, t.args)
 
 
 def parse_program(text: str) -> Program:
-    """Parse facts ``p(t1,...,tn).`` and rules ``p(...) :- q(...), r(...).``"""
-    sc = _ProgramScanner(text)
+    """Parse facts ``p(t1,...,tn).`` and rules ``p(...) :- q(...), r(...).``;
+    ``%`` starts a comment that runs to the end of the line."""
+    sc = Scanner(text, comments=True)
     clauses = []
     while sc.peek() is not None:
-        head = _parse_atom(sc)
-        body: list[Atom] = []
-        if sc.peek() == ":-":
-            sc.expect(":-")
-            body.append(_parse_atom(sc))
-            while sc.peek() == ",":
-                sc.expect(",")
-                body.append(_parse_atom(sc))
+        head = _read_atom(sc)
+        body = [_read_atom(sc)] if sc.accept(":-") else []
+        while body and sc.accept(","):
+            body.append(_read_atom(sc))
         sc.expect(".")
         clauses.append(Clause(head, tuple(body)))
     return Program(tuple(clauses))
@@ -295,13 +192,10 @@ def parse_program(text: str) -> Program:
 
 def parse_goal(text: str) -> Atom:
     """Parse a single goal atom, with or without the final period."""
-    sc = _ProgramScanner(text)
-    atom = _parse_atom(sc)
-    if sc.peek() == ".":
-        sc.expect(".")
-    if sc.peek() is not None:
-        tok, line, col = sc.next()
-        raise ParseError(f"trailing input {tok!r} after goal", line, col)
+    sc = Scanner(text, comments=True)
+    atom = _read_atom(sc)
+    sc.accept(".")
+    sc.end()
     return atom
 
 

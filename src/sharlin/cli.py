@@ -5,14 +5,16 @@ Subcommands: ``eval`` (domain operations on inline elements), ``analyze``
 correctness / optimality suites), ``equiv`` (matcher equivalence suites)
 and ``diff`` (matching vs re-unification precision report).
 
-Exit codes: 0 ok, 1 usage or parse error, 2 I/O error, 3 verification
-counterexample. Reports are byte-deterministic for fixed seeds; timing is
+Exit codes: 0 ok, 1 usage, syntax or other input error (library errors
+print one ``sharlin: ...`` line, never a traceback), 2 I/O error, 3
+verification counterexample. Reports are byte-deterministic for fixed seeds; timing is
 never part of a report. A config file of ``key=value`` lines can supply
 defaults for any long flag; explicit flags win.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 from .analyzer import (
     DOMAINS,
     AnalysisRequest,
-    ParseError,
+    FixpointLimitExceeded,
+    PredicateMismatch,
     analyze,
     parse_goal,
     parse_injection,
@@ -34,6 +37,9 @@ from .oracle import (
     run_correctness,
     run_optimality,
 )
+from .shlin_omega import InterestMismatch
+from .shlin2 import TooLarge
+from .terms import Scanner
 
 __all__ = ["main"]
 
@@ -161,35 +167,27 @@ def _eval_alpha(args):
 
 
 def _cmd_eval(args) -> int:
-    try:
-        if args.domain == "concrete":
-            result = _eval_concrete(args)
-        elif args.op == "alpha":
-            result = _eval_alpha(args)
+    if args.domain == "concrete":
+        result = _eval_concrete(args)
+    elif args.op == "alpha":
+        result = _eval_alpha(args)
+    else:
+        ops = DOMAINS[args.domain]
+        if args.op in ("match", "union"):
+            if len(args.operands) != 2:
+                raise ValueError(f"{args.op} takes two operands")
+            e1 = ops.parse(_operand(args.operands[0]))
+            e2 = ops.parse(_operand(args.operands[1]))
+            result = ops.match(e1, e2) if args.op == "match" else ops.union(e1, e2)
         else:
-            ops = DOMAINS[args.domain]
-            if args.op in ("match", "union"):
-                if len(args.operands) != 2:
-                    raise ValueError(f"{args.op} takes two operands")
-                e1 = ops.parse(_operand(args.operands[0]))
-                e2 = ops.parse(_operand(args.operands[1]))
-                result = ops.match(e1, e2) if args.op == "match" else ops.union(e1, e2)
-            else:
-                if len(args.operands) != 2:
-                    raise ValueError("project takes an element and a {v1,v2} variable set")
-                e1 = ops.parse(_operand(args.operands[0]))
-                spec = _operand(args.operands[1]).strip()
-                if not (spec.startswith("{") and spec.endswith("}")):
-                    raise ValueError(f"bad variable set {spec!r}")
-                inner = spec[1:-1].strip()
-                variables = [v.strip() for v in inner.split(",")] if inner else []
-                result = ops.project(e1, variables)
-    except _IoError as exc:
-        print(f"sharlin: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"sharlin: {exc}", file=sys.stderr)
-        return 1
+            if len(args.operands) != 2:
+                raise ValueError("project takes an element and a {v1,v2} variable set")
+            e1 = ops.parse(_operand(args.operands[0]))
+            sc = Scanner(_operand(args.operands[1]))
+            sc.expect("{")
+            variables = sc.names()
+            sc.end()
+            result = ops.project(e1, variables)
     print(result)
     return 0
 
@@ -215,15 +213,7 @@ def _make_request(args) -> AnalysisRequest:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        req = _make_request(args)
-        result = analyze(req)
-    except _IoError as exc:
-        print(f"sharlin: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError) as exc:
-        print(f"sharlin: {exc}", file=sys.stderr)
-        return 1
+    result = analyze(_make_request(args))
     print(result.answer)
     if args.trace:
         print(f"# passes={result.passes} table={result.table_size}")
@@ -267,17 +257,17 @@ def _merge(reports: list[dict]) -> dict:
 
 def _corr_worker(payload):
     cfg, domains, lo, hi = payload
-    return run_correctness(TrialConfig(**cfg), domains, lo, hi)
+    return run_correctness(cfg, domains, lo, hi)
 
 
 def _opt_worker(payload):
     cfg, domain, lo, hi = payload
-    return run_optimality(TrialConfig(**cfg), domain, lo, hi)
+    return run_optimality(cfg, domain, lo, hi)
 
 
 def _equiv_worker(payload):
     cfg, lo, hi = payload
-    return check_equivalences(TrialConfig(**cfg), lo, hi)
+    return check_equivalences(cfg, lo, hi)
 
 
 def _run_parallel(worker, payloads):
@@ -296,7 +286,7 @@ def _emit(report: dict, as_json: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = dict(
+    cfg = TrialConfig(
         seed=args.seed,
         trials=args.trials,
         max_term_depth=args.depth,
@@ -321,7 +311,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    cfg = dict(seed=args.seed, trials=args.trials, max_vars=args.max_vars)
+    cfg = TrialConfig(seed=args.seed, trials=args.trials, max_vars=args.max_vars)
     jobs = max(1, args.jobs)
     payloads = [(cfg, lo, hi) for lo, hi in _chunks(args.trials, jobs)]
     report = _merge(_run_parallel(_equiv_worker, payloads))
@@ -329,27 +319,10 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    try:
-        req = _make_request(args)
-        ops = DOMAINS[args.domain]
-        match_result = analyze(req)
-        mgu_req = AnalysisRequest(
-            program=req.program,
-            goal=req.goal,
-            call=req.call,
-            domain=req.domain,
-            mode="mgu",
-            cap=req.cap,
-            max_passes=req.max_passes,
-            injection=req.injection,
-        )
-        mgu_result = analyze(mgu_req)
-    except _IoError as exc:
-        print(f"sharlin: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError) as exc:
-        print(f"sharlin: {exc}", file=sys.stderr)
-        return 1
+    req = _make_request(args)
+    ops = DOMAINS[args.domain]
+    match_result = analyze(req)
+    mgu_result = analyze(dataclasses.replace(req, mode="mgu"))
     print(f"matching: {match_result.answer}")
     print(f"mgu:      {mgu_result.answer}")
     extra = sorted(ops.groups_of(mgu_result.answer) - ops.groups_of(match_result.answer))
@@ -357,18 +330,32 @@ def _cmd_diff(args) -> int:
     return 0
 
 
+# library errors that a bad argument or input can cause: all exit 1
+_INPUT_ERRORS = (
+    ValueError,
+    InterestMismatch,
+    FixpointLimitExceeded,
+    PredicateMismatch,
+    TooLarge,
+)
+
+
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except _IoError as exc:
+        print(f"sharlin: {exc}", file=sys.stderr)
+        return 2
+    except _INPUT_ERRORS as exc:
+        print(f"sharlin: {exc}", file=sys.stderr)
+        return 1
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args, _ = parser.parse_known_args(argv)
     if args.config:
-        try:
-            defaults = _load_config(args.config)
-        except _IoError as exc:
-            print(f"sharlin: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"sharlin: {exc}", file=sys.stderr)
-            return 1
+        defaults = _load_config(args.config)
         for sub_action in parser._subparsers._group_actions:  # noqa: SLF001
             for sub in sub_action.choices.values():
                 known = {a.dest for a in sub._actions}  # noqa: SLF001
@@ -381,11 +368,7 @@ def main(argv=None) -> int:
         "equiv": _cmd_equiv,
         "diff": _cmd_diff,
     }
-    try:
-        return handlers[args.command](args)
-    except _IoError as exc:
-        print(f"sharlin: {exc}", file=sys.stderr)
-        return 2
+    return handlers[args.command](args)
 
 
 def _coerce(value: str):

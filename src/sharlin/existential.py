@@ -28,13 +28,14 @@ from typing import Iterable
 
 from .terms import (
     App,
+    Scanner,
     Substitution,
     Term,
     UnificationError,
     Var,
     is_variable_name,
     mgu_terms,
-    parse_substitution,
+    read_substitution,
 )
 
 __all__ = [
@@ -231,17 +232,7 @@ def eproject(
 
 def parse_existential(text: str) -> ExistentialSubstitution:
     """Parse ``[{x/a, y/b}]_{x,y}``."""
-    s = text.strip()
-    if not s.startswith("["):
-        raise ValueError(f"bad existential substitution {text!r}")
-    close = s.rindex("]")
-    subst = parse_substitution(s[1:close])
-    suffix = s[close + 1 :].strip()
-    if not (suffix.startswith("_{") and suffix.endswith("}")):
-        raise ValueError(f"missing interest set in {text!r}")
-    inner = suffix[2:-1].strip()
-    names = [n.strip() for n in inner.split(",")] if inner else []
-    for n in names:
-        if not is_variable_name(n) or n.startswith("_"):
-            raise ValueError(f"bad interest variable {n!r} in {text!r}")
-    return canonicalize(subst, frozenset(names))
+    sc = Scanner(text)
+    sc.expect("[")
+    subst = read_substitution(sc)
+    return canonicalize(subst, frozenset(sc.interest(is_variable_name)))

@@ -9,7 +9,6 @@ Counts are plain Python integers, so sums are exact and never wrap.
 """
 from __future__ import annotations
 
-import re
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -150,26 +149,8 @@ def format_group(a: Multiset) -> str:
     return "".join(parts)
 
 
-# In polynomial notation variables are concatenated without separators, so a
-# group variable is one lowercase letter plus optional digits (w1, z12, ...).
-_GROUP_TOKEN = re.compile(r"([a-z][0-9]*)(?:\^([0-9]+))?")
-
-
 def parse_group(text: str) -> Multiset:
     """Parse polynomial notation, e.g. ``x^2y``, ``uvxz^2``; ``0`` is empty."""
-    s = text.strip()
-    if s == "0":
-        return EMPTY
-    counts: dict[str, int] = {}
-    pos = 0
-    while pos < len(s):
-        m = _GROUP_TOKEN.match(s, pos)
-        if not m:
-            raise ValueError(f"bad sharing group {text!r} at offset {pos}")
-        var, exp = m.group(1), m.group(2)
-        n = int(exp) if exp else 1
-        if n == 0:
-            raise ValueError(f"zero exponent for {var!r} in {text!r}")
-        counts[var] = counts.get(var, 0) + n
-        pos = m.end()
-    return Multiset(counts)
+    from .terms import Scanner  # terms imports this module
+
+    return Multiset(Scanner(text).whole(Scanner.group))

@@ -183,7 +183,7 @@ def _gen_pair(rng: random.Random, cfg: TrialConfig):
 
 def _gen_group(rng: random.Random, variables, cap: int) -> Multiset:
     counts = {}
-    for v in variables:
+    for v in sorted(variables):
         if rng.random() < 0.45:
             counts[v] = rng.randint(1, cap)
     return Multiset(counts)
@@ -200,7 +200,7 @@ def _gen_two_element(rng: random.Random, variables) -> ShLin2Element:
     groups = set()
     for _ in range(k):
         exps = {}
-        for v in variables:
+        for v in sorted(variables):
             if rng.random() < 0.45:
                 exps[v] = INF if rng.random() < 0.4 else 1
         groups.add(two_group(exps))
@@ -209,9 +209,9 @@ def _gen_two_element(rng: random.Random, variables) -> ShLin2Element:
 
 def _gen_sl_element(rng: random.Random, variables) -> ShLinElement:
     k = rng.randint(1, 3)
-    groups = [frozenset(v for v in variables if rng.random() < 0.45) for _ in range(k)]
+    groups = [frozenset(v for v in sorted(variables) if rng.random() < 0.45) for _ in range(k)]
     covered = frozenset().union(*groups) if groups else frozenset()
-    linear = {v for v in covered if rng.random() < 0.6}
+    linear = {v for v in sorted(covered) if rng.random() < 0.6}
     return sl_element(groups, linear, variables)
 
 

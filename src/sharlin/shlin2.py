@@ -20,7 +20,6 @@ e.g. ``[x^*y, xz^*]_{x,y,z}``.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
@@ -30,8 +29,8 @@ from .shlin_omega import (
     InterestMismatch,
     ShLinOmegaElement,
     omega_element,
-    _split_element,
 )
+from .terms import Scanner
 
 __all__ = [
     "INF",
@@ -387,41 +386,21 @@ def prop_abstraction2_check(b: Multiset, v: Iterable[str], xs: Iterable[Multiset
     return clause1 and clause2 and clause3 and clause4
 
 
-_TWO_TOKEN = re.compile(r"([a-z][0-9]*)(?:\^(\*|inf|[0-9]+))?")
+def _read_two_group(sc: Scanner) -> TwoSharingGroup:
+    """Written counts above 1 and repeated variables clip to INF."""
+    exps: dict[str, float] = {}
+    for v, n in sc.group(star=True):
+        exps[v] = INF if v in exps or n != 1 else 1
+    return two_group(exps)
 
 
 def parse_two_group(text: str) -> TwoSharingGroup:
-    s = text.strip()
-    if s == "0":
-        return EMPTY2
-    exps: dict[str, float] = {}
-    pos = 0
-    while pos < len(s):
-        m = _TWO_TOKEN.match(s, pos)
-        if not m:
-            raise ValueError(f"bad 2-sharing group {text!r} at offset {pos}")
-        var, exp = m.group(1), m.group(2)
-        if exp in ("*", "inf"):
-            e = INF
-        elif exp is None or exp == "1":
-            e = 1.0
-        else:
-            n = int(exp)
-            if n == 0:
-                raise ValueError(f"zero exponent in {text!r}")
-            e = INF  # any written multiplicity above 1 clips
-        e = 1 if e == 1.0 else e
-        prev = exps.get(var)
-        exps[var] = INF if prev is not None else e
-        pos = m.end()
-    return two_group(exps)
+    return Scanner(text).whole(_read_two_group)
 
 
 def parse_two(text: str) -> ShLin2Element:
     """Parse ``[x^*y, xz^*]_{x,y,z}``; the groups listed are the maximals."""
-    body, names = _split_element(text)
-    groups = []
-    if body:
-        for part in body.split(","):
-            groups.append(parse_two_group(part.strip()))
-    return two_element(groups, names)
+    sc = Scanner(text)
+    sc.expect("[")
+    groups = sc.sequence(_read_two_group, "]")
+    return two_element(groups, sc.interest())

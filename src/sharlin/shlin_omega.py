@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .existential import ExistentialSubstitution
-from .multiset import EMPTY, Multiset, parse_group
-from .terms import Var
+from .multiset import EMPTY, Multiset
+from .terms import Scanner, Var
 
 __all__ = [
     "ShLinOmegaElement",
@@ -244,26 +244,10 @@ def union_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
     return omega_element(e1.groups | e2.groups, e1.interest)
 
 
-def _split_element(text: str) -> tuple[str, list[str]]:
-    s = text.strip()
-    if not s.startswith("["):
-        raise ValueError(f"bad element {text!r}")
-    close = s.rindex("]")
-    body = s[1:close].strip()
-    suffix = s[close + 1 :].strip()
-    if not (suffix.startswith("_{") and suffix.endswith("}")):
-        raise ValueError(f"missing interest set in {text!r}")
-    inner = suffix[2:-1].strip()
-    names = [n.strip() for n in inner.split(",")] if inner else []
-    return body, names
-
-
 def parse_omega(text: str) -> ShLinOmegaElement:
     """Parse ``[x^2, xz]_{x,y,z}``; ``[]_{...}`` is bottom, ``[0]_{...}`` the
     element with only the empty group."""
-    body, names = _split_element(text)
-    groups = []
-    if body:
-        for part in body.split(","):
-            groups.append(parse_group(part.strip()))
-    return omega_element(groups, names)
+    sc = Scanner(text)
+    sc.expect("[")
+    groups = [Multiset(g) for g in sc.sequence(Scanner.group, "]")]
+    return omega_element(groups, sc.interest())

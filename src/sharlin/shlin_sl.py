@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .multiset import parse_group
+from .multiset import Multiset
 from .shlin_omega import InterestMismatch
 from .shlin2 import (
     INF,
@@ -29,6 +29,7 @@ from .shlin2 import (
     two_element,
     two_group,
 )
+from .terms import Scanner
 
 __all__ = [
     "ShLinElement",
@@ -185,37 +186,21 @@ def union_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     return sl_element(e1.sharing | e2.sharing, e1.linear & e2.linear, e1.interest)
 
 
+def _read_set_group(sc: Scanner) -> frozenset[str]:
+    start = sc.pos
+    g = Multiset(sc.group())
+    if any(n > 1 for _, n in g.items()):
+        raise sc.error(f"set-sharing group {str(g)!r} has a repeated variable", start)
+    return g.support
+
+
 def parse_sl(text: str) -> ShLinElement:
     """Parse ``[{uv, ux}, lin={u,v}]_{u,v,x}``."""
-    s = text.strip()
-    if not s.startswith("[{"):
-        raise ValueError(f"bad sharing+linearity element {text!r}")
-    close = s.index("}")
-    body = s[2:close].strip()
-    rest = s[close + 1 :].strip()
-    if not rest.startswith(","):
-        raise ValueError(f"missing linear component in {text!r}")
-    rest = rest[1:].strip()
-    if not rest.startswith("lin={"):
-        raise ValueError(f"missing linear component in {text!r}")
-    lin_close = rest.index("}")
-    lin_body = rest[5:lin_close].strip()
-    tail = rest[lin_close + 1 :].strip()
-    if not tail.startswith("]"):
-        raise ValueError(f"bad sharing+linearity element {text!r}")
-    suffix = tail[1:].strip()
-    if not (suffix.startswith("_{") and suffix.endswith("}")):
-        raise ValueError(f"missing interest set in {text!r}")
-    inner = suffix[2:-1].strip()
-    interest = [n.strip() for n in inner.split(",")] if inner else []
-
-    groups = []
-    if body:
-        for part in body.split(","):
-            part = part.strip()
-            g = parse_group(part)
-            if any(n > 1 for _, n in g.items()):
-                raise ValueError(f"set-sharing group {part!r} has a repeated variable")
-            groups.append(g.support)
-    linear = [n.strip() for n in lin_body.split(",")] if lin_body else []
-    return sl_element(groups, linear, interest)
+    sc = Scanner(text)
+    sc.expect("[")
+    sc.expect("{")
+    groups = sc.sequence(_read_set_group, "}")
+    for tok in ("}", ",", "lin", "=", "{"):
+        sc.expect(tok)
+    linear = sc.names()
+    return sl_element(groups, linear, sc.interest())

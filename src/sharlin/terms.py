@@ -14,9 +14,10 @@ occur check and yields an idempotent most general unifier.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn, TypeVar
 
 from .multiset import Multiset
 
@@ -35,6 +36,10 @@ __all__ = [
     "mgu_terms",
     "preimage_var",
     "preimage_group",
+    "ParseError",
+    "Scanner",
+    "read_term",
+    "read_substitution",
     "parse_term",
     "parse_substitution",
     "format_term",
@@ -300,104 +305,212 @@ def preimage_group(theta: Substitution, b: Multiset) -> Multiset:
     return out
 
 
-# --- term and substitution syntax -------------------------------------------
+# --- syntax -----------------------------------------------------------------
+# One scanner reads every textual form: terms, substitutions, programs, the
+# elements of the three domains and the CLI's variable sets.
 
-_TOKEN = re.compile(r"\s*([A-Za-z0-9_']+|\[\]|[()\[\],|/{}])")
+
+class ParseError(ValueError):
+    """Syntax error, with the line and column (both from 1) where it was found."""
+
+    def __init__(self, message: str, text: str, pos: int):
+        self.lineno = text.count("\n", 0, pos) + 1
+        self.column = pos - text.rfind("\n", 0, pos)
+        super().__init__(f"{message} (line {self.lineno}, column {self.column})")
 
 
-class _Scanner:
-    def __init__(self, text: str):
+# the two-character tokens come first, so they win over their prefixes
+_PUNCTUATION = (":-", "_{", "(", ")", "[", "]", ",", "|", "/", "{", "}", ".", "=")
+_TOKEN = re.compile("|".join(map(re.escape, _PUNCTUATION)) + r"|[A-Za-z0-9_']+")
+_TERM_START = re.compile(r"\[\Z|[A-Za-z0-9_']+\Z")
+_SPACE = re.compile(r"\s*")
+_SPACE_AND_COMMENTS = re.compile(r"(?:\s|%[^\n]*)*")
+# In polynomial notation variables are concatenated without separators, so a
+# group variable is one lowercase letter plus optional digits (w1, z12, ...).
+_GROUP_ITEM = re.compile(r"([a-z][0-9]*)(?:\^(\*|inf|[0-9]+))?")
+_GROUP_VAR = re.compile(r"[a-z][0-9]*\Z")
+_T = TypeVar("_T")
+
+
+class Scanner:
+    """Positioned tokenizer shared by every textual form.
+
+    Tokens are identifiers ``[A-Za-z0-9_']+`` and the punctuation above,
+    separated by whitespace and, with ``comments``, by ``%`` line comments.
+    Polynomial groups are not tokens: ``group`` reads one in place. Every
+    syntax error is a ``ParseError`` at the offset where it was found.
+    """
+
+    def __init__(self, text: str, comments: bool = False):
         self.text = text
         self.pos = 0
+        self._space = _SPACE_AND_COMMENTS if comments else _SPACE
+
+    def _scan(self) -> tuple[str | None, int, int]:
+        """The next token (None at the end) with its start and end offsets."""
+        start = self._space.match(self.text, self.pos).end()
+        m = _TOKEN.match(self.text, start)
+        if m:
+            return m.group(), start, m.end()
+        if start < len(self.text):
+            raise self.error(f"unexpected character {self.text[start]!r}", start)
+        return None, start, start
+
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(message, self.text, self.pos if pos is None else pos)
+
+    def fail(self, expected: str) -> NoReturn:
+        """Raise at the next token, saying what was expected there instead."""
+        tok, start, _ = self._scan()
+        got = "end of input" if tok is None else repr(tok)
+        raise self.error(f"{expected}, got {got}", start)
 
     def peek(self) -> str | None:
-        m = _TOKEN.match(self.text, self.pos)
-        return m.group(1) if m else None
+        return self._scan()[0]
 
-    def next(self) -> str:
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            raise ValueError(f"unexpected input at offset {self.pos} in {self.text!r}")
-        self.pos = m.end()
-        return m.group(1)
+    def take(self, valid: Callable[[str], object], expected: str) -> str:
+        """The next token, which must satisfy ``valid``."""
+        tok, _, end = self._scan()
+        if tok is None or not valid(tok):
+            self.fail(expected)
+        self.pos = end
+        return tok
 
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r} in {self.text!r}")
+    def accept(self, want: str) -> bool:
+        tok, _, end = self._scan()
+        if tok != want:
+            return False
+        self.pos = end
+        return True
 
-    def done(self) -> bool:
-        return not self.peek() and not self.text[self.pos :].strip()
+    def expect(self, want: str) -> None:
+        if not self.accept(want):
+            self.fail(f"expected {want!r}")
+
+    def end(self) -> None:
+        if self.peek() is not None:
+            self.fail("expected end of input")
+
+    def whole(self, read: Callable[["Scanner"], _T]) -> _T:
+        """``read(self)``, which must consume the whole text."""
+        out = read(self)
+        self.end()
+        return out
+
+    def sequence(self, read: Callable[["Scanner"], _T], close: str) -> list[_T]:
+        """Comma-separated ``read(self)`` results, up to (not through) ``close``."""
+        out: list[_T] = []
+        while self.peek() != close:
+            if out and not self.accept(","):
+                self.fail(f"expected ',' or {close!r}")
+            out.append(read(self))
+        return out
+
+    def names(self, valid: Callable[[str], object] = _GROUP_VAR.match) -> list[str]:
+        """Comma-separated variable names through the closing ``}``."""
+        out = self.sequence(lambda sc: sc.take(valid, "expected a variable name"), "}")
+        self.expect("}")
+        return out
+
+    def interest(self, valid: Callable[[str], object] = _GROUP_VAR.match) -> list[str]:
+        """The ``]_{names}`` that closes an element or a substitution class
+        and the text."""
+        self.expect("]")
+        self.expect("_{")
+        names = self.names(valid)
+        self.end()
+        return names
+
+    def group(self, star: bool = False) -> list[tuple[str, float]]:
+        """One polynomial group such as ``x^2y`` as (variable, count) pairs in
+        written order; ``0`` is the empty group. With ``star`` the exponent
+        ``*`` (or ``inf``) is an infinite count."""
+        pos = _SPACE.match(self.text, self.pos).end()
+        if self.text.startswith("0", pos):
+            self.pos = pos + 1
+            return []
+        items: list[tuple[str, float]] = []
+        while m := _GROUP_ITEM.match(self.text, pos):
+            var, exp = m.groups()
+            if exp in ("*", "inf"):
+                if not star:
+                    raise self.error("expected a count after '^'", m.start(2))
+                n = math.inf
+            else:
+                n = int(exp or 1)
+                if n == 0:
+                    raise self.error(f"zero exponent for {var!r}", m.start(2))
+            items.append((var, n))
+            pos = m.end()
+        if not items:
+            raise self.error("expected a sharing group", pos)
+        self.pos = pos
+        return items
 
 
-def _parse_term(sc: _Scanner) -> Term:
-    tok = sc.next()
-    if tok == "[":
-        return _parse_list(sc)
-    if tok == "[]":
-        return App(NIL)
-    if tok in "(),|/{}":
-        raise ValueError(f"unexpected {tok!r} in {sc.text!r}")
-    if sc.peek() == "(":
-        sc.expect("(")
-        args = [_parse_term(sc)]
-        while sc.peek() == ",":
-            sc.expect(",")
-            args.append(_parse_term(sc))
-        sc.expect(")")
-        return App(tok, tuple(args))
-    if is_variable_name(tok):
-        return Var(tok)
-    return App(tok)
+def read_term(sc: Scanner) -> Term:
+    """One term; nesting is kept on an explicit stack, so depth is unbounded."""
+    stack: list[list] = []  # open terms: [symbol, or "[" for a list; args; tail next]
+    while True:
+        tok = sc.take(_TERM_START.match, "expected a term")
+        if tok == "[":
+            if not sc.accept("]"):
+                stack.append(["[", [], False])
+                continue
+            term: Term = App(NIL)
+        elif sc.accept("("):
+            stack.append([tok, [], False])
+            continue
+        else:
+            term = Var(tok) if is_variable_name(tok) else App(tok)
+        while stack:  # close every term that this one completes
+            frame = stack[-1]
+            symbol, args, tail = frame
+            if not tail:
+                args.append(term)
+                if sc.accept(","):
+                    break
+                if symbol == "[" and sc.accept("|"):
+                    frame[2] = True
+                    break
+            stack.pop()
+            if symbol != "[":
+                sc.expect(")")
+                term = App(symbol, tuple(args))
+                continue
+            sc.expect("]")
+            if not tail:
+                term = App(NIL)
+            for item in reversed(args):
+                term = App(CONS, (item, term))
+        else:
+            return term
 
 
-def _parse_list(sc: _Scanner) -> Term:
-    if sc.peek() == "]":
-        sc.expect("]")
-        return App(NIL)
-    items = [_parse_term(sc)]
-    while sc.peek() == ",":
-        sc.expect(",")
-        items.append(_parse_term(sc))
-    tail: Term = App(NIL)
-    if sc.peek() == "|":
-        sc.expect("|")
-        tail = _parse_term(sc)
-    sc.expect("]")
-    for item in reversed(items):
-        tail = App(CONS, (item, tail))
-    return tail
+def read_substitution(sc: Scanner) -> Substitution:
+    """``{x/a, y/f(z)}``; ``{}`` is the empty substitution."""
+    bindings: dict[str, Term] = {}
+
+    def binding(sc: Scanner) -> None:
+        var = sc.take(is_variable_name, "expected a variable")
+        if var in bindings:
+            raise sc.error(f"duplicate binding for {var!r}")
+        sc.expect("/")
+        bindings[var] = read_term(sc)
+
+    sc.expect("{")
+    sc.sequence(binding, "}")
+    sc.expect("}")
+    return Substitution(bindings)
 
 
 def parse_term(text: str) -> Term:
-    sc = _Scanner(text)
-    t = _parse_term(sc)
-    if not sc.done():
-        raise ValueError(f"trailing input in term {text!r}")
-    return t
+    return Scanner(text).whole(read_term)
 
 
 def parse_substitution(text: str) -> Substitution:
     """Parse ``{x/a, y/f(z)}``; ``{}`` is the empty substitution."""
-    sc = _Scanner(text)
-    sc.expect("{")
-    bindings: dict[str, Term] = {}
-    if sc.peek() != "}":
-        while True:
-            var = sc.next()
-            if not is_variable_name(var):
-                raise ValueError(f"{var!r} is not a variable")
-            sc.expect("/")
-            if var in bindings:
-                raise ValueError(f"duplicate binding for {var!r}")
-            bindings[var] = _parse_term(sc)
-            if sc.peek() != ",":
-                break
-            sc.expect(",")
-    sc.expect("}")
-    if not sc.done():
-        raise ValueError(f"trailing input in substitution {text!r}")
-    return Substitution(bindings)
+    return Scanner(text).whole(read_substitution)
 
 
 def format_term(t: Term) -> str:

@@ -61,6 +61,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_program("p(x).\nq(y")
     assert exc.value.lineno == 2
+    assert exc.value.column == 4
+    assert str(exc.value).count("(line 2, column 4)") == 1
+    assert "(line 2)" not in str(exc.value)
 
 
 def test_parse_goal():

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sharlin.oracle
 from sharlin.cli import main
@@ -8,6 +13,7 @@ from sharlin.shlin_omega import omega_element
 from sharlin.shlin2 import parse_two
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PROGRAM_61 = "p(u,v,w).\n"
 PROGRAM_62 = "member(u, [u|v]).\nmember(u, [v|w]) :- member(u, w).\n"
 INJECT_62 = (
@@ -283,3 +289,108 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--domain", "omega"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--domain", "omega", "--op", "union", "[x]_{x}", "[y]_{y}"],
+        ["verify", "correctness", "--trials", "0"],
+        ["verify", "optimality", "--trials", "-3"],
+        ["equiv", "--max-vars", "0"],
+        ["analyze", "--goal", "member(x, [y])", "--call", "[xy]_{x,y}", "--domain", "two",
+         "--max-passes", "0"],
+        ["eval", "--domain", "omega", "--op", "match", "[y", "[x]_{x}"],
+        ["eval", "--domain", "omega", "--op", "project", "[x]_{x}", "{x"],
+    ],
+)
+def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
+    if argv[0] == "analyze":
+        prog = tmp_path / "member.pl"
+        prog.write_text(PROGRAM_62)
+        argv = argv + ["--program", str(prog)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("sharlin: ")
+    assert "Traceback" not in err
+
+
+def test_optimality_report_independent_of_hash_seed():
+    argv = [sys.executable, "-m", "sharlin.cli",
+            "verify", "optimality", "--trials", "200", "--seed", "7"]
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+# well-formed operands per domain, and strings built from the pieces of every
+# textual form, most of them near misses
+ELEMENTS = {
+    "omega": ["[x]_{x}", "[y]_{y}", "[xy, x^2]_{x,y}", "[0]_{x,y}"],
+    "two": ["[x^*]_{x}", "[y]_{y}", "[x^*y, y]_{x,y}", "[]_{x,y}"],
+    "sl": ["[{x}, lin={x}]_{x}", "[{y}, lin={}]_{y}", "[{xy}, lin={x}]_{x,y}"],
+    "concrete": ["[{x/f(y, y)}]_{x,y}", "[{x/a}]_{x}", "[{y/x}]_{x,y}"],
+}
+FRAGMENTS = st.sampled_from(
+    ["[", "]", "_{", "{", "}", ",", " ", "x", "y", "z", "u", "0", "^", "*", "2", "^*",
+     "x^2", "lin=", "/", "|", "f(", ")", "a", "_1", ":-", ".", "%", "\n", "(", "=", "q"]
+)
+NEAR_MISSES = st.lists(FRAGMENTS, max_size=14).map("".join)
+
+
+def _mostly(valid):
+    """A well-formed choice two times in three, a near miss otherwise."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), NEAR_MISSES)
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+@st.composite
+def eval_argv(draw):
+    domain = draw(st.sampled_from(sorted(ELEMENTS)))
+    op = draw(st.sampled_from(["match", "union", "project", "alpha"]))
+    operand = _mostly(ELEMENTS[domain] + (["{x}", "{x,y}"] if op == "project" else []))
+    operands = [draw(operand) for _ in range(1 if op == "alpha" else 2)]
+    return ["eval", "--domain", domain, "--op", op, "--", *operands]
+
+
+@st.composite
+def analyze_argv(draw, program_dir):
+    # omega is left out: its matching runs for minutes on some well-formed
+    # calls, e.g. member(x, y) with [xy, x^2]_{x,y}, a defect of its own
+    domain = draw(st.sampled_from(["two", "sl"]))
+    program = draw(_mostly(["", "p(x).\n", "member(u, u) :- p(u).\n"]))
+    goal = draw(_mostly(["member(x, [y])", "member(x, y)", "p(x)"]))
+    call = draw(_mostly(ELEMENTS[domain]))
+    path = os.path.join(program_dir, "p.pl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(PROGRAM_62 + program)
+    mode = draw(st.sampled_from(["matching", "mgu"]))
+    return ["analyze", "--program", path, "--domain", domain, "--mode", mode,
+            "--goal=" + goal, "--call=" + call]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(eval_argv())
+def test_fuzz_eval_never_crashes(argv):
+    assert _exit_code(argv) in (0, 1)
+
+
+def test_fuzz_analyze_never_crashes(tmp_path):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(analyze_argv(str(tmp_path)))
+    def check(argv):
+        assert _exit_code(argv) in (0, 1)
+
+    check()

@@ -31,6 +31,7 @@ from sharlin.shlin2 import (
     union2,
 )
 from sharlin.shlin_omega import InterestMismatch
+from sharlin.terms import ParseError
 
 T1 = parse_two("[x^*, xz]_{x,y,z}")
 T2 = parse_two("[uv, ux, vx^*, x]_{u,v,x}")
@@ -214,6 +215,9 @@ def test_parse_print_round_trip():
         assert str(parse_two(text)) == text
     assert parse_two_group("x^inf") == parse_two_group("x^*")
     assert parse_two_group("x^2") == parse_two_group("x^*")  # written counts clip
+    for bad in ("[x]_{x,,y}", "[x, ]_{x}", "[,]_{x}", "[x^0]_{x}"):
+        with pytest.raises(ParseError):
+            parse_two(bad)
 
 
 def test_el2_contains_requires_equal_support():

@@ -17,7 +17,7 @@ from sharlin.shlin_omega import (
     star_decompose,
     union_omega,
 )
-from sharlin.terms import EPSILON, parse_substitution
+from sharlin.terms import EPSILON, ParseError, parse_substitution
 
 
 def _class(text, u):
@@ -138,6 +138,10 @@ def test_normalization_inserts_empty_group():
 def test_parse_print_round_trip():
     for text in ("[]_{x}", "[0]_{x}", "[x^2, xz]_{x, y, z}", "[uv, uxz]_{u, v, x, z}"):
         assert str(parse_omega(text)) == text
+    # empty interest names and empty groups are rejected, with a position
+    for bad in ("[x]_{x,,y}", "[x, ]_{x}", "[,]_{x}", "[y", "[x^*]_{x}"):
+        with pytest.raises(ParseError):
+            parse_omega(bad)
 
 
 def _random_element(rng, variables):

@@ -18,7 +18,7 @@ from sharlin.shlin_sl import (
     sl_element,
     union_sl,
 )
-from sharlin.terms import parse_substitution
+from sharlin.terms import ParseError, parse_substitution
 
 S1 = parse_sl("[{x, xz}, lin={y,z}]_{x,y,z}")
 S2 = parse_sl("[{uv, ux, vx, x}, lin={u,v}]_{u,v,x}")
@@ -141,6 +141,9 @@ def test_parse_print_round_trip():
         assert str(parse_sl(text)) == text
     with pytest.raises(ValueError):
         parse_sl("[{u^2}, lin={}]_{u}")
+    for bad in ("[{x}, lin={x,}]_{x}", "[{x, }, lin={}]_{x}", "[{x}, lin={x}]_{x,,y}"):
+        with pytest.raises(ParseError):
+            parse_sl(bad)
 
 
 def _random_sl(rng, variables):
