@@ -112,10 +112,11 @@ def canonicalize(theta: Substitution, interest: Iterable[str]) -> ExistentialSub
     for name in u:
         if name.startswith("_"):
             raise ValueError(f"reserved variable {name!r} cannot be of interest")
-    tuple_terms = {v: theta.apply_fix(Var(v)) for v in sorted(u)}
+    names = sorted(u)
+    tuple_terms = [theta.apply_fix(Var(v)) for v in names]
 
     counts: dict[str, int] = {}
-    for t in tuple_terms.values():
+    for t in tuple_terms:
         stack = [t]
         while stack:
             cur = stack.pop()
@@ -124,22 +125,20 @@ def canonicalize(theta: Substitution, interest: Iterable[str]) -> ExistentialSub
             else:
                 stack.extend(cur.args)
 
-    renaming: dict[str, str] = {}
+    renaming: dict[str, Var] = {}
 
     def rename(t: Term) -> Term:
         if isinstance(t, Var):
             new = renaming.get(t.name)
             if new is None:
-                new = _fresh_name(len(renaming) + 1)
-                renaming[t.name] = new
-            return Var(new)
+                new = renaming[t.name] = Var(_fresh_name(len(renaming) + 1))
+            return new
         if not t.args:
             return t
-        return App(t.symbol, tuple(rename(a) for a in t.args))
+        return App(t.symbol, tuple([rename(a) for a in t.args]))
 
     bindings: dict[str, Term] = {}
-    for v in sorted(u):
-        t = tuple_terms[v]
+    for v, t in zip(names, tuple_terms):
         if isinstance(t, Var) and counts[t.name] == 1:
             continue  # lone free variable: v is unbound in the class
         bindings[v] = rename(t)

@@ -9,7 +9,7 @@ Counts are plain Python integers, so sums are exact and never wrap.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "Multiset",

@@ -28,8 +28,8 @@ pass-through groups a matching against bottom still emits.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .existential import (
     ExistentialSubstitution,

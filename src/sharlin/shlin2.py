@@ -20,9 +20,9 @@ e.g. ``[x^*y, xz^*]_{x,y,z}``.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
 
 from .multiset import EMPTY, Multiset
 from .shlin_omega import (
@@ -68,11 +68,25 @@ class TooLarge(Exception):
     """Joint interest set exceeds the reference matcher's enumeration cap."""
 
 
-@dataclass(frozen=True)
 class TwoSharingGroup:
-    """Map from variables to exponents 1 or INF; absent means 0."""
+    """Map from variables to exponents 1 or INF; absent means 0.
 
-    items: tuple[tuple[str, float], ...]
+    ``items`` is sorted by variable and must not be reassigned; the hash is
+    computed once and the support on first use.
+    """
+
+    __slots__ = ("items", "_hash", "_support")
+
+    def __init__(self, items: tuple[tuple[str, float], ...]):
+        self.items = items
+        self._hash = hash(items)
+        self._support: frozenset[str] | None = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TwoSharingGroup) and self.items == other.items
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def exp(self, var: str) -> float:
         for v, e in self.items:
@@ -82,7 +96,9 @@ class TwoSharingGroup:
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.items)
+        if self._support is None:
+            self._support = frozenset(v for v, _ in self.items)
+        return self._support
 
     def restrict(self, variables) -> "TwoSharingGroup":
         return TwoSharingGroup(tuple((v, e) for v, e in self.items if v in variables))
@@ -157,10 +173,17 @@ def square(o: TwoSharingGroup) -> TwoSharingGroup:
 
 def antichain_max(groups: Iterable[TwoSharingGroup]) -> frozenset[TwoSharingGroup]:
     """Maximal elements; groups equal under the order are deduplicated."""
-    gs = set(groups)
-    return frozenset(
-        g for g in gs if not any(g is not h and g != h and g.leq(h) for h in gs)
-    )
+    # Only groups over the same variables are comparable.
+    buckets: dict[frozenset[str], list[TwoSharingGroup]] = {}
+    for g in set(groups):
+        buckets.setdefault(g.support, []).append(g)
+    out: list[TwoSharingGroup] = []
+    for bucket in buckets.values():
+        if len(bucket) == 1:
+            out.append(bucket[0])
+        else:
+            out.extend(g for g in bucket if not any(g is not h and g.leq(h) for h in bucket))
+    return frozenset(out)
 
 
 def down_closure(groups: Iterable[TwoSharingGroup]) -> set[TwoSharingGroup]:
@@ -294,29 +317,36 @@ def match2_opt_generators(t1, u1, t2, u2):
     out: dict[TwoSharingGroup, tuple] = {}
     for o in sorted(t2_pass, key=TwoSharingGroup.sort_key):
         out.setdefault(o, ("pass", o))
+    # Subsets X are the outer loop, so their sums are formed once; each o1
+    # keeps its own first generators, merged in o1 order below.
+    firsts = []
     for o1 in sorted(t1, key=TwoSharingGroup.sort_key):
-        o1_u2 = o1.restrict(u2)
         tbar = [
             op
             for op in t2_rest
             if all(o1.exp(v) == INF for v in op.support & u1)
         ]
-        for mask in range(1 << len(t2_rest)):
-            x = [op for i, op in enumerate(t2_rest) if mask >> i & 1]
-            lin = EMPTY2
-            for op in x:
-                lin = oplus(lin, _linearized(op))
-            if not lin.restrict(u1).leq(o1_u2):
+        firsts.append((o1, o1.restrict(u2), tbar, {}))
+    for mask in range(1 << len(t2_rest)):
+        x = [op for i, op in enumerate(t2_rest) if mask >> i & 1]
+        lin = EMPTY2
+        xsum = EMPTY2
+        for op in x:
+            lin = oplus(lin, _linearized(op))
+            xsum = oplus(xsum, op)
+        lin_u1 = lin.restrict(u1)
+        for o1, o1_u2, tbar, found in firsts:
+            if not lin_u1.leq(o1_u2):
                 continue
-            xsum = EMPTY2
-            for op in x:
-                xsum = oplus(xsum, op)
             xbar = [op for op in x if op in tbar]
             extra = EMPTY2
             for op in xbar:
                 extra = oplus(extra, op)
             value = oplus(_wedge(o1, xsum, u1, u2), extra)
-            out.setdefault(value, ("gen", o1, tuple(x), tuple(xbar)))
+            found.setdefault(value, ("gen", o1, tuple(x), tuple(xbar)))
+    for _, _, _, found in firsts:
+        for value, provenance in found.items():
+            out.setdefault(value, provenance)
     return out
 
 
@@ -327,8 +357,9 @@ def match2_opt(t1, u1, t2, u2) -> frozenset[TwoSharingGroup]:
 
 def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
     """Element-level matching via the maximal-antichain algorithm."""
+    # two_element keeps the maximal groups, as match2_opt would.
     return two_element(
-        match2_opt(e1.maximals, e1.interest, e2.maximals, e2.interest),
+        match2_opt_generators(e1.maximals, e1.interest, e2.maximals, e2.interest),
         e1.interest | e2.interest,
     )
 

@@ -171,15 +171,14 @@ def _decomposition_tails(
     by the target's total mass.
     """
     tails: set[Multiset] = set()
+    parts = [(g.restrict(common), g.restrict(g.support - common)) for g in groups]
 
     def rec(i: int, remaining: dict[str, int], acc: Multiset) -> None:
         if i == len(groups):
             if not remaining:
                 tails.add(acc)
             return
-        g = groups[i]
-        g_common = g.restrict(common)
-        g_out = g.restrict(g.support - common)
+        g_common, g_out = parts[i]
         top = _max_count(remaining, g_common)
         for k in range(top + 1):
             if k:

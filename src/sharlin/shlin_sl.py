@@ -90,10 +90,8 @@ def alpha_sl(e: ShLin2Element) -> ShLinElement:
     """Forget exponents: supports become sharing groups, variables that are
     nowhere infinite stay linear."""
     sharing = {g.support for g in e.maximals}
-    linear = {
-        x for x in e.interest if all(m.exp(x) <= 1 for m in e.maximals)
-    }
-    return sl_element(sharing, linear, e.interest)
+    nonlinear = {x for m in e.maximals for x, n in m.items if n == INF}
+    return sl_element(sharing, e.interest - nonlinear, e.interest)
 
 
 def gamma_sl_maximals(e: ShLinElement) -> frozenset[TwoSharingGroup]:
@@ -139,18 +137,24 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     pairs: set[tuple[frozenset[str], frozenset[str]]] = {
         (b, l2) for b in s2_pass
     }
-    for b in sorted(s1, key=sorted):
-        b_shared = b & u2
-        for mask in range(1 << len(s2_rest)):
-            x = [s2_rest[i] for i in range(len(s2_rest)) if mask >> i & 1]
-            union_x = frozenset().union(*x) if x else frozenset()
-            if b_shared != union_x & u1:
-                continue
-            nlx = nl(x)
-            if l1 & nlx:
-                continue
-            doubled = frozenset().union(*(g for g in x if g in s_bar)) if x else frozenset()
-            pairs.add((b | union_x, l2 - nlx - doubled))
+    # Subsets X are the outer loop: what X contributes does not depend on
+    # the group of e1 it is matched against, only its shared part does.
+    by_shared: dict[frozenset[str], list[frozenset[str]]] = {}
+    for b in s1:
+        by_shared.setdefault(b & u2, []).append(b)
+    for mask in range(1 << len(s2_rest)):
+        x = [s2_rest[i] for i in range(len(s2_rest)) if mask >> i & 1]
+        union_x = frozenset().union(*x)
+        matched = by_shared.get(union_x & u1)
+        if not matched:
+            continue
+        nlx = nl(x)
+        if l1 & nlx:
+            continue
+        doubled = frozenset().union(*(g for g in x if g in s_bar))
+        lin = l2 - nlx - doubled
+        for b in matched:
+            pairs.add((b | union_x, lin))
 
     sharing = {b for b, _ in pairs}
     if pairs:

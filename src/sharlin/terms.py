@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NoReturn, TypeVar
+from typing import NoReturn, TypeVar
 
 from .multiset import Multiset
 
@@ -140,7 +141,8 @@ class Substitution:
                 continue
             clean[var] = term
         self._bind = clean
-        self._items = tuple(sorted(clean.items(), key=lambda p: p[0]))
+        # Keys are distinct, so the sort never compares terms.
+        self._items = tuple(sorted(clean.items()))
 
     @property
     def domain(self) -> frozenset[str]:
@@ -173,16 +175,36 @@ class Substitution:
             return bound if bound is not None else t
         if not t.args:
             return t
-        return App(t.symbol, tuple(self.apply(arg) for arg in t.args))
+        return App(t.symbol, tuple([self.apply(arg) for arg in t.args]))
 
     def apply_fix(self, t: Term) -> Term:
-        """Apply repeatedly until stable; rejects cyclic binding chains."""
-        for _ in range(len(self._bind) + 1):
-            nxt = self.apply(t)
-            if nxt == t:
+        """Apply repeatedly until stable; rejects cyclic binding chains.
+
+        Computed in one pass that resolves each bound variable through the
+        chain of its bindings.
+        """
+        bind = self._bind
+        chain: set[str] = set()  # variables being resolved around the current one
+
+        def resolve(t: Term) -> Term:
+            if isinstance(t, Var):
+                if t.name not in bind:
+                    return t
+                followed = []
+                while isinstance(t, Var) and t.name in bind:
+                    if t.name in chain:
+                        raise ValueError("substitution has cyclic bindings")
+                    chain.add(t.name)
+                    followed.append(t.name)
+                    t = bind[t.name]
+                t = resolve(t)
+                chain.difference_update(followed)
                 return t
-            t = nxt
-        raise ValueError("substitution has cyclic bindings")
+            if not t.args:
+                return t
+            return App(t.symbol, tuple([resolve(a) for a in t.args]))
+
+        return resolve(t)
 
     def compose(self, eta: "Substitution") -> "Substitution":
         """The substitution mapping x to eta(self(x)): self first, then eta."""
@@ -243,7 +265,7 @@ def mgu_terms(equations: Iterable[tuple[Term, Term]]) -> Substitution:
             return t
         if not t.args:
             return t
-        return App(t.symbol, tuple(resolve(a) for a in t.args))
+        return App(t.symbol, tuple([resolve(a) for a in t.args]))
 
     def occurs(v: str, t: Term) -> bool:
         stack = [t]

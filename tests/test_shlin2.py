@@ -132,6 +132,17 @@ def test_antichain_and_down_closure():
     assert antichain_max({a, c}) == frozenset({a, c})
 
 
+def test_antichain_max_keeps_exactly_the_maximal_groups():
+    rng = random.Random(23)
+    exps = (0, 0, 1, INF)
+    for _ in range(300):
+        gs = {
+            two_group({v: rng.choice(exps) for v in "xyz"}) for _ in range(rng.randint(0, 6))
+        }
+        expected = {g for g in gs if not any(g != h and g.leq(h) for h in gs)}
+        assert antichain_max(gs) == expected
+
+
 def _random_two(rng, variables):
     groups = set()
     for _ in range(rng.randint(0, 3)):

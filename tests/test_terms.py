@@ -35,6 +35,21 @@ def test_apply():
     assert parse_substitution("{y/b}").apply(parse_term("r(y)")) == parse_term("r(b)")
 
 
+def test_apply_fix_resolves_binding_chains():
+    theta = parse_substitution("{x/f(y), y/g(z), z/a}")
+    assert theta.apply_fix(parse_term("h(x, y, x)")) == parse_term("h(f(g(a)), g(a), f(g(a)))")
+    # a long variable-to-variable chain needs no deep Python stack
+    chain = Substitution({f"x{i}": Var(f"x{i + 1}") for i in range(5000)})
+    assert chain.apply_fix(Var("x0")) == Var("x5000")
+    assert parse_substitution("{x/f(x)}").apply_fix(parse_term("f(y)")) == parse_term("f(y)")
+
+
+@pytest.mark.parametrize("text", ["{x/f(x)}", "{x/y, y/x}", "{x/f(y), y/g(x)}"])
+def test_apply_fix_rejects_cyclic_bindings(text):
+    with pytest.raises(ValueError, match="cyclic"):
+        parse_substitution(text).apply_fix(parse_term("k(x)"))
+
+
 def test_compose_worked_example():
     theta = parse_substitution("{v/a, w/s(x,x)}")
     eta = parse_substitution("{x/s(y,u,y), z/s(u,u), v/u}")
