@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .multiset import Multiset
+from .multiset import EMPTY, Multiset, fold_subsets
 from .shlin_omega import (
     ShLinOmegaElement,
     match_omega,
@@ -47,6 +47,7 @@ from .shlin_omega import (
 from .shlin2 import (
     EMPTY2,
     ShLin2Element,
+    TwoSharingGroup,
     match2,
     oplus,
     parse_two,
@@ -251,11 +252,45 @@ class DomainOps:
         raise NotImplementedError
 
 
-def _relevance(groups, var_has, term_has):
-    rx = {g for g in groups if var_has(g)}
-    rt = {g for g in groups if term_has(g)}
+def _bind(groups, var, term, exp, add, copies, zero):
+    """Binding ``var`` to ``term`` in a set of sharing groups: returns the
+    groups that touch neither side and the joins that replace the others.
+
+    ``exp(g, v)`` is the multiplicity of ``v`` in ``g`` and ``add`` sums two
+    groups. The binding is linear when ``var`` is not in the term, the term
+    is linear, no group holds ``var`` or a term variable more than once, and
+    no group holds two term variables; then relevant groups are joined
+    pairwise. Otherwise the joins are the sums of subsets of the relevant
+    groups and their ``copies(relevant)`` with at least one group from each
+    side (a shared group covers both). A sum meets a side exactly when its
+    support does, so the fold needs no state beyond the sum itself.
+    """
+    tvars = frozenset(term_vars(term))
+    rx = {g for g in groups if exp(g, var)}
+    rt = {g for g in groups if g.support & tvars}
     rest = {g for g in groups if g not in rx and g not in rt}
-    return rx, rt, rest
+    if not rt:  # a ground term, or one whose variables are all ground
+        return rest, set()
+    linear = (
+        var not in tvars
+        and all(exp(g, var) <= 1 for g in groups)
+        and is_linear_term(term)
+        and all(all(exp(g, v) <= 1 for g in groups) for v in tvars)
+        and not any(len(g.support & tvars) > 1 for g in groups)
+    )
+    if linear:
+        # a group on both sides can also survive unchanged: the same
+        # existential variable may align with itself
+        return rest, {add(gx, gt) for gx in rx for gt in rt} | (rx & rt)
+    relevant = sorted(rx | rt, key=lambda g: g.sort_key())
+    sums = fold_subsets(zero, dict.fromkeys(relevant + copies(relevant)), add)
+    return rest, {s for s in sums if exp(s, var) and any(exp(s, v) for v in tvars)}
+
+
+def _clip_group(g: Multiset, cap: int) -> Multiset:
+    if not cap or all(n <= cap for _, n in g.items()):
+        return g
+    return Multiset._from_clean({v: min(n, cap) for v, n in g.items()})
 
 
 class _OmegaOps(DomainOps):
@@ -285,86 +320,27 @@ class _OmegaOps(DomainOps):
         return match_omega(exit_elem, full_elem)
 
     def amgu(self, e, var, term, cap):
-        tvars = frozenset(term_vars(term))
-        rx, rt, rest = _relevance(
-            e.groups,
-            lambda g: g.count(var) > 0,
-            lambda g: bool(g.support & tvars),
-        )
-        if not tvars:
-            return omega_element(rest | rt, e.interest)
-        linear = (
-            var not in tvars
-            and all(g.count(var) <= 1 for g in e.groups)
-            and is_linear_term(term)
-            and all(all(g.count(v) <= 1 for g in e.groups) for v in tvars)
-            and not any(len(g.support & tvars) > 1 for g in e.groups)
-        )
-        if linear:
-            # a group on both sides can also survive unchanged: the same
-            # existential variable may align with itself
-            joins = {gx + gt for gx in rx for gt in rt} | (rx & rt)
-        else:
+        def copies(relevant):
             # repeated copies up to the largest multiplicity present cover
-            # every inheritance scale a unifier can produce
-            top = max((n for g in rx | rt for _, n in g.items()), default=1)
-            clip = None
-            if cap:
-                top = min(top, cap)
-                clip = lambda g: Multiset({v: min(n, cap) for v, n in g.items()})
-            joins = _star_joins(
-                rx,
-                rt,
-                lambda a, b: a + b,
-                [(lambda k: (lambda a: a.scale(k)))(k) for k in range(2, max(top, 2) + 1)],
-                Multiset(),
-                clip,
-            )
-        if cap:
-            joins = {Multiset({v: min(n, cap) for v, n in g.items()}) for g in joins}
-        return omega_element(rest | joins, e.interest)
+            # every inheritance scale a unifier can produce; clipping inside
+            # the fold is exact and keeps it finite
+            top = max(n for g in relevant for _, n in g.items())
+            top = min(top, cap) if cap else top
+            return [g.scale(k) for g in relevant for k in range(2, max(top, 2) + 1)]
+
+        rest, joins = _bind(
+            e.groups, var, term, Multiset.count,
+            lambda a, b: _clip_group(a + b, cap), copies, EMPTY,
+        )
+        return omega_element(rest | {_clip_group(g, cap) for g in joins}, e.interest)
 
     def clip(self, e, cap):
         if not cap:
             return e
-        return omega_element(
-            {Multiset({v: min(n, cap) for v, n in g.items()}) for g in e.groups},
-            e.interest,
-        )
+        return omega_element({_clip_group(g, cap) for g in e.groups}, e.interest)
 
     def groups_of(self, e):
         return {str(g) for g in e.groups if g}
-
-
-def _star_joins(rx, rt, add, multiples, zero, clip=None):
-    """Sums of subsets of the relevant groups and their repeated copies,
-    requiring at least one group from each side (a shared group covers both).
-
-    Computed as an incremental closure over distinct (sum, side-hits)
-    states rather than by enumerating subsets; when multiplicities are
-    clipped, clipping inside the fold is exact and keeps the state space
-    finite.
-    """
-    rx, rt = set(rx), set(rt)
-    items = sorted(rx | rt, key=lambda g: g.sort_key())
-    gens = [(g, g in rx, g in rt) for g in items]
-    seen = set(items)
-    for g in items:
-        for scale in multiples:
-            d = scale(g)
-            if d not in seen:
-                gens.append((d, g in rx, g in rt))
-                seen.add(d)
-    states = {(zero, False, False)}
-    for g, isx, ist in gens:
-        nxt = set()
-        for value, hx, ht in states:
-            total = add(value, g)
-            if clip is not None:
-                total = clip(total)
-            nxt.add((total, hx or isx, ht or ist))
-        states |= nxt
-    return {value for value, hx, ht in states if hx and ht}
 
 
 class _TwoOps(DomainOps):
@@ -394,26 +370,11 @@ class _TwoOps(DomainOps):
         return match2(exit_elem, full_elem)
 
     def amgu(self, e, var, term, cap):
-        tvars = frozenset(term_vars(term))
-        rx, rt, rest = _relevance(
-            e.maximals,
-            lambda g: g.exp(var) > 0,
-            lambda g: bool(g.support & tvars),
+        # exponents saturate, so doubled copies cover every repetition
+        rest, joins = _bind(
+            e.maximals, var, term, TwoSharingGroup.exp,
+            oplus, lambda relevant: [square(g) for g in relevant], EMPTY2,
         )
-        if not tvars:
-            return two_element(rest | rt, e.interest)
-        linear = (
-            var not in tvars
-            and all(g.exp(var) <= 1 for g in e.maximals)
-            and is_linear_term(term)
-            and all(all(g.exp(v) <= 1 for g in e.maximals) for v in tvars)
-            and not any(len(g.support & tvars) > 1 for g in e.maximals)
-        )
-        if linear:
-            joins = {oplus(gx, gt) for gx in rx for gt in rt} | (rx & rt)
-        else:
-            # exponents saturate, so doubled copies cover every repetition
-            joins = _star_joins(rx, rt, oplus, [square], EMPTY2)
         return two_element(rest | joins, e.interest)
 
     def groups_of(self, e):

@@ -6,6 +6,9 @@ with count zero are never stored. Display uses the polynomial notation
 lexicographically, exponent 1 omitted. The empty multiset prints as ``0``.
 
 Counts are plain Python integers, so sums are exact and never wrap.
+
+``fold_subsets`` is the one enumeration of sums of subsets of groups behind
+all three matchers and the analyzer's forward abstract unification.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ __all__ = [
     "msum",
     "mrestrict",
     "msupport",
+    "fold_subsets",
     "parse_group",
     "format_group",
 ]
@@ -138,6 +142,29 @@ def mrestrict(a: Multiset, variables) -> Multiset:
 def msupport(a: Multiset) -> frozenset[str]:
     """The set of variables with nonzero count."""
     return a.support
+
+
+def fold_subsets(start, generators, step) -> dict:
+    """Every state that folding ``step`` over some subsequence of
+    ``generators`` reaches from ``start``.
+
+    Generators are taken in order and each at most once; ``step(state, g)``
+    returns the next state, or ``None`` to prune the branch. States are
+    deduplicated, so the work grows with the number of distinct states, not
+    of subsets; a state must therefore determine everything later steps and
+    the caller read from it. The result maps each state, in discovery order,
+    to the ``(state, generator)`` it was first reached from (``None`` for
+    ``start``). Following these back-pointers from a state gives the
+    subsequence that reaches it with the smallest bitmask over
+    ``generators`` (bit i standing for the i-th generator).
+    """
+    states = {start: None}
+    for g in generators:
+        for s in list(states):
+            t = step(s, g)
+            if t is not None and t not in states:
+                states[t] = (s, g)
+    return states
 
 
 def format_group(a: Multiset) -> str:

@@ -82,7 +82,6 @@ __all__ = [
     "check_equivalences",
     "run_correctness",
     "run_optimality",
-    "run_equivalences",
     "render_report",
     "DOMAIN_TAGS",
 ]
@@ -226,22 +225,32 @@ def _split_universe(rng: random.Random, limit: int):
 # --- correctness -------------------------------------------------------------
 
 
+def _abstractions(c1, c2, concrete):
+    """First argument, second argument and concrete answer, abstracted in
+    the exact-multiplicity domain and then clipped."""
+    omega = (alpha_omega(c1), alpha_omega(c2), alpha_omega(concrete))
+    return omega, tuple(map(alpha2, omega))
+
+
+def _match_correct(domain: str, omega, two) -> bool:
+    """One domain's correctness check from precomputed ``_abstractions``."""
+    if domain == "omega":
+        a1, a2, conc = omega
+        return leq_omega(conc, match_omega(a1, a2))
+    a1, a2, conc = two
+    if domain == "two":
+        return leq2(conc, match2(a1, a2))
+    if domain == "sl":
+        return leq_sl(alpha_sl(conc), match_sl(alpha_sl(a1), alpha_sl(a2)))
+    raise ValueError(f"unknown domain {domain!r}")
+
+
 def check_match_correct(c1, c2, domain: str) -> bool:
     """Abstract matching approximates the concrete matching on this pair."""
     concrete = ematch(c1, c2)
     if concrete is UNDEFINED:
         return True
-    a1, a2 = alpha_omega(c1), alpha_omega(c2)
-    if domain == "omega":
-        return approx_omega(match_omega(a1, a2), concrete)
-    if domain == "two":
-        return leq2(alpha2(alpha_omega(concrete)), match2(alpha2(a1), alpha2(a2)))
-    if domain == "sl":
-        return leq_sl(
-            alpha_sl(alpha2(alpha_omega(concrete))),
-            match_sl(alpha_sl(alpha2(a1)), alpha_sl(alpha2(a2))),
-        )
-    raise ValueError(f"unknown domain {domain!r}")
+    return _match_correct(domain, *_abstractions(c1, c2, concrete))
 
 
 # --- optimality witnesses ----------------------------------------------------
@@ -513,21 +522,9 @@ def run_correctness(
                 counts[d] += 1
             continue
         defined += 1
-        a1, a2 = alpha_omega(c1), alpha_omega(c2)
-        a1_two, a2_two = alpha2(a1), alpha2(a2)
-        conc_omega = alpha_omega(concrete)
-        conc_two = alpha2(conc_omega)
+        omega, two = _abstractions(c1, c2, concrete)
         for d in domains:
-            if d == "omega":
-                ok = leq_omega(conc_omega, match_omega(a1, a2))
-            elif d == "two":
-                ok = leq2(conc_two, match2(a1_two, a2_two))
-            else:
-                ok = leq_sl(
-                    alpha_sl(conc_two),
-                    match_sl(alpha_sl(a1_two), alpha_sl(a2_two)),
-                )
-            if ok:
+            if _match_correct(d, omega, two):
                 counts[d] += 1
             else:
                 failures.append({"trial": i, "domain": d, "c1": str(c1), "c2": str(c2)})
@@ -632,9 +629,6 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
         "checks": {"two_ref_vs_opt": two_checked, "sl_vs_composition": sl_checked},
         "failures": failures,
     }
-
-
-run_equivalences = check_equivalences
 
 
 def render_report(report: dict) -> str:

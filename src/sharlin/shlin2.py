@@ -13,7 +13,10 @@ interest set; it is exponential in the number of variables and exists as a
 small-input reference and oracle. ``match2_opt`` works directly on maximal
 antichains, choosing subsets of the second argument's groups and repeating
 the ones whose shared variables are all non-linear; it is the production
-operator and provably computes the same downward-closed set.
+operator and provably computes the same downward-closed set. Its subsets
+are not enumerated one by one: for each first-argument group they are
+folded with ``multiset.fold_subsets`` over distinct partial sums, cutting
+a branch as soon as a variable linear in that group would be hit twice.
 
 The textual form writes infinity as ``^*`` (``^inf`` accepted on input),
 e.g. ``[x^*y, xz^*]_{x,y,z}``.
@@ -24,12 +27,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product
 
-from .multiset import EMPTY, Multiset
-from .shlin_omega import (
-    InterestMismatch,
-    ShLinOmegaElement,
-    omega_element,
-)
+from .multiset import EMPTY, Multiset, fold_subsets
+from .shlin_omega import ShLinOmegaElement, omega_element, same_interest
 from .terms import Scanner
 
 __all__ = [
@@ -297,10 +296,6 @@ def _wedge(o: TwoSharingGroup, osum: TwoSharingGroup, u1, u2) -> TwoSharingGroup
     return two_group(exps)
 
 
-def _linearized(o: TwoSharingGroup) -> TwoSharingGroup:
-    return TwoSharingGroup(tuple((v, 1) for v, _ in o.items))
-
-
 def match2_opt_generators(t1, u1, t2, u2):
     """Maximal-antichain matching, keeping one generator per produced group.
 
@@ -309,6 +304,14 @@ def match2_opt_generators(t1, u1, t2, u2):
     ("gen", o1, X, Xbar) for the group built from o1 and the chosen subset X
     (Xbar being the part of X repeated twice). Used by the optimality
     witness builders; ``match2_opt`` keeps only the groups.
+
+    For each o1 the subsets X of the second-argument groups that fit inside
+    o1's support are folded by ``fold_subsets`` over the states (sum of X,
+    sum of Xbar). A group of X whose shared part meets a variable linear in
+    o1 that X already covers would make the linearized sum infinite there;
+    that only grows with X, so the branch is pruned. Of the subsets giving
+    a group, the provenance names the smallest bitmask over the sorted
+    second-argument groups.
     """
     u1, u2 = frozenset(u1), frozenset(u2)
     t2 = set(t2)
@@ -317,36 +320,33 @@ def match2_opt_generators(t1, u1, t2, u2):
     out: dict[TwoSharingGroup, tuple] = {}
     for o in sorted(t2_pass, key=TwoSharingGroup.sort_key):
         out.setdefault(o, ("pass", o))
-    # Subsets X are the outer loop, so their sums are formed once; each o1
-    # keeps its own first generators, merged in o1 order below.
-    firsts = []
     for o1 in sorted(t1, key=TwoSharingGroup.sort_key):
-        tbar = [
-            op
-            for op in t2_rest
-            if all(o1.exp(v) == INF for v in op.support & u1)
-        ]
-        firsts.append((o1, o1.restrict(u2), tbar, {}))
-    for mask in range(1 << len(t2_rest)):
-        x = [op for i, op in enumerate(t2_rest) if mask >> i & 1]
-        lin = EMPTY2
-        xsum = EMPTY2
-        for op in x:
-            lin = oplus(lin, _linearized(op))
-            xsum = oplus(xsum, op)
-        lin_u1 = lin.restrict(u1)
-        for o1, o1_u2, tbar, found in firsts:
-            if not lin_u1.leq(o1_u2):
+        ones = frozenset(v for v, e in o1.items if e == 1)
+        cover = o1.support & u2
+
+        def step(state, op):
+            xsum, xbar = state
+            if op.support & ones & xsum.support:
+                return None
+            # X-bar holds the groups whose shared variables are all
+            # infinite in o1
+            return oplus(xsum, op), (xbar if op.support & ones else oplus(xbar, op))
+
+        fits = [op for op in t2_rest if op.support & u1 <= o1.support]
+        states = fold_subsets((EMPTY2, EMPTY2), fits, step)
+        for state in states:
+            xsum, xbar = state
+            if xsum.support & u1 != cover:
                 continue
-            xbar = [op for op in x if op in tbar]
-            extra = EMPTY2
-            for op in xbar:
-                extra = oplus(extra, op)
-            value = oplus(_wedge(o1, xsum, u1, u2), extra)
-            found.setdefault(value, ("gen", o1, tuple(x), tuple(xbar)))
-    for _, _, _, found in firsts:
-        for value, provenance in found.items():
-            out.setdefault(value, provenance)
+            value = oplus(_wedge(o1, xsum, u1, u2), xbar)
+            if value in out:
+                continue
+            x = []
+            while states[state] is not None:
+                state, op = states[state]
+                x.append(op)
+            x.reverse()
+            out[value] = ("gen", o1, tuple(x), tuple(op for op in x if not op.support & ones))
     return out
 
 
@@ -380,9 +380,7 @@ def rename2(e: ShLin2Element, rho: Mapping[str, str]) -> ShLin2Element:
 
 
 def union2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
-    if e1.interest != e2.interest:
-        raise InterestMismatch(f"{sorted(e1.interest)} vs {sorted(e2.interest)}")
-    return two_element(e1.maximals | e2.maximals, e1.interest)
+    return two_element(e1.maximals | e2.maximals, same_interest(e1, e2))
 
 
 def embed_cap2(e: ShLin2Element) -> ShLinOmegaElement:

@@ -11,20 +11,24 @@ Matching joins each group of the first argument with every way the second
 argument's groups can sum up to it on the shared variables; groups of the
 second argument that do not touch the first interest set pass through
 unchanged. The search over summand multisets is bounded: every usable
-summand contributes at least one occurrence on the shared variables.
+summand contributes at least one occurrence on the shared variables, so it
+is listed as often as it fits into the target and folded with
+``multiset.fold_subsets``, which keeps each distinct partial sum once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Mapping
 
 from .existential import ExistentialSubstitution
-from .multiset import EMPTY, Multiset
+from .multiset import EMPTY, Multiset, fold_subsets
 from .terms import Scanner, Var
 
 __all__ = [
     "ShLinOmegaElement",
     "InterestMismatch",
+    "same_interest",
     "omega_element",
     "alpha_omega",
     "leq_omega",
@@ -40,6 +44,15 @@ __all__ = [
 
 class InterestMismatch(Exception):
     """Operation requires equal interest sets."""
+
+
+def same_interest(e1, e2) -> frozenset[str]:
+    """The interest set of two elements of one domain that must agree on it."""
+    if e1.interest != e2.interest:
+        raise InterestMismatch(
+            f"interest sets differ: {sorted(e1.interest)} vs {sorted(e2.interest)}"
+        )
+    return e1.interest
 
 
 @dataclass(frozen=True)
@@ -161,61 +174,42 @@ def star_decompose(
     return (True, tuple(reversed(witness))) if ok else (False, None)
 
 
-def _decomposition_tails(
-    target: Multiset, groups: list[Multiset], common: frozenset[str]
-) -> set[Multiset]:
-    """All values of (sum of chosen groups) outside ``common``, over multisets
-    of ``groups`` whose restriction to ``common`` sums exactly to ``target``.
-
-    Every group has a nonempty ``common`` restriction, so choices are bounded
-    by the target's total mass.
-    """
-    tails: set[Multiset] = set()
-    parts = [(g.restrict(common), g.restrict(g.support - common)) for g in groups]
-
-    def rec(i: int, remaining: dict[str, int], acc: Multiset) -> None:
-        if i == len(groups):
-            if not remaining:
-                tails.add(acc)
-            return
-        g_common, g_out = parts[i]
-        top = _max_count(remaining, g_common)
-        for k in range(top + 1):
-            if k:
-                rest = dict(remaining)
-                ok = True
-                for v, n in g_common.items():
-                    m = rest.get(v, 0) - n * k
-                    if m < 0:
-                        ok = False
-                        break
-                    if m:
-                        rest[v] = m
-                    else:
-                        rest.pop(v, None)
-                if not ok:
-                    continue
-                rec(i + 1, rest, acc + g_out.scale(k))
-            else:
-                rec(i + 1, remaining, acc)
-
-    rec(0, {v: n for v, n in target.items()}, EMPTY)
-    return tails
-
-
 def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
-    """Abstract matching: exact enumeration of the joinable group sums."""
+    """Abstract matching: exact enumeration of the joinable group sums.
+
+    For each distinct shared part ``target`` of a first-argument group, the
+    multisets of second-argument groups whose shared parts sum to it are
+    folded by ``fold_subsets`` over the states (what is left of the target,
+    sum of the rest). Each group is listed as many times as it fits into the
+    target; a step that overshoots the target is pruned.
+    """
     u1, u2 = e1.interest, e2.interest
     u = u1 | u2
     common = u1 & u2
     pass_through = {b for b in e2.groups if not (b.support & u1)}
     rest = sorted((b for b in e2.groups if b.support & u1), key=Multiset.sort_key)
+    parts = [(g.restrict(common), g.restrict(g.support - common)) for g in rest]
+
+    by_target: dict[Multiset, list[Multiset]] = {}
+    for b in e1.groups:
+        by_target.setdefault(b.restrict(common), []).append(b)
+
+    def step(state, part):
+        left = tuple(map(sub, state[0], part[0]))
+        return (left, state[1] + part[1]) if min(left) >= 0 else None
 
     out = set(pass_through)
-    for b in e1.groups:
-        target = b.restrict(common)
-        for tail in _decomposition_tails(target, rest, common):
-            out.add(b + tail)
+    for target, firsts in by_target.items():
+        # what is left of the target is a count per variable of the target;
+        # a group that fits has no other shared variable
+        names, need = [v for v, _ in target.items()], tuple(n for _, n in target.items())
+        copies = []
+        for g_common, g_out in parts:
+            fits = min(target.count(v) // n for v, n in g_common.items())
+            copies += [(tuple(g_common.count(v) for v in names), g_out)] * fits
+        for left, tail in fold_subsets((need, EMPTY), copies, step):
+            if not any(left):
+                out.update(b + tail for b in firsts)
     return omega_element(out, u)
 
 
@@ -236,11 +230,7 @@ def rename_omega(e: ShLinOmegaElement, rho: Mapping[str, str]) -> ShLinOmegaElem
 
 
 def union_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
-    if e1.interest != e2.interest:
-        raise InterestMismatch(
-            f"{sorted(e1.interest)} vs {sorted(e2.interest)}"
-        )
-    return omega_element(e1.groups | e2.groups, e1.interest)
+    return omega_element(e1.groups | e2.groups, same_interest(e1, e2))
 
 
 def parse_omega(text: str) -> ShLinOmegaElement:

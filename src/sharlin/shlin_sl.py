@@ -10,7 +10,11 @@ groups agreeing on the shared variables, provided no first-argument linear
 variable would be used twice; groups whose variables are all possibly
 non-linear may be counted twice, which wipes the linearity of their
 variables. This computes exactly the abstraction of the maximal-antichain
-matching run on the embedding into 2-sharing groups.
+matching run on the embedding into 2-sharing groups. The subsets are folded
+with ``multiset.fold_subsets`` over distinct (union, variables shared by two
+chosen groups, variables of doubled groups) states, cutting a branch once a
+linear variable is shared or the union's shared part fits under no
+first-argument group.
 
 Textual form: ``[{uv, ux}, lin={u,v}]_{u,v,x}``.
 """
@@ -19,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .multiset import Multiset
-from .shlin_omega import InterestMismatch
+from .multiset import Multiset, fold_subsets
+from .shlin_omega import same_interest
 from .shlin2 import (
     INF,
     ShLin2Element,
@@ -137,23 +141,25 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     pairs: set[tuple[frozenset[str], frozenset[str]]] = {
         (b, l2) for b in s2_pass
     }
-    # Subsets X are the outer loop: what X contributes does not depend on
-    # the group of e1 it is matched against, only its shared part does.
+    # What a subset X contributes does not depend on the group of e1 it is
+    # matched against, only its shared part does.
     by_shared: dict[frozenset[str], list[frozenset[str]]] = {}
     for b in s1:
         by_shared.setdefault(b & u2, []).append(b)
-    for mask in range(1 << len(s2_rest)):
-        x = [s2_rest[i] for i in range(len(s2_rest)) if mask >> i & 1]
-        union_x = frozenset().union(*x)
-        matched = by_shared.get(union_x & u1)
-        if not matched:
-            continue
-        nlx = nl(x)
-        if l1 & nlx:
-            continue
-        doubled = frozenset().union(*(g for g in x if g in s_bar))
+
+    def step(state, g):
+        union_x, nlx, doubled = state
+        nlx |= union_x & g
+        union_x |= g
+        # both tests only fail more as X grows, so pruning is exact
+        if l1 & nlx or not any(union_x & u1 <= shared for shared in by_shared):
+            return None
+        return union_x, nlx, (doubled | g if g in s_bar else doubled)
+
+    empty = frozenset()
+    for union_x, nlx, doubled in fold_subsets((empty, empty, empty), s2_rest, step):
         lin = l2 - nlx - doubled
-        for b in matched:
+        for b in by_shared.get(union_x & u1, ()):
             pairs.add((b | union_x, lin))
 
     sharing = {b for b, _ in pairs}
@@ -185,9 +191,7 @@ def rename_sl(e: ShLinElement, rho: Mapping[str, str]) -> ShLinElement:
 
 
 def union_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
-    if e1.interest != e2.interest:
-        raise InterestMismatch(f"{sorted(e1.interest)} vs {sorted(e2.interest)}")
-    return sl_element(e1.sharing | e2.sharing, e1.linear & e2.linear, e1.interest)
+    return sl_element(e1.sharing | e2.sharing, e1.linear & e2.linear, same_interest(e1, e2))
 
 
 def _read_set_group(sc: Scanner) -> frozenset[str]:

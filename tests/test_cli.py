@@ -133,6 +133,25 @@ def test_analyze_61_mgu_contains_xz(tmp_path, capsys):
     assert "# passes=" in out
 
 
+def test_analyze_omega_matching_with_a_squared_call(tmp_path, capsys):
+    # exact-multiplicity matching finishes this call only by folding
+    # deduplicated partial sums
+    prog = tmp_path / "member.pl"
+    prog.write_text(PROGRAM_62)
+    rc = main(
+        [
+            "analyze",
+            "--program", str(prog),
+            "--goal", "member(x, y)",
+            "--call", "[xy, x^2]_{x,y}",
+            "--domain", "omega",
+            "--mode", "matching",
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "[xy, x^2y^2, x^3y, x^3y^2, x^3y^3]_{x, y}"
+
+
 def test_analyze_missing_file_exits_2(capsys):
     rc = main(
         [
@@ -302,6 +321,8 @@ def test_usage_error_exits_1(capsys):
          "--max-passes", "0"],
         ["eval", "--domain", "omega", "--op", "match", "[y", "[x]_{x}"],
         ["eval", "--domain", "omega", "--op", "project", "[x]_{x}", "{x"],
+        ["eval", "--domain", "two", "--op", "union", "[x]_{x}", "[y]_{y}"],
+        ["eval", "--domain", "sl", "--op", "union", "[{x}, lin={x}]_{x}", "[{y}, lin={y}]_{y}"],
     ],
 )
 def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
@@ -314,6 +335,8 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("sharlin: ")
     assert "Traceback" not in err
+    if "union" in argv:
+        assert err == "sharlin: interest sets differ: ['x'] vs ['y']\n"
 
 
 def test_optimality_report_independent_of_hash_seed():
@@ -367,9 +390,7 @@ def eval_argv(draw):
 
 @st.composite
 def analyze_argv(draw, program_dir):
-    # omega is left out: its matching runs for minutes on some well-formed
-    # calls, e.g. member(x, y) with [xy, x^2]_{x,y}, a defect of its own
-    domain = draw(st.sampled_from(["two", "sl"]))
+    domain = draw(st.sampled_from(["omega", "two", "sl"]))
     program = draw(_mostly(["", "p(x).\n", "member(u, u) :- p(u).\n"]))
     goal = draw(_mostly(["member(x, [y])", "member(x, y)", "p(x)"]))
     call = draw(_mostly(ELEMENTS[domain]))

@@ -5,6 +5,7 @@ import pytest
 from sharlin.multiset import (
     EMPTY,
     Multiset,
+    fold_subsets,
     format_group,
     mrestrict,
     msum,
@@ -91,3 +92,25 @@ def test_mass_and_scale():
     assert g.scale(0) == EMPTY
     big = Multiset({"x": 2**40})
     assert msum(big, big).count("x") == 2**41  # arbitrary precision, no wrap
+
+
+def test_fold_subsets_reaches_every_subset_sum_from_its_smallest_mask():
+    # a state is the sum of a subset, pruned above a limit; the reference
+    # walks every bitmask in increasing order and keeps the first per sum
+    rng = random.Random(47)
+    for _ in range(200):
+        gens = list(enumerate(rng.randint(1, 5) for _ in range(rng.randint(0, 7))))
+        limit = rng.randint(0, 15)
+        states = fold_subsets(0, gens, lambda s, g: s + g[1] if s + g[1] <= limit else None)
+        first_mask = {}
+        for mask in range(1 << len(gens)):
+            total = sum(n for i, n in gens if mask >> i & 1)
+            if total <= limit:
+                first_mask.setdefault(total, mask)
+        assert list(states) == sorted(first_mask, key=first_mask.get)
+        for state, mask in first_mask.items():
+            path = 0
+            while states[state] is not None:
+                state, (i, _) = states[state]
+                path |= 1 << i
+            assert path == mask

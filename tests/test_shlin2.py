@@ -18,6 +18,7 @@ from sharlin.shlin2 import (
     leq2,
     match2,
     match2_opt,
+    match2_opt_generators,
     match2_ref,
     oplus,
     parse_two,
@@ -152,6 +153,45 @@ def _random_two(rng, variables):
                 exps[v] = INF if rng.random() < 0.4 else 1
         groups.add(two_group(exps))
     return two_element(groups, variables)
+
+
+def _wedge_by_definition(o1, xsum, u1, u2):
+    """o1 on its own variables, the sum on the second argument's own
+    variables, and the smaller exponent on the shared ones."""
+    exps = {}
+    for v in u1 | u2:
+        if v not in u2:
+            exps[v] = o1.exp(v)
+        elif v not in u1:
+            exps[v] = xsum.exp(v)
+        else:
+            exps[v] = min(o1.exp(v), xsum.exp(v))
+    return two_group(exps)
+
+
+def test_match2_provenance_rebuilds_every_group():
+    rng = random.Random(43)
+    for _ in range(300):
+        names = rng.sample("uvwxyz", rng.randint(2, 6))
+        u1 = frozenset(names[: rng.randint(1, len(names))])
+        u2 = frozenset(names[rng.randint(0, len(names) - 1):])
+        e1, e2 = _random_two(rng, u1), _random_two(rng, u2)
+        e2 = union2(e2, _random_two(rng, u2))
+        generators = match2_opt_generators(e1.maximals, u1, e2.maximals, u2)
+        for group, provenance in generators.items():
+            if provenance[0] == "pass":
+                assert provenance == ("pass", group) and group in e2.maximals
+                assert not group.support & u1
+                continue
+            kind, o1, x, xbar = provenance
+            assert kind == "gen" and o1 in e1.maximals
+            assert set(xbar) <= set(x) <= e2.maximals and len(set(x)) == len(x)
+            xsum, xbar_sum = EMPTY2, EMPTY2
+            for op in x:
+                xsum = oplus(xsum, op)
+            for op in xbar:
+                xbar_sum = oplus(xbar_sum, op)
+            assert oplus(_wedge_by_definition(o1, xsum, u1, u2), xbar_sum) == group
 
 
 def test_galois_insertion_round_trip():

@@ -1,6 +1,8 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sharlin.existential import canonicalize, ematch
 from sharlin.multiset import EMPTY, Multiset, parse_group
@@ -167,3 +169,44 @@ def test_match_result_mass_is_bounded():
             if x.support & e1.interest or x in e2.groups:
                 continue
             assert x.restrict(common).mass() <= bound
+
+
+def _match_omega_by_definition(e1, e2):
+    """Every first-argument group joined with every multiset of touching
+    second-argument groups whose shared part sums to the group's shared
+    part; each repetition count is bounded by the largest shared mass of a
+    first-argument group, since every touching group adds at least one."""
+    u1, u2 = e1.interest, e2.interest
+    common = u1 & u2
+    touching = sorted((g for g in e2.groups if g.support & u1), key=Multiset.sort_key)
+    out = {g for g in e2.groups if not g.support & u1}
+    bound = max((b.restrict(common).mass() for b in e1.groups), default=0)
+    for counts in product(range(bound + 1), repeat=len(touching)):
+        total = EMPTY
+        for g, k in zip(touching, counts):
+            total = total + g.scale(k)
+        for b in e1.groups:
+            if total.restrict(common) == b.restrict(common):
+                out.add(b + total.restrict(u2 - u1))
+    return omega_element(out, u1 | u2)
+
+
+@st.composite
+def _omega_pairs(draw):
+    names = draw(st.permutations("uvwx"))
+    cut1 = draw(st.integers(1, 4))
+    cut2 = draw(st.integers(0, 3))
+    u1, u2 = names[:cut1], names[cut2:]
+
+    def element(variables, groups, top):
+        group = st.dictionaries(st.sampled_from(variables), st.integers(1, top), max_size=3)
+        return omega_element(map(Multiset, draw(st.lists(group, max_size=groups))), variables)
+
+    return element(u1, 3, 3), element(u2, 3, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_omega_pairs())
+def test_match_omega_equals_the_definition(pair):
+    e1, e2 = pair
+    assert match_omega(e1, e2) == _match_omega_by_definition(e1, e2)
