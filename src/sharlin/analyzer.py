@@ -22,6 +22,16 @@ Trace injection can replace forward results of the root goal's clauses
 with externally supplied elements, so backward precision can be studied
 independently of forward precision.
 
+Only the domain changes between analyses. Each of the three supplies
+projection, renaming, union, a forward ``amgu`` and its optimal matching
+as a ``DomainOps`` in ``DOMAINS``. ``omega`` (ShLin^omega) keeps exact
+multiplicities: its forward rule sums copies of groups up to the largest
+multiplicity and clips them at the cap. ``two`` (King's ShLin^2)
+saturates exponents at ``*``, so doubled copies suffice. ``sl`` (Sharing
+x Lin) matches directly with ``match_sl`` and runs its forward rule
+through ``two``, embedding with ``gamma_sl`` and forgetting with
+``alpha_sl``.
+
 The fixpoint engine tabulates answers per (predicate, call pattern) with
 call patterns normalized up to variable renaming, and iterates whole-goal
 evaluation until the table is stable. Exact-multiplicity analyses clip
@@ -119,10 +129,7 @@ class Atom:
 
     @property
     def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for t in self.args:
-            term_vars(t, out)
-        return frozenset(out)
+        return frozenset().union(*map(term_vars, self.args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -137,10 +144,7 @@ class Clause:
 
     @property
     def variables(self) -> frozenset[str]:
-        out = set(self.head.variables)
-        for a in self.body:
-            out |= a.variables
-        return frozenset(out)
+        return self.head.variables.union(*(a.variables for a in self.body))
 
     def __str__(self) -> str:
         if not self.body:
@@ -204,43 +208,11 @@ def parse_goal(text: str) -> Atom:
 
 
 class DomainOps:
-    """Uniform view of one abstract domain for the analyzer."""
-
-    name: str
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def bottom(self, interest):
-        raise NotImplementedError
-
-    def is_bottom(self, e) -> bool:
-        return e.is_bottom()
-
-    def interest(self, e) -> frozenset[str]:
-        return e.interest
-
-    def extend(self, e, new_vars):
-        raise NotImplementedError
-
-    def project(self, e, variables):
-        raise NotImplementedError
-
-    def union(self, e1, e2):
-        raise NotImplementedError
-
-    def rename(self, e, rho):
-        raise NotImplementedError
-
-    def join_disjoint(self, e1, e2):
-        """Union of groups over disjoint interest sets (independent variables)."""
-        raise NotImplementedError
-
-    def match(self, exit_elem, full_elem):
-        raise NotImplementedError
-
-    def amgu(self, e, var, term, cap):
-        raise NotImplementedError
+    """One abstract domain as the analyzer sees it: ``parse``, ``bottom``,
+    ``extend`` (add fresh independent linear variables), ``project``,
+    ``union``, ``rename``, ``join_disjoint`` (union over disjoint interest
+    sets), ``match(exit, full)`` and ``amgu(e, var, term, cap)``, with the
+    defaults below. Elements answer ``is_bottom()`` and ``interest``."""
 
     def clip(self, e, cap):
         """Saturate multiplicities at the analysis cap (identity except for
@@ -249,7 +221,7 @@ class DomainOps:
 
     def groups_of(self, e) -> set[str]:
         """Canonical textual group set, for precision diffs."""
-        raise NotImplementedError
+        return {str(g) for g in e.groups if g}
 
 
 def _bind(groups, var, term, exp, add, copies, zero):
@@ -294,8 +266,10 @@ def _clip_group(g: Multiset, cap: int) -> Multiset:
 
 
 class _OmegaOps(DomainOps):
-    name = "omega"
     parse = staticmethod(parse_omega)
+    project = staticmethod(project_omega)
+    union = staticmethod(union_omega)
+    rename = staticmethod(rename_omega)
 
     def bottom(self, interest):
         return ShLinOmegaElement(frozenset(), frozenset(interest))
@@ -303,15 +277,6 @@ class _OmegaOps(DomainOps):
     def extend(self, e, new_vars):
         groups = set(e.groups) | {Multiset({v: 1}) for v in new_vars}
         return omega_element(groups, e.interest | frozenset(new_vars))
-
-    def project(self, e, variables):
-        return project_omega(e, variables)
-
-    def union(self, e1, e2):
-        return union_omega(e1, e2)
-
-    def rename(self, e, rho):
-        return rename_omega(e, rho)
 
     def join_disjoint(self, e1, e2):
         return omega_element(e1.groups | e2.groups, e1.interest | e2.interest)
@@ -339,13 +304,12 @@ class _OmegaOps(DomainOps):
             return e
         return omega_element({_clip_group(g, cap) for g in e.groups}, e.interest)
 
-    def groups_of(self, e):
-        return {str(g) for g in e.groups if g}
-
 
 class _TwoOps(DomainOps):
-    name = "two"
     parse = staticmethod(parse_two)
+    project = staticmethod(project2)
+    union = staticmethod(union2)
+    rename = staticmethod(rename2)
 
     def bottom(self, interest):
         return ShLin2Element(frozenset(), frozenset(interest))
@@ -353,15 +317,6 @@ class _TwoOps(DomainOps):
     def extend(self, e, new_vars):
         groups = set(e.maximals) | {two_group({v: 1}) for v in new_vars}
         return two_element(groups, e.interest | frozenset(new_vars))
-
-    def project(self, e, variables):
-        return project2(e, variables)
-
-    def union(self, e1, e2):
-        return union2(e1, e2)
-
-    def rename(self, e, rho):
-        return rename2(e, rho)
 
     def join_disjoint(self, e1, e2):
         return two_element(e1.maximals | e2.maximals, e1.interest | e2.interest)
@@ -382,8 +337,10 @@ class _TwoOps(DomainOps):
 
 
 class _SlOps(DomainOps):
-    name = "sl"
     parse = staticmethod(parse_sl)
+    project = staticmethod(project_sl)
+    union = staticmethod(union_sl)
+    rename = staticmethod(rename_sl)
 
     def bottom(self, interest):
         u = frozenset(interest)
@@ -396,15 +353,6 @@ class _SlOps(DomainOps):
             e.linear | new,
             e.interest | new,
         )
-
-    def project(self, e, variables):
-        return project_sl(e, variables)
-
-    def union(self, e1, e2):
-        return union_sl(e1, e2)
-
-    def rename(self, e, rho):
-        return rename_sl(e, rho)
 
     def join_disjoint(self, e1, e2):
         return sl_element(
@@ -426,23 +374,32 @@ class _SlOps(DomainOps):
         return {"".join(sorted(g)) for g in e.sharing if g}
 
 
-_OMEGA_OPS = _OmegaOps()
 _TWO_OPS = _TwoOps()
-_SL_OPS = _SlOps()
 
 DOMAINS: Mapping[str, DomainOps] = {
-    "omega": _OMEGA_OPS,
+    "omega": _OmegaOps(),
     "two": _TWO_OPS,
-    "sl": _SL_OPS,
+    "sl": _SlOps(),
 }
+
+
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 0:
+        raise ValueError(f"the multiplicity cap must be 0 (no cap) or more, not {cap}")
 
 
 def baseline_amgu(e, var: str, term: Term, domain: str, cap: int | None = None):
     """Sound binding-at-a-time abstract unification (not a best transformer)."""
-    ops = DOMAINS[domain]
-    if var not in ops.interest(e) or not term_vars(term) <= ops.interest(e):
+    _check_cap(cap)
+    if var not in e.interest or not term_vars(term) <= e.interest:
         raise ValueError("binding mentions variables outside the interest set")
-    return ops.amgu(e, var, term, cap)
+    return DOMAINS[domain].amgu(e, var, term, cap)
+
+
+def _amgu_all(ops: DomainOps, e, bindings, cap: int | None):
+    for v, t in bindings:
+        e = ops.amgu(e, v, t, cap)
+    return e
 
 
 # --- clause pipeline ---------------------------------------------------------
@@ -463,10 +420,8 @@ def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int | None = N
     try:
         theta = mgu_terms(list(zip(head.args, goal.args)))
     except UnificationError:
-        return ops.bottom(ops.interest(call) | cvars), ops.bottom(cvars), None
-    full = ops.extend(call, cvars - ops.interest(call))
-    for v, t in theta.bindings():
-        full = ops.amgu(full, v, t, cap)
+        return ops.bottom(call.interest | cvars), ops.bottom(cvars), None
+    full = _amgu_all(ops, ops.extend(call, cvars - call.interest), theta.bindings(), cap)
     return full, ops.project(full, cvars), theta
 
 
@@ -475,15 +430,13 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
     """Answer propagation for one clause; mode selects matching or re-unification."""
     ops = DOMAINS[domain]
     gv = frozenset(goal_vars)
-    if ops.is_bottom(exit_elem) or theta is None:
+    if exit_elem.is_bottom() or theta is None:
         return ops.bottom(gv)
     if mode == "matching":
         return ops.project(ops.clip(ops.match(exit_elem, full), cap), gv)
     if mode != "mgu":
         raise ValueError(f"unknown backward mode {mode!r}")
-    combined = ops.join_disjoint(call, exit_elem)
-    for v, t in theta.bindings():
-        combined = ops.amgu(combined, v, t, cap)
+    combined = _amgu_all(ops, ops.join_disjoint(call, exit_elem), theta.bindings(), cap)
     return ops.project(combined, gv)
 
 
@@ -504,14 +457,17 @@ class AnalysisRequest:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One clause of the final pass: the (renamed) goal and the domain
+    elements of its pipeline, printed with ``str``."""
+
     depth: int
     clause_index: int
-    goal: str
-    call: str
-    full: str
-    entry: str
-    exit: str
-    answer: str
+    goal: Atom
+    call: object
+    full: object
+    entry: object
+    exit: object
+    answer: object
 
 
 @dataclass
@@ -553,10 +509,7 @@ class _Engine:
         self.trace: list[TraceStep] = []
         self.counter = itertools.count(1)
         self.changed = False
-        taken = set()
-        for c in req.program.clauses:
-            taken |= c.variables
-        self.reserved = frozenset(taken | req.goal.variables)
+        self.reserved = req.goal.variables.union(*(c.variables for c in req.program.clauses))
 
     # call patterns are memoized up to variable renaming: atom and element
     # variables are renamed positionally
@@ -575,7 +528,7 @@ class _Engine:
 
         for a in atom.args:
             walk(a)
-        for v in sorted(self.ops.interest(call) - seen):
+        for v in sorted(call.interest - seen):
             order.append(v)
         rho = {v: f"_p{i}" for i, v in enumerate(order)}
         sub = Substitution({v: Var(n) for v, n in rho.items()})
@@ -601,8 +554,8 @@ class _Engine:
         elem = inj.get((idx, step))
         if elem is None:
             return fallback
-        known = set(rho) | self.ops.interest(self.req.call)
-        missing = self.ops.interest(elem) - known
+        known = set(rho) | self.req.call.interest
+        missing = elem.interest - known
         if missing:
             raise ValueError(
                 f"injected element mentions unknown variables {sorted(missing)}"
@@ -613,8 +566,8 @@ class _Engine:
         ops = self.ops
         # answers range over the caller's variables of interest, which may
         # strictly contain the atom's own variables at the root
-        gv = ops.interest(call)
-        if ops.is_bottom(call):
+        gv = call.interest
+        if call.is_bottom():
             return ops.bottom(gv)
         key, rho = self._key(atom, call)
         if key in stack or key in done:
@@ -637,12 +590,12 @@ class _Engine:
                 entry = self._inject(idx, 1, crho, ops.project(full, cvars))
             exit_elem = entry
             for batom in rclause.body:
-                if ops.is_bottom(exit_elem):
+                if exit_elem.is_bottom():
                     break
                 bcall = ops.project(exit_elem, batom.variables)
                 bans = self.solve(batom, bcall, depth + 1, stack, done)
-                if ops.is_bottom(bans):
-                    exit_elem = ops.bottom(ops.interest(exit_elem))
+                if bans.is_bottom():
+                    exit_elem = ops.bottom(exit_elem.interest)
                     break
                 exit_elem = self._combine(bans, exit_elem)
             answer = backward_unify(
@@ -650,18 +603,7 @@ class _Engine:
                 self.req.domain, gv, self.req.cap,
             )
             total = ops.union(total, answer)
-            self.trace.append(
-                TraceStep(
-                    depth,
-                    idx,
-                    str(atom),
-                    self._fmt(call),
-                    self._fmt(full),
-                    self._fmt(entry),
-                    self._fmt(exit_elem),
-                    self._fmt(answer),
-                )
-            )
+            self.trace.append(TraceStep(depth, idx, atom, call, full, entry, exit_elem, answer))
         stack.remove(key)
         done.add(key)
         stored = ops.rename(total, rho)
@@ -678,26 +620,21 @@ class _Engine:
         ops = self.ops
         if self.req.mode == "matching":
             return ops.clip(ops.match(answer, cur), self.req.cap)
-        avars = sorted(ops.interest(answer))
+        avars = sorted(answer.interest)
         primed = {v: f"_b{i}" for i, v in enumerate(avars)}
-        renamed = ops.rename(answer, primed)
-        joined = ops.join_disjoint(cur, renamed)
-        for v in avars:
-            joined = ops.amgu(joined, primed[v], Var(v), self.req.cap)
-        return ops.project(joined, ops.interest(cur))
-
-    def _fmt(self, e) -> str:
-        return str(e)
+        joined = ops.join_disjoint(cur, ops.rename(answer, primed))
+        bindings = [(primed[v], Var(v)) for v in avars]
+        return ops.project(_amgu_all(ops, joined, bindings, self.req.cap), cur.interest)
 
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:
     """Run the goal-dependent analysis to a fixpoint and return the answer
     over the goal's variables, with per-clause traces from the final pass."""
-    ops = DOMAINS[req.domain]
+    _check_cap(req.cap)
     goal_vars = req.goal.variables
-    if not goal_vars <= ops.interest(req.call):
+    if not goal_vars <= req.call.interest:
         raise ValueError(
-            f"call interest set {sorted(ops.interest(req.call))} must cover "
+            f"call interest set {sorted(req.call.interest)} must cover "
             f"the goal variables {sorted(goal_vars)}"
         )
     engine = _Engine(req)

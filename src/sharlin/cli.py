@@ -113,8 +113,10 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--domain", default="all", choices=("all",) + DOMAIN_TAGS)
     p_ver.add_argument("--trials", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--max-vars", type=int, default=4)
-    p_ver.add_argument("--depth", type=int, default=2)
+    p_ver.add_argument("--max-vars", type=int, default=4,
+                       help="largest interest set (correctness pairs only)")
+    p_ver.add_argument("--depth", type=int, default=2,
+                       help="largest term depth (correctness pairs only)")
     p_ver.add_argument("--cap", type=int, default=3)
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--json", action="store_true")
@@ -122,7 +124,8 @@ def _build_parser() -> _Parser:
     p_eq = sub.add_parser("equiv", help="matcher equivalence suites")
     p_eq.add_argument("--trials", type=int, default=1000)
     p_eq.add_argument("--seed", type=int, default=42)
-    p_eq.add_argument("--max-vars", type=int, default=5)
+    p_eq.add_argument("--max-vars", type=int, default=5,
+                      help="most variables in an instance (at least 2)")
     p_eq.add_argument("--jobs", type=int, default=1)
     p_eq.add_argument("--json", action="store_true")
 

@@ -584,12 +584,14 @@ def run_optimality(cfg: TrialConfig, domain: str, lo: int = 0, hi: int | None = 
 def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> dict:
     """Randomized equality of the two matchers and of the composed
     sharing+linearity matcher; failures carry the full counterexample."""
+    if cfg.max_vars < 2:
+        raise ValueError("equivalence trials need max_vars of at least 2")
     hi = cfg.trials if hi is None else hi
     two_checked = sl_checked = 0
     failures = []
     for i in range(lo, hi):
         rng = _rng(cfg, "equiv", i)
-        u1, u2 = _split_universe(rng, 5)
+        u1, u2 = _split_universe(rng, cfg.max_vars)
         e1 = _gen_two_element(rng, u1)
         e2 = _gen_two_element(rng, u2)
         ref = match2_ref(e1, e2)

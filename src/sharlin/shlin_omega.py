@@ -180,8 +180,10 @@ def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
     For each distinct shared part ``target`` of a first-argument group, the
     multisets of second-argument groups whose shared parts sum to it are
     folded by ``fold_subsets`` over the states (what is left of the target,
-    sum of the rest). Each group is listed as many times as it fits into the
-    target; a step that overshoots the target is pruned.
+    sum of the rest). A group that fits ``k`` times into the target is listed
+    as its multiples 1, 2, 4, ... with the remainder last, so that the
+    subsets of its copies sum to every count from 0 to ``k``; a step that
+    overshoots the target is pruned.
     """
     u1, u2 = e1.interest, e2.interest
     u = u1 | u2
@@ -206,7 +208,13 @@ def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
         copies = []
         for g_common, g_out in parts:
             fits = min(target.count(v) // n for v, n in g_common.items())
-            copies += [(tuple(g_common.count(v) for v in names), g_out)] * fits
+            counts = tuple(g_common.count(v) for v in names)
+            k = 1
+            while fits:
+                k = min(k, fits)
+                copies.append((tuple(n * k for n in counts), g_out.scale(k)))
+                fits -= k
+                k *= 2
         for left, tail in fold_subsets((need, EMPTY), copies, step):
             if not any(left):
                 out.update(b + tail for b in firsts)

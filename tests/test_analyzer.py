@@ -96,6 +96,11 @@ def test_baseline_amgu_rejects_foreign_variables():
         baseline_amgu(parse_omega("[x]_{x}"), "x", Var("q"), "omega")
 
 
+def test_baseline_amgu_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="cap .* not -1"):
+        baseline_amgu(parse_omega("[x^2, y]_{x,y}"), "x", Var("y"), "omega", cap=-1)
+
+
 def test_forward_unify_61():
     call = parse_omega("[x, z]_{x,z}")
     goal = parse_goal("p(x, f(x,z), z)")

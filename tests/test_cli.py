@@ -11,6 +11,7 @@ import sharlin.oracle
 from sharlin.cli import main
 from sharlin.shlin_omega import omega_element
 from sharlin.shlin2 import parse_two
+from sharlin.shlin_sl import parse_sl
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -22,6 +23,34 @@ INJECT_62 = (
     "1 0 [uvxy, uxz]_{u,v,w,x,y,z}\n"
     "1 1 [uv, v]_{u,v,w}\n"
 )
+TRACE_62 = """\
+[x^*y^*, x^*y^*z^*]_{x, y, z}
+# passes=2 table=2
+# depth=0 clause=0 goal=member(x, [y])
+#   call   [xy, xz]_{x, y, z}
+#   full   [u1^*x^*y^*, u1x^*yz]_{u1, v1, x, y, z}
+#   entry  [u1^*]_{u1, v1}
+#   exit   [u1^*]_{u1, v1}
+#   answer [x^*y^*, x^*y^*z^*]_{x, y, z}
+# depth=1 clause=0 goal=member(u2, w2)
+#   call   [u2]_{u2, w2}
+#   full   [0]_{u2, u3, v3, w2}
+#   entry  [0]_{u3, v3}
+#   exit   [0]_{u3, v3}
+#   answer [0]_{u2, w2}
+# depth=1 clause=1 goal=member(u2, w2)
+#   call   [u2]_{u2, w2}
+#   full   [u2u4]_{u2, u4, v4, w2, w4}
+#   entry  [u4]_{u4, v4, w4}
+#   exit   [0]_{u4, v4, w4}
+#   answer [0]_{u2, w2}
+# depth=0 clause=1 goal=member(x, [y])
+#   call   [xy, xz]_{x, y, z}
+#   full   [u2v2xy, u2xz]_{u2, v2, w2, x, y, z}
+#   entry  [u2, u2v2]_{u2, v2, w2}
+#   exit   [0]_{u2, v2, w2}
+#   answer [0]_{x, y, z}
+"""
 
 
 def test_eval_match_omega(capsys):
@@ -133,6 +162,15 @@ def test_analyze_61_mgu_contains_xz(tmp_path, capsys):
     assert "# passes=" in out
 
 
+def test_analyze_trace_text(tmp_path, capsys):
+    prog = tmp_path / "member.pl"
+    prog.write_text(PROGRAM_62)
+    rc = main(["analyze", "--program", str(prog), "--goal", "member(x, [y])",
+               "--call", "[xy, xz]_{x,y,z}", "--domain", "two", "--trace"])
+    assert rc == 0
+    assert capsys.readouterr().out == TRACE_62
+
+
 def test_analyze_omega_matching_with_a_squared_call(tmp_path, capsys):
     # exact-multiplicity matching finishes this call only by folding
     # deduplicated partial sums
@@ -235,6 +273,19 @@ def test_equiv(capsys):
     assert payload["checks"]["sl_vs_composition"] == 150
 
 
+def test_equiv_max_vars_bounds_the_instances(capsys, monkeypatch):
+    # a broken matcher makes every instance a counterexample, so the report
+    # shows each instance's elements
+    monkeypatch.setattr(sharlin.oracle, "match_sl", lambda s1, s2: None)
+    widths = []
+    for n in (2, 5):
+        assert main(["equiv", "--trials", "20", "--seed", "3", "--max-vars", str(n), "--json"]) == 3
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        widths.append(max(len(parse_sl(f["e1"]).interest | parse_sl(f["e2"]).interest)
+                          for f in failures))
+    assert widths == [2, 5]
+
+
 def test_diff_61_sl(tmp_path, capsys):
     prog = tmp_path / "p.pl"
     prog.write_text(PROGRAM_61)
@@ -323,12 +374,14 @@ def test_usage_error_exits_1(capsys):
         ["eval", "--domain", "omega", "--op", "project", "[x]_{x}", "{x"],
         ["eval", "--domain", "two", "--op", "union", "[x]_{x}", "[y]_{y}"],
         ["eval", "--domain", "sl", "--op", "union", "[{x}, lin={x}]_{x}", "[{y}, lin={y}]_{y}"],
+        ["analyze", "--goal", "p(x)", "--call", "[x]_{x}", "--domain", "omega", "--cap", "-1"],
+        ["equiv", "--max-vars", "1"],
     ],
 )
 def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
     if argv[0] == "analyze":
-        prog = tmp_path / "member.pl"
-        prog.write_text(PROGRAM_62)
+        prog = tmp_path / "prog.pl"
+        prog.write_text(PROGRAM_62 + "p(f(u,u,u,u,u)).\n")
         argv = argv + ["--program", str(prog)]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -337,6 +390,8 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in err
     if "union" in argv:
         assert err == "sharlin: interest sets differ: ['x'] vs ['y']\n"
+    if "--cap" in argv:
+        assert err == "sharlin: the multiplicity cap must be 0 (no cap) or more, not -1\n"
 
 
 def test_optimality_report_independent_of_hash_seed():

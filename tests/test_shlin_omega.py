@@ -202,7 +202,7 @@ def _omega_pairs(draw):
         group = st.dictionaries(st.sampled_from(variables), st.integers(1, top), max_size=3)
         return omega_element(map(Multiset, draw(st.lists(group, max_size=groups))), variables)
 
-    return element(u1, 3, 3), element(u2, 3, 2)
+    return element(u1, 3, 5), element(u2, 3, 2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
