@@ -7,9 +7,11 @@ and ``diff`` (matching vs re-unification precision report).
 
 Exit codes: 0 ok, 1 usage, syntax or other input error (library errors
 print one ``sharlin: ...`` line, never a traceback), 2 I/O error, 3
-verification counterexample. Reports are byte-deterministic for fixed seeds; timing is
-never part of a report. A config file of ``key=value`` lines can supply
-defaults for any long flag; explicit flags win.
+verification counterexample. A term nested too deeply for the library's
+recursion is an input error too. Reports are byte-deterministic for fixed
+seeds, at any ``--jobs``; timing is never part of a report. A config file
+of ``key=value`` lines can supply defaults for any long flag; explicit
+flags win.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .analyzer import (
     DOMAINS,
@@ -33,6 +36,7 @@ from .oracle import (
     DOMAIN_TAGS,
     TrialConfig,
     check_equivalences,
+    merge_reports,
     render_report,
     run_correctness,
     run_optimality,
@@ -232,52 +236,16 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _chunks(total: int, jobs: int):
-    size = (total + jobs - 1) // jobs
-    lo = 0
-    while lo < total:
-        yield lo, min(lo + size, total)
-        lo += size
-
-
-def _merge(reports: list[dict]) -> dict:
-    out = dict(reports[0])
-    out["trials"] = sum(r["trials"] for r in reports)
-    out["failures"] = [f for r in reports for f in r["failures"]]
-    if out["kind"] == "correctness":
-        out["defined"] = sum(r["defined"] for r in reports)
-        out["domains"] = {
-            d: sum(r["domains"][d] for r in reports) for d in reports[0]["domains"]
-        }
-    elif out["kind"] == "optimality":
-        out["groups"] = sum(r["groups"] for r in reports)
-    else:
-        out["checks"] = {
-            c: sum(r["checks"][c] for r in reports) for c in reports[0]["checks"]
-        }
-    return out
-
-
-def _corr_worker(payload):
-    cfg, domains, lo, hi = payload
-    return run_correctness(cfg, domains, lo, hi)
-
-
-def _opt_worker(payload):
-    cfg, domain, lo, hi = payload
-    return run_optimality(cfg, domain, lo, hi)
-
-
-def _equiv_worker(payload):
-    cfg, lo, hi = payload
-    return check_equivalences(cfg, lo, hi)
-
-
-def _run_parallel(worker, payloads):
-    if len(payloads) == 1:
-        return [worker(payloads[0])]
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return list(pool.map(worker, payloads))
+def _run(suite, trials: int, jobs: int) -> dict:
+    """The report of ``suite(lo, hi)`` over all trials: in-process as one
+    chunk, or split into up to ``jobs`` consecutive chunks run in parallel."""
+    size = -(-trials // max(1, jobs))
+    los = range(0, trials, size)
+    if len(los) == 1:
+        return suite(0, trials)
+    his = [min(lo + size, trials) for lo in los]
+    with ProcessPoolExecutor(max_workers=len(los)) as pool:
+        return merge_reports(list(pool.map(suite, los, his)))
 
 
 def _emit(report: dict, as_json: bool) -> int:
@@ -297,27 +265,17 @@ def _cmd_verify(args) -> int:
         multiplicity_cap=args.cap,
     )
     domains = DOMAIN_TAGS if args.domain == "all" else (args.domain,)
-    jobs = max(1, args.jobs)
     if args.kind == "correctness":
-        payloads = [(cfg, domains, lo, hi) for lo, hi in _chunks(args.trials, jobs)]
-        report = _merge(_run_parallel(_corr_worker, payloads))
-        return _emit(report, args.json)
-    status = 0
-    reports = []
-    for domain in domains:
-        payloads = [(cfg, domain, lo, hi) for lo, hi in _chunks(args.trials, jobs)]
-        report = _merge(_run_parallel(_opt_worker, payloads))
-        reports.append(report)
-    for report in reports:
-        status = max(status, _emit(report, args.json))
-    return status
+        suites = [partial(run_correctness, cfg, domains)]
+    else:
+        suites = [partial(run_optimality, cfg, d) for d in domains]
+    reports = [_run(suite, args.trials, args.jobs) for suite in suites]
+    return max(_emit(report, args.json) for report in reports)
 
 
 def _cmd_equiv(args) -> int:
     cfg = TrialConfig(seed=args.seed, trials=args.trials, max_vars=args.max_vars)
-    jobs = max(1, args.jobs)
-    payloads = [(cfg, lo, hi) for lo, hi in _chunks(args.trials, jobs)]
-    report = _merge(_run_parallel(_equiv_worker, payloads))
+    report = _run(partial(check_equivalences, cfg), args.trials, args.jobs)
     return _emit(report, args.json)
 
 
@@ -351,6 +309,9 @@ def main(argv=None) -> int:
         return 2
     except _INPUT_ERRORS as exc:
         print(f"sharlin: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("sharlin: a term is nested too deeply", file=sys.stderr)
         return 1
 
 

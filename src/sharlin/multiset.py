@@ -46,13 +46,6 @@ class Multiset:
         self._hash = hash(self._items)
 
     @classmethod
-    def from_vars(cls, variables: Iterable[str]) -> "Multiset":
-        counts: dict[str, int] = {}
-        for v in variables:
-            counts[v] = counts.get(v, 0) + 1
-        return cls(counts)
-
-    @classmethod
     def _from_clean(cls, counts: dict[str, int]) -> "Multiset":
         # internal fast path: counts already validated positive ints
         self = object.__new__(cls)

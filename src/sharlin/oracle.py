@@ -18,8 +18,9 @@ Three kinds of checks, all seeded and reproducible:
   sharing+linearity matcher equals its composition through the embedding.
 
 Per-trial random streams are derived from (seed, label, index), so trials
-are order-independent and can be partitioned across processes; reports are
-merged by index and render byte-identically for identical configurations.
+are order-independent and can be partitioned across processes;
+``merge_reports`` joins the reports of consecutive trial ranges, and they
+render byte-identically for identical configurations.
 
 Bottom elements are excluded from optimality generation: an element with no
 groups approximates no substitution, so no witness pair can exist for the
@@ -82,6 +83,7 @@ __all__ = [
     "check_equivalences",
     "run_correctness",
     "run_optimality",
+    "merge_reports",
     "render_report",
     "DOMAIN_TAGS",
 ]
@@ -180,36 +182,28 @@ def _gen_pair(rng: random.Random, cfg: TrialConfig):
     return canonicalize(theta1, u1), canonicalize(theta2, u2)
 
 
-def _gen_group(rng: random.Random, variables, cap: int) -> Multiset:
-    counts = {}
-    for v in sorted(variables):
-        if rng.random() < 0.45:
-            counts[v] = rng.randint(1, cap)
-    return Multiset(counts)
+def _gen_groups(rng: random.Random, variables, exponent) -> list[dict[str, int]]:
+    """One to three random groups: each variable is kept with probability
+    0.45, and only then given ``exponent()``."""
+    return [
+        {v: exponent() for v in sorted(variables) if rng.random() < 0.45}
+        for _ in range(rng.randint(1, 3))
+    ]
 
 
 def _gen_omega_element(rng: random.Random, variables, cfg: TrialConfig) -> ShLinOmegaElement:
-    k = rng.randint(1, 3)
-    groups = {_gen_group(rng, variables, cfg.multiplicity_cap) for _ in range(k)}
-    return omega_element(groups, variables)
+    groups = _gen_groups(rng, variables, lambda: rng.randint(1, cfg.multiplicity_cap))
+    return omega_element(set(map(Multiset, groups)), variables)
 
 
 def _gen_two_element(rng: random.Random, variables) -> ShLin2Element:
-    k = rng.randint(1, 3)
-    groups = set()
-    for _ in range(k):
-        exps = {}
-        for v in sorted(variables):
-            if rng.random() < 0.45:
-                exps[v] = INF if rng.random() < 0.4 else 1
-        groups.add(two_group(exps))
-    return two_element(groups, variables)
+    groups = _gen_groups(rng, variables, lambda: INF if rng.random() < 0.4 else 1)
+    return two_element(set(map(two_group, groups)), variables)
 
 
 def _gen_sl_element(rng: random.Random, variables) -> ShLinElement:
-    k = rng.randint(1, 3)
-    groups = [frozenset(v for v in sorted(variables) if rng.random() < 0.45) for _ in range(k)]
-    covered = frozenset().union(*groups) if groups else frozenset()
+    groups = [frozenset(g) for g in _gen_groups(rng, variables, lambda: 1)]
+    covered = frozenset().union(*groups)
     linear = {v for v in sorted(covered) if rng.random() < 0.6}
     return sl_element(groups, linear, variables)
 
@@ -377,44 +371,31 @@ def _cap2_multiset(o: TwoSharingGroup) -> Multiset:
     return Multiset({v: (1 if e == 1 else 2) for v, e in o.items})
 
 
-def _omega_witness_reports(
-    e1: ShLinOmegaElement, e2: ShLinOmegaElement | None, lemma_c2=None
-) -> list[WitnessReport]:
+def _omega_witness_reports(e1: ShLinOmegaElement, second) -> list[WitnessReport]:
     """One report per group of the exact-multiplicity matching.
 
-    With a concrete ``lemma_c2`` the second substitution stays fixed for
-    all groups; otherwise it is rebuilt per group from the decomposition.
+    A concrete ``second`` (lemma mode) stays fixed for all groups, matched
+    through its abstraction; for an abstract ``second`` the second
+    substitution is rebuilt per group from the decomposition.
     """
     reports: list[WitnessReport] = []
     if e1.is_bottom():
         return reports
-
-    if lemma_c2 is not None:
-        c2 = lemma_c2
-        m = match_omega(e1, alpha_omega(c2))
-        for b in sorted(m.groups, key=Multiset.sort_key):
-            theta1 = witness_theta1(e1, c2, b)
-            concrete = ematch(theta1, c2)
-            ok = (
-                concrete is not UNDEFINED
-                and b in alpha_omega(concrete).groups
-                and approx_omega(e1, theta1)
-            )
-            reports.append(WitnessReport(b, theta1, c2, ok))
-        return reports
-
+    lemma = isinstance(second, ExistentialSubstitution)
+    e2 = alpha_omega(second) if lemma else second
     m = match_omega(e1, e2)
     u1, u2 = e1.interest, e2.interest
     rest = [g for g in e2.groups if g.support & u1]
     for b in sorted(m.groups, key=Multiset.sort_key):
-        if not b.restrict(u1) and b in e2.groups:
-            theta2 = witness_theta2({b: 1}, u2)
+        if lemma:
+            c2 = second
+        elif not b.restrict(u1) and b in e2.groups:
+            c2 = canonicalize(witness_theta2({b: 1}, u2), u2)
         else:
             ok, witness = star_decompose(b.restrict(u2), rest, u1)
             if not ok:  # pragma: no cover - see above
                 raise NotInMatch(f"{b} undecomposable")
-            theta2 = witness_theta2(dict(witness), u2)
-        c2 = canonicalize(theta2, u2)
+            c2 = canonicalize(witness_theta2(dict(witness), u2), u2)
         theta1 = witness_theta1(e1, c2, b)
         concrete = ematch(theta1, c2)
         ok = (
@@ -484,8 +465,6 @@ def check_optimality(e1, second, domain: str, cfg: TrialConfig) -> list[WitnessR
     second argument may be an abstract element or, for the exact domain, a
     concrete substitution class kept fixed across all groups."""
     if domain == "omega":
-        if isinstance(second, ExistentialSubstitution):
-            return _omega_witness_reports(e1, None, lemma_c2=second)
         return _omega_witness_reports(e1, second)
     if domain == "two":
         return _two_witness_reports(e1, second)
@@ -631,6 +610,21 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
         "checks": {"two_ref_vs_opt": two_checked, "sl_vs_composition": sl_checked},
         "failures": failures,
     }
+
+
+def merge_reports(reports: list[dict]) -> dict:
+    """One report from the reports of one suite over consecutive trial
+    ranges: failures are concatenated in order, every count except the
+    seed is summed (dicts of counts key by key), and the rest is kept."""
+    out = dict(reports[0])
+    for key, value in reports[0].items():
+        if key == "failures":
+            out[key] = [f for r in reports for f in r[key]]
+        elif isinstance(value, dict):
+            out[key] = {k: sum(r[key][k] for r in reports) for k in value}
+        elif isinstance(value, int) and key != "seed":
+            out[key] = sum(r[key] for r in reports)
+    return out
 
 
 def render_report(report: dict) -> str:

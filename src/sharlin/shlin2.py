@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .multiset import EMPTY, Multiset, fold_subsets
-from .shlin_omega import ShLinOmegaElement, omega_element, same_interest
+from .shlin_omega import ShLinOmegaElement, injective_renaming, omega_element, same_interest
 from .terms import Scanner
 
 __all__ = [
@@ -370,9 +370,7 @@ def project2(e: ShLin2Element, variables: Iterable[str]) -> ShLin2Element:
 
 
 def rename2(e: ShLin2Element, rho: Mapping[str, str]) -> ShLin2Element:
-    relevant = {v: rho.get(v, v) for v in e.interest}
-    if len(set(relevant.values())) != len(relevant):
-        raise ValueError("renaming is not injective on the interest set")
+    relevant = injective_renaming(e, rho)
     groups = {
         two_group({relevant[v]: x for v, x in g.items}) for g in e.maximals
     }

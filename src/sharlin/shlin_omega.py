@@ -29,6 +29,7 @@ __all__ = [
     "ShLinOmegaElement",
     "InterestMismatch",
     "same_interest",
+    "injective_renaming",
     "omega_element",
     "alpha_omega",
     "leq_omega",
@@ -53,6 +54,15 @@ def same_interest(e1, e2) -> frozenset[str]:
             f"interest sets differ: {sorted(e1.interest)} vs {sorted(e2.interest)}"
         )
     return e1.interest
+
+
+def injective_renaming(e, rho: Mapping[str, str]) -> dict[str, str]:
+    """``rho`` on the interest set of ``e`` (identity where it is silent),
+    which it must map injectively."""
+    relevant = {v: rho.get(v, v) for v in e.interest}
+    if len(set(relevant.values())) != len(relevant):
+        raise ValueError("renaming is not injective on the interest set")
+    return relevant
 
 
 @dataclass(frozen=True)
@@ -228,9 +238,7 @@ def project_omega(e: ShLinOmegaElement, variables: Iterable[str]) -> ShLinOmegaE
 
 def rename_omega(e: ShLinOmegaElement, rho: Mapping[str, str]) -> ShLinOmegaElement:
     """Apply an injective variable renaming to groups and interest set."""
-    relevant = {v: rho.get(v, v) for v in e.interest}
-    if len(set(relevant.values())) != len(relevant):
-        raise ValueError("renaming is not injective on the interest set")
+    relevant = injective_renaming(e, rho)
     groups = {
         Multiset({relevant[v]: n for v, n in g.items()}) for g in e.groups
     }

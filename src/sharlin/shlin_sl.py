@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .multiset import Multiset, fold_subsets
-from .shlin_omega import same_interest
+from .shlin_omega import injective_renaming, same_interest
 from .shlin2 import (
     INF,
     ShLin2Element,
     TwoSharingGroup,
-    antichain_max,
     two_element,
     two_group,
 )
@@ -102,10 +101,9 @@ def gamma_sl_maximals(e: ShLinElement) -> frozenset[TwoSharingGroup]:
     """Best 2-sharing description of each group: linear variables get
     exponent 1, the rest infinity. Distinct groups have distinct supports,
     so the result is already an antichain."""
-    out = set()
-    for b in e.sharing:
-        out.add(two_group({v: (1 if v in e.linear else INF) for v in b}))
-    return antichain_max(out)
+    return frozenset(
+        two_group({v: (1 if v in e.linear else INF) for v in b}) for b in e.sharing
+    )
 
 
 def gamma_sl(e: ShLinElement) -> ShLin2Element:
@@ -180,9 +178,7 @@ def project_sl(e: ShLinElement, variables: Iterable[str]) -> ShLinElement:
 
 
 def rename_sl(e: ShLinElement, rho: Mapping[str, str]) -> ShLinElement:
-    relevant = {v: rho.get(v, v) for v in e.interest}
-    if len(set(relevant.values())) != len(relevant):
-        raise ValueError("renaming is not injective on the interest set")
+    relevant = injective_renaming(e, rho)
     return sl_element(
         {frozenset(relevant[v] for v in g) for g in e.sharing},
         {relevant[v] for v in e.linear},

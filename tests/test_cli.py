@@ -17,6 +17,8 @@ from sharlin.shlin_sl import parse_sl
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PROGRAM_61 = "p(u,v,w).\n"
 PROGRAM_62 = "member(u, [u|v]).\nmember(u, [v|w]) :- member(u, w).\n"
+# a ground term nested far deeper than the recursion limit
+DEEP = "f(" * 3000 + "a" + ")" * 3000
 INJECT_62 = (
     "0 0 [u^*x^*y^*]_{u,v,x,y,z}\n"
     "0 1 [u^*]_{u,v}\n"
@@ -111,12 +113,16 @@ def test_eval_alpha_and_concrete_match(capsys):
 
 
 def test_eval_jobs_deterministic(capsys):
-    base = ["verify", "correctness", "--domain", "two", "--trials", "120", "--seed", "3"]
-    assert main(base) == 0
-    seq = capsys.readouterr().out
-    assert main(base + ["--jobs", "3"]) == 0
-    par = capsys.readouterr().out
-    assert seq == par
+    for base, jobs in (
+        (["verify", "correctness", "--domain", "two", "--trials", "120", "--seed", "3"], "3"),
+        (["verify", "optimality", "--trials", "60", "--seed", "3"], "2"),
+        (["equiv", "--trials", "80", "--seed", "3"], "2"),
+    ):
+        assert main(base) == 0
+        seq = capsys.readouterr().out
+        assert main(base + ["--jobs", jobs]) == 0
+        par = capsys.readouterr().out
+        assert seq == par
 
 
 def test_eval_parse_error_exits_1(capsys):
@@ -376,12 +382,15 @@ def test_usage_error_exits_1(capsys):
         ["eval", "--domain", "sl", "--op", "union", "[{x}, lin={x}]_{x}", "[{y}, lin={y}]_{y}"],
         ["analyze", "--goal", "p(x)", "--call", "[x]_{x}", "--domain", "omega", "--cap", "-1"],
         ["equiv", "--max-vars", "1"],
+        ["eval", "--domain", "concrete", "--op", "match", f"[{{x/{DEEP}}}]_{{x}}", "[{y/a}]_{y}"],
+        ["eval", "--domain", "omega", "--op", "alpha", f"[{{x/{DEEP}}}]_{{x}}"],
+        ["analyze", "--goal", "q(x)", "--call", "[x]_{x}", "--domain", "two"],
     ],
 )
 def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
     if argv[0] == "analyze":
         prog = tmp_path / "prog.pl"
-        prog.write_text(PROGRAM_62 + "p(f(u,u,u,u,u)).\n")
+        prog.write_text(PROGRAM_62 + "p(f(u,u,u,u,u)).\n" + f"q({DEEP}).\n")
         argv = argv + ["--program", str(prog)]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -392,6 +401,8 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
         assert err == "sharlin: interest sets differ: ['x'] vs ['y']\n"
     if "--cap" in argv:
         assert err == "sharlin: the multiplicity cap must be 0 (no cap) or more, not -1\n"
+    if "q(x)" in argv or any(DEEP in a for a in argv):
+        assert err == "sharlin: a term is nested too deeply\n"
 
 
 def test_optimality_report_independent_of_hash_seed():

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from sharlin.oracle import (
     check_match_correct,
     check_optimality,
     gen_existential,
+    merge_reports,
     render_report,
     run_correctness,
     run_optimality,
@@ -151,13 +153,22 @@ def test_suites_pass_and_render_deterministically():
 
 
 def test_suites_chunk_merge_invariance():
-    # the same trials computed in two halves give the same per-trial results
+    # the same trials computed in two uneven halves merge into the whole report
     cfg = TrialConfig(seed=8, trials=100)
-    whole = run_correctness(cfg)
-    lo = run_correctness(cfg, hi=50)
-    hi = run_correctness(cfg, lo=50, hi=100)
-    assert whole["defined"] == lo["defined"] + hi["defined"]
-    assert whole["domains"]["omega"] == lo["domains"]["omega"] + hi["domains"]["omega"]
+    domains = ("omega", "two", "sl")
+    suites = [partial(run_correctness, cfg, domains), partial(check_equivalences, cfg)]
+    suites += [partial(run_optimality, cfg, d) for d in domains]
+    for suite in suites:
+        assert merge_reports([suite(0, 37), suite(37, 100)]) == suite(0, 100)
+    # failures are concatenated in order; the seed is kept, not summed
+    a = {"kind": "optimality", "seed": 8, "domain": "two", "trials": 2, "groups": 3,
+         "failures": [{"trial": 0}]}
+    b = dict(a, trials=1, groups=1, failures=[{"trial": 2}])
+    merged = merge_reports([a, b])
+    assert merged == dict(a, trials=3, groups=4, failures=[{"trial": 0}, {"trial": 2}])
+    c = {"kind": "equivalence", "seed": 8, "trials": 1, "checks": {"x": 1, "y": 2},
+         "failures": []}
+    assert merge_reports([c, c])["checks"] == {"x": 2, "y": 4}
 
 
 def test_trial_config_validation():

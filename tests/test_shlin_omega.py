@@ -129,6 +129,21 @@ def test_rename_and_union():
         rename_omega(parse_omega("[x, y]_{x,y}"), {"x": "y"})
 
 
+def test_renaming_must_be_injective_in_every_domain():
+    from sharlin.shlin2 import parse_two, rename2
+    from sharlin.shlin_sl import parse_sl, rename_sl
+
+    for rename, e in (
+        (rename_omega, parse_omega("[x, y]_{x,y}")),
+        (rename2, parse_two("[x^*, y]_{x,y}")),
+        (rename_sl, parse_sl("[{x, y}, lin={x}]_{x,y}")),
+    ):
+        with pytest.raises(ValueError, match="^renaming is not injective on the interest set$"):
+            rename(e, {"x": "y"})
+        # a renaming that is injective on the interest set is accepted
+        assert rename(e, {"x": "y", "y": "x", "z": "x"}).interest == e.interest
+
+
 def test_normalization_inserts_empty_group():
     e = omega_element({parse_group("x")}, {"x"})
     assert EMPTY in e.groups
