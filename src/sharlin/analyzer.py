@@ -16,8 +16,8 @@ The forward step folds ``baseline_amgu``, a deliberately plain, sound
 binding-at-a-time rule: it is not a best transformer and is not meant to
 be one. When a variable and a linear term with linear, pairwise
 independent variables are unified, relevant groups are joined pairwise;
-otherwise all subsets of the relevant groups (and their doubled copies)
-are summed. A binding to a ground term removes the variable's groups.
+otherwise the relevant groups are summed, each repeated up to a bound the
+domain sets. A binding to a ground term removes the variable's groups.
 Trace injection can replace forward results of the root goal's clauses
 with externally supplied elements, so backward precision can be studied
 independently of forward precision.
@@ -25,12 +25,11 @@ independently of forward precision.
 Only the domain changes between analyses. Each of the three supplies
 projection, renaming, union, a forward ``amgu`` and its optimal matching
 as a ``DomainOps`` in ``DOMAINS``. ``omega`` (ShLin^omega) keeps exact
-multiplicities: its forward rule sums copies of groups up to the largest
-multiplicity and clips them at the cap. ``two`` (King's ShLin^2)
-saturates exponents at ``*``, so doubled copies suffice. ``sl`` (Sharing
-x Lin) matches directly with ``match_sl`` and runs its forward rule
-through ``two``, embedding with ``gamma_sl`` and forgetting with
-``alpha_sl``.
+multiplicities, which its forward rule saturates at the cap. ``two``
+(King's ShLin^2) saturates exponents at ``*``, so a group repeats at most
+twice. ``sl`` (Sharing x Lin) matches directly with ``match_sl`` and runs
+its forward rule through ``two``, embedding with ``gamma_sl`` and
+forgetting with ``alpha_sl``.
 
 The fixpoint engine tabulates answers per (predicate, call pattern) with
 call patterns normalized up to variable renaming, and iterates whole-goal
@@ -41,10 +40,11 @@ operators stay exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from .multiset import EMPTY, Multiset, fold_subsets
+from .multiset import Multiset, fold_subsets
 from .shlin_omega import (
     ShLinOmegaElement,
     match_omega,
@@ -63,7 +63,6 @@ from .shlin2 import (
     parse_two,
     project2,
     rename2,
-    square,
     two_element,
     two_group,
     union2,
@@ -224,7 +223,7 @@ class DomainOps:
         return {str(g) for g in e.groups if g}
 
 
-def _bind(groups, var, term, exp, add, copies, zero):
+def _bind(groups, var, term, exp, add, sums):
     """Binding ``var`` to ``term`` in a set of sharing groups: returns the
     groups that touch neither side and the joins that replace the others.
 
@@ -232,10 +231,9 @@ def _bind(groups, var, term, exp, add, copies, zero):
     groups. The binding is linear when ``var`` is not in the term, the term
     is linear, no group holds ``var`` or a term variable more than once, and
     no group holds two term variables; then relevant groups are joined
-    pairwise. Otherwise the joins are the sums of subsets of the relevant
-    groups and their ``copies(relevant)`` with at least one group from each
-    side (a shared group covers both). A sum meets a side exactly when its
-    support does, so the fold needs no state beyond the sum itself.
+    pairwise. Otherwise the joins are the ``sums(relevant)``, each relevant
+    group repeated up to the domain's bound, that meet both sides (a shared
+    group covers both): a sum meets a side exactly when its support does.
     """
     tvars = frozenset(term_vars(term))
     rx = {g for g in groups if exp(g, var)}
@@ -255,8 +253,7 @@ def _bind(groups, var, term, exp, add, copies, zero):
         # existential variable may align with itself
         return rest, {add(gx, gt) for gx in rx for gt in rt} | (rx & rt)
     relevant = sorted(rx | rt, key=lambda g: g.sort_key())
-    sums = fold_subsets(zero, dict.fromkeys(relevant + copies(relevant)), add)
-    return rest, {s for s in sums if exp(s, var) and any(exp(s, v) for v in tvars)}
+    return rest, {s for s in sums(relevant) if exp(s, var) and any(exp(s, v) for v in tvars)}
 
 
 def _clip_group(g: Multiset, cap: int) -> Multiset:
@@ -285,18 +282,23 @@ class _OmegaOps(DomainOps):
         return match_omega(exit_elem, full_elem)
 
     def amgu(self, e, var, term, cap):
-        def copies(relevant):
-            # repeated copies up to the largest multiplicity present cover
-            # every inheritance scale a unifier can produce; clipping inside
-            # the fold is exact and keeps it finite
-            top = max(n for g in relevant for _, n in g.items())
-            top = min(top, cap) if cap else top
-            return [g.scale(k) for g in relevant for k in range(2, max(top, 2) + 1)]
+        def sums(relevant):
+            # a group repeats up to 1 + 2 + ... + k times, k the largest
+            # multiplicity (at least 2), as scales up to k cover every
+            # inheritance a unifier can produce; sums saturate at the cap
+            names = sorted(set().union(*(g.support for g in relevant)))
+            k = max(2, max(n for g in relevant for _, n in g.items()))
+            bound = min(k * (k + 1) // 2, cap or float("inf"))
+            ceilings = itertools.repeat(cap or float("inf"))
 
-        rest, joins = _bind(
-            e.groups, var, term, Multiset.count,
-            lambda a, b: _clip_group(a + b, cap), copies, EMPTY,
-        )
+            def step(s, g):
+                return tuple(map(min, map(operator.add, s, g), ceilings))
+
+            counts = {tuple(map(g.count, names)): bound for g in relevant}
+            for s in fold_subsets((0,) * len(names), counts, step):
+                yield Multiset._from_clean({v: n for v, n in zip(names, s) if n})
+
+        rest, joins = _bind(e.groups, var, term, Multiset.count, Multiset.__add__, sums)
         return omega_element(rest | {_clip_group(g, cap) for g in joins}, e.interest)
 
     def clip(self, e, cap):
@@ -325,10 +327,10 @@ class _TwoOps(DomainOps):
         return match2(exit_elem, full_elem)
 
     def amgu(self, e, var, term, cap):
-        # exponents saturate, so doubled copies cover every repetition
+        # exponents saturate, so taking a group twice covers every repetition
         rest, joins = _bind(
-            e.maximals, var, term, TwoSharingGroup.exp,
-            oplus, lambda relevant: [square(g) for g in relevant], EMPTY2,
+            e.maximals, var, term, TwoSharingGroup.exp, oplus,
+            lambda relevant: fold_subsets(EMPTY2, dict.fromkeys(relevant, 2), oplus),
         )
         return two_element(rest | joins, e.interest)
 

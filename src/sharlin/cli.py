@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -244,7 +245,7 @@ def _run(suite, trials: int, jobs: int) -> dict:
     if len(los) == 1:
         return suite(0, trials)
     his = [min(lo + size, trials) for lo in los]
-    with ProcessPoolExecutor(max_workers=len(los)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(los), os.cpu_count() or 1)) as pool:
         return merge_reports(list(pool.map(suite, los, his)))
 
 

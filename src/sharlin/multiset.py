@@ -7,8 +7,9 @@ lexicographically, exponent 1 omitted. The empty multiset prints as ``0``.
 
 Counts are plain Python integers, so sums are exact and never wrap.
 
-``fold_subsets`` is the one enumeration of sums of subsets of groups behind
-all three matchers and the analyzer's forward abstract unification.
+``fold_subsets`` is the one enumeration of sums of groups, each repeated
+up to a bound, behind all three matchers and the analyzer's forward
+abstract unification.
 """
 from __future__ import annotations
 
@@ -138,25 +139,29 @@ def msupport(a: Multiset) -> frozenset[str]:
 
 
 def fold_subsets(start, generators, step) -> dict:
-    """Every state that folding ``step`` over some subsequence of
+    """Every state that folding ``step`` over a sub-multiset of
     ``generators`` reaches from ``start``.
 
-    Generators are taken in order and each at most once; ``step(state, g)``
-    returns the next state, or ``None`` to prune the branch. States are
-    deduplicated, so the work grows with the number of distinct states, not
-    of subsets; a state must therefore determine everything later steps and
-    the caller read from it. The result maps each state, in discovery order,
-    to the ``(state, generator)`` it was first reached from (``None`` for
-    ``start``). Following these back-pointers from a state gives the
-    subsequence that reaches it with the smallest bitmask over
-    ``generators`` (bit i standing for the i-th generator).
+    ``generators`` maps each generator, in the order taken, to the most
+    times it may be taken; ``step(state, g)`` returns the next state, or
+    ``None`` to prune. States are deduplicated, so the work grows with the
+    number of distinct states, and a state must determine everything later
+    steps and the caller read from it. Repeating ``g`` stops at a state
+    that existed before ``g``, whose own repeats cover the rest. Each state
+    maps, in discovery order, to the ``(state, generator)`` it was first
+    reached from (``None`` for ``start``); when every bound is 1, these
+    back-pointers give the subsequence of smallest bitmask reaching it.
     """
     states = {start: None}
-    for g in generators:
-        for s in list(states):
-            t = step(s, g)
-            if t is not None and t not in states:
-                states[t] = (s, g)
+    for g, bound in generators.items():
+        before = states.copy()
+        for s in before:
+            for _ in range(bound):
+                t = step(s, g)
+                if t is None or t in before:
+                    break
+                states.setdefault(t, (s, g))
+                s = t
     return states
 
 

@@ -332,7 +332,7 @@ def match2_opt_generators(t1, u1, t2, u2):
             # infinite in o1
             return oplus(xsum, op), (xbar if op.support & ones else oplus(xbar, op))
 
-        fits = [op for op in t2_rest if op.support & u1 <= o1.support]
+        fits = {op: 1 for op in t2_rest if op.support & u1 <= o1.support}
         states = fold_subsets((EMPTY2, EMPTY2), fits, step)
         for state in states:
             xsum, xbar = state

@@ -12,8 +12,8 @@ argument's groups can sum up to it on the shared variables; groups of the
 second argument that do not touch the first interest set pass through
 unchanged. The search over summand multisets is bounded: every usable
 summand contributes at least one occurrence on the shared variables, so it
-is listed as often as it fits into the target and folded with
-``multiset.fold_subsets``, which keeps each distinct partial sum once.
+may repeat as often as it fits into the target. ``multiset.fold_subsets``
+folds these bounded repetitions and keeps each distinct partial sum once.
 """
 from __future__ import annotations
 
@@ -190,10 +190,8 @@ def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
     For each distinct shared part ``target`` of a first-argument group, the
     multisets of second-argument groups whose shared parts sum to it are
     folded by ``fold_subsets`` over the states (what is left of the target,
-    sum of the rest). A group that fits ``k`` times into the target is listed
-    as its multiples 1, 2, 4, ... with the remainder last, so that the
-    subsets of its copies sum to every count from 0 to ``k``; a step that
-    overshoots the target is pruned.
+    sum of the rest). A group that fits ``k`` times into the target may be
+    repeated up to ``k`` times; a step that overshoots the target is pruned.
     """
     u1, u2 = e1.interest, e2.interest
     u = u1 | u2
@@ -215,17 +213,12 @@ def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
         # what is left of the target is a count per variable of the target;
         # a group that fits has no other shared variable
         names, need = [v for v, _ in target.items()], tuple(n for _, n in target.items())
-        copies = []
+        fits = {}
         for g_common, g_out in parts:
-            fits = min(target.count(v) // n for v, n in g_common.items())
-            counts = tuple(g_common.count(v) for v in names)
-            k = 1
-            while fits:
-                k = min(k, fits)
-                copies.append((tuple(n * k for n in counts), g_out.scale(k)))
-                fits -= k
-                k *= 2
-        for left, tail in fold_subsets((need, EMPTY), copies, step):
+            k = min(target.count(v) // n for v, n in g_common.items())
+            if k:
+                fits[tuple(g_common.count(v) for v in names), g_out] = k
+        for left, tail in fold_subsets((need, EMPTY), fits, step):
             if not any(left):
                 out.update(b + tail for b in firsts)
     return omega_element(out, u)

@@ -133,7 +133,7 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     s2, l2, u2 = e2.sharing, e2.linear, e2.interest
     u = u1 | u2
     s2_pass = {b for b in s2 if not b & u1}
-    s2_rest = sorted(s2 - s2_pass, key=sorted)
+    s2_rest = dict.fromkeys(sorted(s2 - s2_pass, key=sorted), 1)  # each at most once
     s_bar = {b for b in s2_rest if not b & l1}
 
     pairs: set[tuple[frozenset[str], frozenset[str]]] = {

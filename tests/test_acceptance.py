@@ -2,14 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The randomized criteria
 (6, 7, 8) are executed once via module-scoped fixtures and re-executed by
-criterion 12, which byte-compares the rendered reports.
+criterion 12 in two chunks through the CLI's parallel suite runner, which
+byte-compares the rendered reports.
 """
 import time
+from functools import partial
 
 import pytest
 
 from sharlin.analyzer import AnalysisRequest, analyze, parse_goal, parse_injection, parse_program
-from sharlin.cli import main as cli_main
+from sharlin.cli import _run as run_suite, main as cli_main
 from sharlin.existential import UNDEFINED, canonicalize, ematch, parse_existential
 from sharlin.multiset import Multiset
 from sharlin.oracle import (
@@ -256,11 +258,18 @@ def test_criterion_12_reports_byte_identical(correctness_run, optimality_runs, e
     first_opt = {d: render_report(r) for d, r in optimality_runs[0].items()}
     first_eq = render_report(equivalence_run[0])
 
-    again_corr = render_report(run_correctness(CORRECTNESS_CFG))
+    # the rerun goes through the --jobs path: two chunks, merged
+    def again(suite, cfg):
+        return render_report(run_suite(suite, cfg.trials, 2))
+
+    again_corr = again(
+        partial(run_correctness, CORRECTNESS_CFG, ("omega", "two", "sl")), CORRECTNESS_CFG
+    )
     again_opt = {
-        d: render_report(run_optimality(OPTIMALITY_CFG, d)) for d in ("omega", "two", "sl")
+        d: again(partial(run_optimality, OPTIMALITY_CFG, d), OPTIMALITY_CFG)
+        for d in ("omega", "two", "sl")
     }
-    again_eq = render_report(check_equivalences(EQUIV_CFG))
+    again_eq = again(partial(check_equivalences, EQUIV_CFG), EQUIV_CFG)
 
     ok = first_corr == again_corr and first_opt == again_opt and first_eq == again_eq
     _verdict(12, "repeated runs render byte-identical reports", ok)

@@ -7,6 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sharlin.cli
 import sharlin.oracle
 from sharlin.cli import main
 from sharlin.shlin_omega import omega_element
@@ -123,6 +124,47 @@ def test_eval_jobs_deterministic(capsys):
         assert main(base + ["--jobs", jobs]) == 0
         par = capsys.readouterr().out
         assert seq == par
+
+
+def test_jobs_pool_is_bounded_by_the_cpu_count(monkeypatch):
+    # a stub executor records the pool size and runs the chunks in-process,
+    # so no worker process is started
+    pools = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def suite(lo, hi):
+        return {"kind": "stub", "seed": 5, "trials": hi - lo, "failures": [(lo, hi)]}
+
+    monkeypatch.setattr(sharlin.cli, "ProcessPoolExecutor", StubPool)
+    for cpus, trials, jobs, chunks, workers in (
+        (2, 3000, 3000, 3000, 2),
+        (2, 30, 3, 3, 2),
+        (8, 30, 3, 3, 3),
+        (None, 30, 4, 4, 1),
+    ):
+        monkeypatch.setattr(sharlin.cli.os, "cpu_count", lambda: cpus)
+        pools.clear()
+        report = sharlin.cli._run(suite, trials, jobs)
+        assert pools == [workers]
+        size = -(-trials // jobs)
+        assert report["failures"] == [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+        assert len(report["failures"]) == chunks
+        assert (report["trials"], report["seed"]) == (trials, 5)
+    pools.clear()
+    assert sharlin.cli._run(suite, 30, 1)["failures"] == [(0, 30)]
+    assert pools == []
 
 
 def test_eval_parse_error_exits_1(capsys):

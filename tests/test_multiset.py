@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -101,7 +102,9 @@ def test_fold_subsets_reaches_every_subset_sum_from_its_smallest_mask():
     for _ in range(200):
         gens = list(enumerate(rng.randint(1, 5) for _ in range(rng.randint(0, 7))))
         limit = rng.randint(0, 15)
-        states = fold_subsets(0, gens, lambda s, g: s + g[1] if s + g[1] <= limit else None)
+        states = fold_subsets(
+            0, dict.fromkeys(gens, 1), lambda s, g: s + g[1] if s + g[1] <= limit else None
+        )
         first_mask = {}
         for mask in range(1 << len(gens)):
             total = sum(n for i, n in gens if mask >> i & 1)
@@ -114,3 +117,34 @@ def test_fold_subsets_reaches_every_subset_sum_from_its_smallest_mask():
                 state, (i, _) = states[state]
                 path |= 1 << i
             assert path == mask
+
+
+def test_fold_subsets_repeats_each_generator_up_to_its_bound():
+    # a state is a pair of sums over generators taken up to their bounds:
+    # the first pruned above a limit, the second saturating at a cap, so
+    # that repeats can meet states of other chains; the reference walks
+    # every count vector
+    rng = random.Random(53)
+    for _ in range(300):
+        gens = {
+            (i, rng.randint(1, 4), rng.randint(0, 3)): rng.randint(0, 4)
+            for i in range(rng.randint(0, 5))
+        }
+        limit, cap = rng.randint(0, 20), rng.randint(1, 6)
+
+        def step(s, g):
+            return (s[0] + g[1], min(s[1] + g[2], cap)) if s[0] + g[1] <= limit else None
+
+        states = fold_subsets((0, 0), gens, step)
+        expected = set()
+        for counts in itertools.product(*(range(bound + 1) for bound in gens.values())):
+            total = sum(n * g[1] for n, g in zip(counts, gens))
+            if total <= limit:
+                expected.add((total, min(sum(n * g[2] for n, g in zip(counts, gens)), cap)))
+        assert set(states) == expected
+        for state in states:
+            while states[state] is not None:
+                prev, g = states[state]
+                assert step(prev, g) == state
+                state = prev
+            assert state == (0, 0)
