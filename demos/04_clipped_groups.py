@@ -1,14 +1,16 @@
-"""2-sharing groups: multiplicities clipped to {0, 1, infinity}.
+"""2-sharing groups: multiplicities clipped at 2.
 
-Exponent 1 means "occurs exactly once" (linearity); ^* means "may occur
-more than once". Elements are downward-closed and stored by maximals.
-Two matchers agree: a literal reference enumeration and the production
-algorithm working directly on maximal antichains.
+A 2-sharing group is an exact-multiplicity group whose counts are
+saturated at 2. Exponent 1 means "occurs exactly once" (linearity); 2,
+printed ^*, means "may occur more than once". Elements are
+downward-closed and stored by maximals. Two matchers agree: a literal
+reference enumeration and the production algorithm working directly on
+maximal antichains.
 """
 from sharlin import (
     alpha2,
-    alpha2_group,
     down_closure,
+    format_group,
     gamma2_contains,
     leq2,
     match2,
@@ -20,12 +22,13 @@ from sharlin import (
     parse_two,
 )
 
-print("clipping:", parse_group("xy^2z"), "->", alpha2_group(parse_group("xy^2z")))
+b = parse_group("xy^2z")
+print("clipping:", b, "->", format_group(b.clip(2), star=True))
 print()
 
 e = parse_two("[xy^*z]_{x,y,z}")
 print("element:", e)
-print("its closure:", sorted(str(g) for g in down_closure(e.maximals)))
+print("its closure:", sorted(format_group(g, star=True) for g in down_closure(e.maximals)))
 for g in ("xyz", "xy^3z", "x^2yz"):
     print(f"  contains {g}?", gamma2_contains(e, parse_group(g)))
 print()
@@ -41,7 +44,7 @@ print("  equal:", ref == opt)
 print()
 
 raw = match2_opt(t1.maximals, t1.interest, t2.maximals, t2.interest)
-print("raw maximal groups:", sorted(str(g) for g in raw if g))
+print("raw maximal groups:", sorted(format_group(g, star=True) for g in raw if g))
 print()
 print("note vxz: choosing the delinearized vx from below vx^* is different")
 print("from choosing a group twice; xz's x is linear, so vx^* enters once")

@@ -7,6 +7,7 @@ exactly the clipped matcher seen through the embedding.
 """
 from sharlin import (
     alpha_sl,
+    format_group,
     gamma_sl,
     gamma_sl_maximals,
     leq_sl,
@@ -23,7 +24,8 @@ print("exit side: ", s1, " (y is ground, hence linear; x is not)")
 print("entry side:", s2)
 print()
 
-print("embedding of the exit side:", sorted(str(g) for g in gamma_sl_maximals(s1)))
+embedded = sorted(format_group(g, star=True) for g in gamma_sl_maximals(s1))
+print("embedding of the exit side:", embedded)
 print("  x is possibly non-linear, so every group delinearizes on x")
 print()
 

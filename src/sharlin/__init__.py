@@ -10,7 +10,7 @@ and a goal-dependent analyzer for a mini logic language comparing
 matching-based backward unification against plain re-unification.
 """
 
-from .multiset import EMPTY, Multiset, mrestrict, msum, msupport, parse_group
+from .multiset import EMPTY, Multiset, format_group, mrestrict, msum, msupport, parse_group
 from .terms import (
     App,
     Clash,
@@ -58,9 +58,7 @@ from .shlin2 import (
     INF,
     ShLin2Element,
     TooLarge,
-    TwoSharingGroup,
     alpha2,
-    alpha2_group,
     antichain_max,
     down_closure,
     embed_cap2,
@@ -74,7 +72,6 @@ from .shlin2 import (
     project2,
     prop_abstraction2_check,
     rename2,
-    square,
     two_element,
     two_group,
     union2,

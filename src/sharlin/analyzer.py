@@ -16,8 +16,9 @@ The forward step folds ``baseline_amgu``, a deliberately plain, sound
 binding-at-a-time rule: it is not a best transformer and is not meant to
 be one. When a variable and a linear term with linear, pairwise
 independent variables are unified, relevant groups are joined pairwise;
-otherwise the relevant groups are summed, each repeated up to a bound the
-domain sets. A binding to a ground term removes the variable's groups.
+otherwise the relevant groups are summed, each repeated up to a bound,
+with counts saturated at the domain's ceiling. A binding to a ground term
+removes the variable's groups.
 Trace injection can replace forward results of the root goal's clauses
 with externally supplied elements, so backward precision can be studied
 independently of forward precision.
@@ -26,10 +27,11 @@ Only the domain changes between analyses. Each of the three supplies
 projection, renaming, union, a forward ``amgu`` and its optimal matching
 as a ``DomainOps`` in ``DOMAINS``. ``omega`` (ShLin^omega) keeps exact
 multiplicities, which its forward rule saturates at the cap. ``two``
-(King's ShLin^2) saturates exponents at ``*``, so a group repeats at most
-twice. ``sl`` (Sharing x Lin) matches directly with ``match_sl`` and runs
-its forward rule through ``two``, embedding with ``gamma_sl`` and
-forgetting with ``alpha_sl``.
+(King's ShLin^2) holds the same groups with counts saturated at 2,
+printed ``^*``, and runs the same forward rule with ceiling 2. ``sl``
+(Sharing x Lin) matches directly with ``match_sl`` and runs its forward
+rule through ``two``, embedding with ``gamma_sl`` and forgetting with
+``alpha_sl``.
 
 The fixpoint engine tabulates answers per (predicate, call pattern) with
 call patterns normalized up to variable renaming, and iterates whole-goal
@@ -44,7 +46,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from .multiset import Multiset, fold_subsets
+from .multiset import Multiset, fold_subsets, format_group
 from .shlin_omega import (
     ShLinOmegaElement,
     match_omega,
@@ -55,16 +57,12 @@ from .shlin_omega import (
     union_omega,
 )
 from .shlin2 import (
-    EMPTY2,
     ShLin2Element,
-    TwoSharingGroup,
     match2,
-    oplus,
     parse_two,
     project2,
     rename2,
     two_element,
-    two_group,
     union2,
 )
 from .shlin_sl import (
@@ -211,7 +209,11 @@ class DomainOps:
     ``extend`` (add fresh independent linear variables), ``project``,
     ``union``, ``rename``, ``join_disjoint`` (union over disjoint interest
     sets), ``match(exit, full)`` and ``amgu(e, var, term, cap)``, with the
-    defaults below. Elements answer ``is_bottom()`` and ``interest``."""
+    defaults below. Elements answer ``is_bottom()`` and ``interest``.
+
+    ``match`` looks its matcher up in this module on every call, so
+    rebinding the matcher here (as perfbench's tracer does) reaches the
+    analyzer; a ``staticmethod`` would keep the original."""
 
     def clip(self, e, cap):
         """Saturate multiplicities at the analysis cap (identity except for
@@ -223,43 +225,57 @@ class DomainOps:
         return {str(g) for g in e.groups if g}
 
 
-def _bind(groups, var, term, exp, add, sums):
-    """Binding ``var`` to ``term`` in a set of sharing groups: returns the
-    groups that touch neither side and the joins that replace the others.
+def _bind(groups, var, term, ceiling):
+    """The sharing groups after binding ``var`` to ``term``: the groups
+    that touch neither side, and the joins that replace the others, with
+    counts saturated at ``ceiling`` (0 or ``None``: exact).
 
-    ``exp(g, v)`` is the multiplicity of ``v`` in ``g`` and ``add`` sums two
-    groups. The binding is linear when ``var`` is not in the term, the term
-    is linear, no group holds ``var`` or a term variable more than once, and
+    The binding is linear when ``var`` is not in the term, the term is
+    linear, no group holds ``var`` or a term variable more than once, and
     no group holds two term variables; then relevant groups are joined
-    pairwise. Otherwise the joins are the ``sums(relevant)``, each relevant
-    group repeated up to the domain's bound, that meet both sides (a shared
-    group covers both): a sum meets a side exactly when its support does.
+    pairwise. Otherwise the joins are the sums of relevant groups that meet
+    both sides (a shared group covers both). A group repeats up to
+    1 + 2 + ... + k times, k the largest multiplicity (at least 2), as
+    scales up to k cover every inheritance a unifier can produce, and at
+    most ``ceiling`` times, beyond which sums saturate.
     """
     tvars = frozenset(term_vars(term))
-    rx = {g for g in groups if exp(g, var)}
+    rx = {g for g in groups if g.count(var)}
     rt = {g for g in groups if g.support & tvars}
     rest = {g for g in groups if g not in rx and g not in rt}
     if not rt:  # a ground term, or one whose variables are all ground
-        return rest, set()
+        return rest
     linear = (
         var not in tvars
-        and all(exp(g, var) <= 1 for g in groups)
+        and all(g.count(var) <= 1 for g in groups)
         and is_linear_term(term)
-        and all(all(exp(g, v) <= 1 for g in groups) for v in tvars)
+        and all(all(g.count(v) <= 1 for g in groups) for v in tvars)
         and not any(len(g.support & tvars) > 1 for g in groups)
     )
     if linear:
         # a group on both sides can also survive unchanged: the same
         # existential variable may align with itself
-        return rest, {add(gx, gt) for gx in rx for gt in rt} | (rx & rt)
-    relevant = sorted(rx | rt, key=lambda g: g.sort_key())
-    return rest, {s for s in sums(relevant) if exp(s, var) and any(exp(s, v) for v in tvars)}
+        joins = {gx + gt for gx in rx for gt in rt} | (rx & rt)
+    else:
+        # sums are folded as count tuples over the relevant variables
+        relevant = sorted(rx | rt, key=Multiset.sort_key)
+        names = sorted(set().union(*(g.support for g in relevant)))
+        top = ceiling or float("inf")
+        k = max(2, max(n for g in relevant for _, n in g.items()))
+        bound = min(k * (k + 1) // 2, top)
 
+        def step(s, g):
+            return tuple(map(min, map(operator.add, s, g), itertools.repeat(top)))
 
-def _clip_group(g: Multiset, cap: int) -> Multiset:
-    if not cap or all(n <= cap for _, n in g.items()):
-        return g
-    return Multiset._from_clean({v: min(n, cap) for v, n in g.items()})
+        counts = {tuple(map(g.count, names)): bound for g in relevant}
+        sums = (
+            Multiset._from_clean({v: n for v, n in zip(names, s) if n})
+            for s in fold_subsets((0,) * len(names), counts, step)
+        )
+        joins = {s for s in sums if s.count(var) and any(s.count(v) for v in tvars)}
+    if ceiling:
+        joins = {g.clip(ceiling) for g in joins}
+    return rest | joins
 
 
 class _OmegaOps(DomainOps):
@@ -282,29 +298,12 @@ class _OmegaOps(DomainOps):
         return match_omega(exit_elem, full_elem)
 
     def amgu(self, e, var, term, cap):
-        def sums(relevant):
-            # a group repeats up to 1 + 2 + ... + k times, k the largest
-            # multiplicity (at least 2), as scales up to k cover every
-            # inheritance a unifier can produce; sums saturate at the cap
-            names = sorted(set().union(*(g.support for g in relevant)))
-            k = max(2, max(n for g in relevant for _, n in g.items()))
-            bound = min(k * (k + 1) // 2, cap or float("inf"))
-            ceilings = itertools.repeat(cap or float("inf"))
-
-            def step(s, g):
-                return tuple(map(min, map(operator.add, s, g), ceilings))
-
-            counts = {tuple(map(g.count, names)): bound for g in relevant}
-            for s in fold_subsets((0,) * len(names), counts, step):
-                yield Multiset._from_clean({v: n for v, n in zip(names, s) if n})
-
-        rest, joins = _bind(e.groups, var, term, Multiset.count, Multiset.__add__, sums)
-        return omega_element(rest | {_clip_group(g, cap) for g in joins}, e.interest)
+        return omega_element(_bind(e.groups, var, term, cap), e.interest)
 
     def clip(self, e, cap):
         if not cap:
             return e
-        return omega_element({_clip_group(g, cap) for g in e.groups}, e.interest)
+        return omega_element({g.clip(cap) for g in e.groups}, e.interest)
 
 
 class _TwoOps(DomainOps):
@@ -317,7 +316,7 @@ class _TwoOps(DomainOps):
         return ShLin2Element(frozenset(), frozenset(interest))
 
     def extend(self, e, new_vars):
-        groups = set(e.maximals) | {two_group({v: 1}) for v in new_vars}
+        groups = set(e.maximals) | {Multiset({v: 1}) for v in new_vars}
         return two_element(groups, e.interest | frozenset(new_vars))
 
     def join_disjoint(self, e1, e2):
@@ -327,15 +326,11 @@ class _TwoOps(DomainOps):
         return match2(exit_elem, full_elem)
 
     def amgu(self, e, var, term, cap):
-        # exponents saturate, so taking a group twice covers every repetition
-        rest, joins = _bind(
-            e.maximals, var, term, TwoSharingGroup.exp, oplus,
-            lambda relevant: fold_subsets(EMPTY2, dict.fromkeys(relevant, 2), oplus),
-        )
-        return two_element(rest | joins, e.interest)
+        # the exact rule saturated at 2, so a group repeats at most twice
+        return two_element(_bind(e.maximals, var, term, 2), e.interest)
 
     def groups_of(self, e):
-        return {str(g) for g in e.maximals if g}
+        return {format_group(g, star=True) for g in e.maximals if g}
 
 
 class _SlOps(DomainOps):

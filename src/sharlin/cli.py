@@ -8,10 +8,11 @@ and ``diff`` (matching vs re-unification precision report).
 Exit codes: 0 ok, 1 usage, syntax or other input error (library errors
 print one ``sharlin: ...`` line, never a traceback), 2 I/O error, 3
 verification counterexample. A term nested too deeply for the library's
-recursion is an input error too. Reports are byte-deterministic for fixed
-seeds, at any ``--jobs``; timing is never part of a report. A config file
-of ``key=value`` lines can supply defaults for any long flag; explicit
-flags win.
+recursion is an input error too, and so is running out of memory (an
+analysis without a multiplicity cap can grow without bound). Reports are
+byte-deterministic for fixed seeds, at any ``--jobs``; timing is never
+part of a report. A config file of ``key=value`` lines can supply
+defaults for any long flag; explicit flags win.
 """
 from __future__ import annotations
 
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
         return 1
     except RecursionError:
         print("sharlin: a term is nested too deeply", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("sharlin: out of memory", file=sys.stderr)
         return 1
 
 

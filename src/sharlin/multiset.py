@@ -4,6 +4,8 @@ A multiset maps variable names to positive occurrence counts; variables
 with count zero are never stored. Display uses the polynomial notation
 ``x^2y`` (two occurrences of ``x``, one of ``y``), variables sorted
 lexicographically, exponent 1 omitted. The empty multiset prints as ``0``.
+A 2-sharing group is a multiset whose counts are saturated at 2 (see
+``clip``); its 2 reads "two or more" and prints as ``^*``.
 
 Counts are plain Python integers, so sums are exact and never wrap.
 
@@ -30,7 +32,7 @@ __all__ = [
 class Multiset:
     """Immutable multiset of variable names with finite support."""
 
-    __slots__ = ("_counts", "_items", "_hash")
+    __slots__ = ("_counts", "_items", "_hash", "_support")
 
     def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         pairs = counts.items() if isinstance(counts, Mapping) else counts
@@ -45,6 +47,7 @@ class Multiset:
         self._counts = clean
         self._items = tuple(sorted(clean.items()))
         self._hash = hash(self._items)
+        self._support = None
 
     @classmethod
     def _from_clean(cls, counts: dict[str, int]) -> "Multiset":
@@ -53,6 +56,7 @@ class Multiset:
         self._counts = counts
         self._items = tuple(sorted(counts.items()))
         self._hash = hash(self._items)
+        self._support = None
         return self
 
     def count(self, var: str) -> int:
@@ -63,7 +67,9 @@ class Multiset:
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(self._counts)
+        if self._support is None:
+            self._support = frozenset(self._counts)
+        return self._support
 
     def mass(self) -> int:
         """Total number of occurrences, multiplicities included."""
@@ -93,6 +99,12 @@ class Multiset:
         if k == 1:
             return self
         return Multiset._from_clean({v: n * k for v, n in self._counts.items()})
+
+    def clip(self, cap: int) -> "Multiset":
+        """Every count saturated at ``cap``."""
+        if all(n <= cap for n in self._counts.values()):
+            return self
+        return Multiset._from_clean({v: min(n, cap) for v, n in self._counts.items()})
 
     def restrict(self, variables) -> "Multiset":
         keep = {v: n for v, n in self._counts.items() if v in variables}
@@ -165,13 +177,14 @@ def fold_subsets(start, generators, step) -> dict:
     return states
 
 
-def format_group(a: Multiset) -> str:
+def format_group(a: Multiset, star: bool = False) -> str:
+    """Polynomial notation; with ``star`` every count above 1 prints as
+    ``^*``, the 2-sharing reading of a clipped group."""
     if not a:
         return "0"
-    parts = []
-    for var, n in a.items():
-        parts.append(var if n == 1 else f"{var}^{n}")
-    return "".join(parts)
+    return "".join(
+        var if n == 1 else f"{var}^*" if star else f"{var}^{n}" for var, n in a.items()
+    )
 
 
 def parse_group(text: str) -> Multiset:

@@ -49,9 +49,7 @@ from .shlin_omega import (
     star_decompose,
 )
 from .shlin2 import (
-    INF,
     ShLin2Element,
-    TwoSharingGroup,
     alpha2,
     el2_contains,
     leq2,
@@ -59,7 +57,6 @@ from .shlin2 import (
     match2_opt_generators,
     match2_ref,
     two_element,
-    two_group,
 )
 from .shlin_sl import (
     ShLinElement,
@@ -197,8 +194,8 @@ def _gen_omega_element(rng: random.Random, variables, cfg: TrialConfig) -> ShLin
 
 
 def _gen_two_element(rng: random.Random, variables) -> ShLin2Element:
-    groups = _gen_groups(rng, variables, lambda: INF if rng.random() < 0.4 else 1)
-    return two_element(set(map(two_group, groups)), variables)
+    groups = _gen_groups(rng, variables, lambda: 2 if rng.random() < 0.4 else 1)
+    return two_element(set(map(Multiset, groups)), variables)
 
 
 def _gen_sl_element(rng: random.Random, variables) -> ShLinElement:
@@ -367,10 +364,6 @@ def witness_theta1(
     return canonicalize(Substitution(bindings), u1)
 
 
-def _cap2_multiset(o: TwoSharingGroup) -> Multiset:
-    return Multiset({v: (1 if e == 1 else 2) for v, e in o.items})
-
-
 def _omega_witness_reports(e1: ShLinOmegaElement, second) -> list[WitnessReport]:
     """One report per group of the exact-multiplicity matching.
 
@@ -417,10 +410,10 @@ def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element) -> list[WitnessRe
     u1, u2 = e1.interest, e2.interest
     generators = match2_opt_generators(e1.maximals, u1, e2.maximals, u2)
     result = two_element(generators, u1 | u2)
-    for o in sorted(result.maximals, key=TwoSharingGroup.sort_key):
+    for o in sorted(result.maximals, key=Multiset.sort_key):
         kind = generators[o]
         if kind[0] == "pass":
-            c_group = _cap2_multiset(o)
+            c_group = o
             xs: dict[Multiset, int] = {c_group: 1} if c_group else {}
         else:
             _, o1, x, xbar = kind
@@ -428,22 +421,21 @@ def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element) -> list[WitnessRe
             xs = {}
             for op in x:
                 if op in doubled:
-                    rep = _cap2_multiset(op)
-                    xs[rep] = xs.get(rep, 0) + 2
+                    xs[op] = xs.get(op, 0) + 2
                 else:
                     # multiplicity 1 where the first argument demands
                     # linearity, so the realization stays below o1
                     rep = Multiset(
                         {
-                            v: (1 if e == 1 or (v in u1 and o1.exp(v) == 1) else 2)
-                            for v, e in op.items
+                            v: (1 if e == 1 or (v in u1 and o1.count(v) == 1) else 2)
+                            for v, e in op.items()
                         }
                     )
                     xs[rep] = xs.get(rep, 0) + 1
             total = EMPTY
             for rep, n in xs.items():
                 total = total + rep.scale(n)
-            c_group = _cap2_multiset(o.restrict(u1 - u2)) + total
+            c_group = o.restrict(u1 - u2) + total
         theta2 = witness_theta2(xs, u2)
         c2 = canonicalize(theta2, u2)
         e1_omega = omega_element({c_group.restrict(u1)}, u1)

@@ -1,9 +1,12 @@
-"""2-sharing groups: multiplicities clipped to {0, 1, infinity}.
+"""2-sharing groups: multiplicities saturated at 2.
 
 A 2-sharing group records, per variable, whether a hidden existential
-variable occurs never, exactly once, or possibly more than once. Groups
-with equal support are ordered by pointwise exponent comparison, elements
-are downward-closed sets of groups, and an element is represented by its
+variable occurs never, exactly once, or possibly more than once. It is an
+exact-multiplicity group (a ``multiset.Multiset``) whose counts are 1 or
+2, where 2 reads "two or more": ``Multiset.clip(2)`` abstracts an exact
+group and ``oplus`` is the sum saturating at 2. Groups with equal support
+are ordered by pointwise exponent comparison, elements are
+downward-closed sets of groups, and an element is represented by its
 maximal groups (an antichain) plus the interest set. As in the exact
 multiplicity domain, nonempty elements contain the empty group.
 
@@ -18,8 +21,8 @@ are not enumerated one by one: for each first-argument group they are
 folded with ``multiset.fold_subsets`` over distinct partial sums, cutting
 a branch as soon as a variable linear in that group would be hit twice.
 
-The textual form writes infinity as ``^*`` (``^inf`` accepted on input),
-e.g. ``[x^*y, xz^*]_{x,y,z}``.
+The textual form writes the count 2 as ``^*`` (``^inf`` and any written
+count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
 """
 from __future__ import annotations
 
@@ -27,20 +30,16 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product
 
-from .multiset import EMPTY, Multiset, fold_subsets
+from .multiset import EMPTY, Multiset, fold_subsets, format_group
 from .shlin_omega import ShLinOmegaElement, injective_renaming, omega_element, same_interest
 from .terms import Scanner
 
 __all__ = [
     "INF",
-    "TwoSharingGroup",
     "ShLin2Element",
-    "EMPTY2",
     "TooLarge",
     "two_group",
-    "alpha2_group",
     "oplus",
-    "square",
     "two_element",
     "antichain_max",
     "down_closure",
@@ -67,116 +66,39 @@ class TooLarge(Exception):
     """Joint interest set exceeds the reference matcher's enumeration cap."""
 
 
-class TwoSharingGroup:
-    """Map from variables to exponents 1 or INF; absent means 0.
-
-    ``items`` is sorted by variable and must not be reassigned; the hash is
-    computed once and the support on first use.
-    """
-
-    __slots__ = ("items", "_hash", "_support")
-
-    def __init__(self, items: tuple[tuple[str, float], ...]):
-        self.items = items
-        self._hash = hash(items)
-        self._support: frozenset[str] | None = None
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoSharingGroup) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def exp(self, var: str) -> float:
-        for v, e in self.items:
-            if v == var:
-                return e
-        return 0
-
-    @property
-    def support(self) -> frozenset[str]:
-        if self._support is None:
-            self._support = frozenset(v for v, _ in self.items)
-        return self._support
-
-    def restrict(self, variables) -> "TwoSharingGroup":
-        return TwoSharingGroup(tuple((v, e) for v, e in self.items if v in variables))
-
-    def leq(self, other: "TwoSharingGroup") -> bool:
-        """Same support and pointwise exponent order."""
-        if len(self.items) != len(other.items):
-            return False
-        return all(v == w and e <= f for (v, e), (w, f) in zip(self.items, other.items))
-
-    def sort_key(self):
-        return (tuple(v for v, _ in self.items), self.items)
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-    def __str__(self) -> str:
-        if not self.items:
-            return "0"
-        return "".join(v if e == 1 else f"{v}^*" for v, e in self.items)
-
-    def __repr__(self) -> str:
-        return f"TwoSharingGroup({str(self)!r})"
-
-
-def two_group(exps: Mapping[str, float] | Iterable[tuple[str, float]]) -> TwoSharingGroup:
+def two_group(exps: Mapping[str, float] | Iterable[tuple[str, float]]) -> Multiset:
+    """A 2-sharing group from exponents 1, 2 or ``INF`` (stored as 2)."""
     pairs = exps.items() if isinstance(exps, Mapping) else exps
-    clean: dict[str, float] = {}
+    clean: dict[str, int] = {}
     for v, e in pairs:
         if e == 0:
             continue
-        if e not in (1, INF):
-            raise ValueError(f"exponent for {v!r} must be 1 or INF")
-        clean[v] = max(clean.get(v, 0), e)
-    return TwoSharingGroup(tuple(sorted(clean.items())))
+        if e not in (1, 2, INF):
+            raise ValueError(f"exponent for {v!r} must be 1, 2 or INF")
+        clean[v] = max(clean.get(v, 0), 1 if e == 1 else 2)
+    return Multiset._from_clean(clean)
 
 
-EMPTY2 = TwoSharingGroup(())
-
-
-def alpha2_group(b: Multiset) -> TwoSharingGroup:
-    """Clip exact multiplicities: 1 stays, anything larger becomes INF."""
-    return TwoSharingGroup(
-        tuple((v, 1 if n == 1 else INF) for v, n in b.items())
-    )
-
-
-def _add(e: float, f: float) -> float:
-    if e == 0:
-        return f
-    if f == 0:
-        return e
-    return INF
-
-
-def oplus(o: TwoSharingGroup, p: TwoSharingGroup) -> TwoSharingGroup:
-    """Pointwise saturating sum: 1 + 1 and anything + INF give INF."""
-    if not o.items:
+def oplus(o: Multiset, p: Multiset) -> Multiset:
+    """Pointwise sum of two 2-sharing groups saturating at 2, that is
+    ``(o + p).clip(2)`` in one pass: 1 + 1 and anything + 2 give 2."""
+    if not o:
         return p
-    if not p.items:
+    if not p:
         return o
-    exps: dict[str, float] = dict(o.items)
-    for v, e in p.items:
-        exps[v] = _add(exps.get(v, 0), e)
-    return TwoSharingGroup(tuple(sorted(exps.items())))
+    counts = dict(o.items())
+    for v, n in p.items():
+        counts[v] = 2 if v in counts else n
+    return Multiset._from_clean(counts)
 
 
-def square(o: TwoSharingGroup) -> TwoSharingGroup:
-    """Delinearization: the group summed with itself."""
-    return TwoSharingGroup(tuple((v, INF) for v, _ in o.items))
-
-
-def antichain_max(groups: Iterable[TwoSharingGroup]) -> frozenset[TwoSharingGroup]:
+def antichain_max(groups: Iterable[Multiset]) -> frozenset[Multiset]:
     """Maximal elements; groups equal under the order are deduplicated."""
     # Only groups over the same variables are comparable.
-    buckets: dict[frozenset[str], list[TwoSharingGroup]] = {}
+    buckets: dict[frozenset[str], list[Multiset]] = {}
     for g in set(groups):
         buckets.setdefault(g.support, []).append(g)
-    out: list[TwoSharingGroup] = []
+    out: list[Multiset] = []
     for bucket in buckets.values():
         if len(bucket) == 1:
             out.append(bucket[0])
@@ -185,14 +107,13 @@ def antichain_max(groups: Iterable[TwoSharingGroup]) -> frozenset[TwoSharingGrou
     return frozenset(out)
 
 
-def down_closure(groups: Iterable[TwoSharingGroup]) -> set[TwoSharingGroup]:
+def down_closure(groups: Iterable[Multiset]) -> set[Multiset]:
     """All groups below some given group (same support, lowered exponents)."""
-    out: set[TwoSharingGroup] = set()
+    out: set[Multiset] = set()
     for g in groups:
-        fixed = [(v, e) for v, e in g.items if e == 1]
-        wide = [v for v, e in g.items if e == INF]
-        for choice in product((1, INF), repeat=len(wide)):
-            out.add(two_group(dict(fixed) | dict(zip(wide, choice))))
+        wide = [v for v, e in g.items() if e == 2]
+        for choice in product((1, 2), repeat=len(wide)):
+            out.add(Multiset._from_clean(dict(g.items()) | dict(zip(wide, choice))))
     return out
 
 
@@ -200,48 +121,53 @@ def down_closure(groups: Iterable[TwoSharingGroup]) -> set[TwoSharingGroup]:
 class ShLin2Element:
     """Downward-closed set of 2-sharing groups, stored as its maximals."""
 
-    maximals: frozenset[TwoSharingGroup]
+    maximals: frozenset[Multiset]
     interest: frozenset[str]
 
     def is_bottom(self) -> bool:
         return not self.maximals
 
     def __str__(self) -> str:
-        gs = sorted((g for g in self.maximals if g), key=TwoSharingGroup.sort_key)
+        gs = sorted((g for g in self.maximals if g), key=Multiset.sort_key)
         if not gs and self.maximals:
             body = "0"
         else:
-            body = ", ".join(str(g) for g in gs)
+            body = ", ".join(format_group(g, star=True) for g in gs)
         vs = ", ".join(sorted(self.interest))
         return f"[{body}]_{{{vs}}}"
 
     def __repr__(self) -> str:
-        return f"ShLin2Element({set(map(str, self.maximals))!r}, {set(self.interest)!r})"
+        groups = {format_group(g, star=True) for g in self.maximals}
+        return f"ShLin2Element({groups!r}, {set(self.interest)!r})"
 
 
-def two_element(groups: Iterable[TwoSharingGroup], interest: Iterable[str]) -> ShLin2Element:
+def two_element(groups: Iterable[Multiset], interest: Iterable[str]) -> ShLin2Element:
     u = frozenset(interest)
     gs = set(groups)
     for g in gs:
         if not g.support <= u:
-            raise ValueError(f"group {g} not over interest set {sorted(u)}")
+            shown = format_group(g, star=True)
+            raise ValueError(f"group {shown} not over interest set {sorted(u)}")
+        if any(n > 2 for _, n in g.items()):
+            raise ValueError(f"group {g} has a count above 2")
     if gs:
-        gs.add(EMPTY2)
+        gs.add(EMPTY)
     return ShLin2Element(antichain_max(gs), u)
 
 
 def alpha2(e: ShLinOmegaElement) -> ShLin2Element:
     """Elementwise clipping followed by maximal-antichain normalization."""
-    return two_element({alpha2_group(b) for b in e.groups}, e.interest)
+    return two_element({b.clip(2) for b in e.groups}, e.interest)
 
 
 def gamma2_contains(e: ShLin2Element, b: Multiset) -> bool:
     """Is the exact-multiplicity group ``b`` in the concretization of ``e``?"""
-    return el2_contains(e, alpha2_group(b))
+    return el2_contains(e, b.clip(2))
 
 
-def el2_contains(e: ShLin2Element, o: TwoSharingGroup) -> bool:
-    return any(o.leq(m) for m in e.maximals)
+def el2_contains(e: ShLin2Element, o: Multiset) -> bool:
+    """Is ``o`` below a maximal group: same support, exponents no larger?"""
+    return any(o.support == m.support and o.leq(m) for m in e.maximals)
 
 
 def leq2(e1: ShLin2Element, e2: ShLin2Element) -> bool:
@@ -259,41 +185,41 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Ele
     t1_full = down_closure(e1.maximals)
     t2_full = down_closure(e2.maximals)
     if e1.maximals:
-        t1_full.add(EMPTY2)
+        t1_full.add(EMPTY)
     if e2.maximals:
-        t2_full.add(EMPTY2)
+        t2_full.add(EMPTY)
     t2_pass = {o for o in t2_full if not o.support & u1}
     t2_rest = t2_full - t2_pass
 
     # The star set {sum of X | X subseteq T'' union squares} has at most
     # 3^|U2| members, so it is folded one generator at a time instead of
     # enumerating the subsets themselves.
-    generators = sorted(t2_rest | {square(o) for o in t2_rest}, key=TwoSharingGroup.sort_key)
-    star = {EMPTY2}
+    generators = sorted(t2_rest | {oplus(o, o) for o in t2_rest}, key=Multiset.sort_key)
+    star = {EMPTY}
     for g in generators:
         star |= {oplus(s, g) for s in star}
 
     out = set(t2_pass)
     names = sorted(u)
-    for exps in product((0, 1, INF), repeat=len(names)):
-        o = two_group({v: e for v, e in zip(names, exps) if e})
+    for exps in product((0, 1, 2), repeat=len(names)):
+        o = Multiset(zip(names, exps))
         if o.restrict(u1) in t1_full and o.restrict(u2) in star:
             out.add(o)
     return two_element(out, u)
 
 
-def _wedge(o: TwoSharingGroup, osum: TwoSharingGroup, u1, u2) -> TwoSharingGroup:
-    exps: dict[str, float] = {}
+def _wedge(o: Multiset, osum: Multiset, u1, u2) -> Multiset:
+    exps: dict[str, int] = {}
     for v in o.support | osum.support:
         if v in u1 and v not in u2:
-            e = o.exp(v)
+            e = o.count(v)
         elif v in u1 and v in u2:
-            e = min(o.exp(v), osum.exp(v))
+            e = min(o.count(v), osum.count(v))
         else:
-            e = osum.exp(v)
+            e = osum.count(v)
         if e:
             exps[v] = e
-    return two_group(exps)
+    return Multiset._from_clean(exps)
 
 
 def match2_opt_generators(t1, u1, t2, u2):
@@ -308,7 +234,7 @@ def match2_opt_generators(t1, u1, t2, u2):
     For each o1 the subsets X of the second-argument groups that fit inside
     o1's support are folded by ``fold_subsets`` over the states (sum of X,
     sum of Xbar). A group of X whose shared part meets a variable linear in
-    o1 that X already covers would make the linearized sum infinite there;
+    o1 that X already covers would make the linearized sum ``^*`` there;
     that only grows with X, so the branch is pruned. Of the subsets giving
     a group, the provenance names the smallest bitmask over the sorted
     second-argument groups.
@@ -316,12 +242,12 @@ def match2_opt_generators(t1, u1, t2, u2):
     u1, u2 = frozenset(u1), frozenset(u2)
     t2 = set(t2)
     t2_pass = {o for o in t2 if not o.support & u1}
-    t2_rest = sorted(t2 - t2_pass, key=TwoSharingGroup.sort_key)
-    out: dict[TwoSharingGroup, tuple] = {}
-    for o in sorted(t2_pass, key=TwoSharingGroup.sort_key):
+    t2_rest = sorted(t2 - t2_pass, key=Multiset.sort_key)
+    out: dict[Multiset, tuple] = {}
+    for o in sorted(t2_pass, key=Multiset.sort_key):
         out.setdefault(o, ("pass", o))
-    for o1 in sorted(t1, key=TwoSharingGroup.sort_key):
-        ones = frozenset(v for v, e in o1.items if e == 1)
+    for o1 in sorted(t1, key=Multiset.sort_key):
+        ones = frozenset(v for v, e in o1.items() if e == 1)
         cover = o1.support & u2
 
         def step(state, op):
@@ -329,11 +255,11 @@ def match2_opt_generators(t1, u1, t2, u2):
             if op.support & ones & xsum.support:
                 return None
             # X-bar holds the groups whose shared variables are all
-            # infinite in o1
+            # non-linear in o1
             return oplus(xsum, op), (xbar if op.support & ones else oplus(xbar, op))
 
         fits = {op: 1 for op in t2_rest if op.support & u1 <= o1.support}
-        states = fold_subsets((EMPTY2, EMPTY2), fits, step)
+        states = fold_subsets((EMPTY, EMPTY), fits, step)
         for state in states:
             xsum, xbar = state
             if xsum.support & u1 != cover:
@@ -350,7 +276,7 @@ def match2_opt_generators(t1, u1, t2, u2):
     return out
 
 
-def match2_opt(t1, u1, t2, u2) -> frozenset[TwoSharingGroup]:
+def match2_opt(t1, u1, t2, u2) -> frozenset[Multiset]:
     """The maximal groups of the matching, computed without down-closures."""
     return antichain_max(match2_opt_generators(t1, u1, t2, u2))
 
@@ -372,7 +298,7 @@ def project2(e: ShLin2Element, variables: Iterable[str]) -> ShLin2Element:
 def rename2(e: ShLin2Element, rho: Mapping[str, str]) -> ShLin2Element:
     relevant = injective_renaming(e, rho)
     groups = {
-        two_group({relevant[v]: x for v, x in g.items}) for g in e.maximals
+        Multiset({relevant[v]: n for v, n in g.items()}) for g in e.maximals
     }
     return two_element(groups, set(relevant.values()))
 
@@ -383,14 +309,8 @@ def union2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
 
 def embed_cap2(e: ShLin2Element) -> ShLinOmegaElement:
     """Concretization with exponents capped at 2 (exact for clipping checks,
-    since any multiplicity of at least 2 clips to infinity)."""
-    groups = {
-        Multiset({v: 1 if x == 1 else 2 for v, x in g.items})
-        for g in down_closure(e.maximals)
-    }
-    if e.maximals:
-        groups.add(EMPTY)
-    return omega_element(groups, e.interest)
+    since any multiplicity of at least 2 clips to 2)."""
+    return omega_element(down_closure(e.maximals), e.interest)
 
 
 def prop_abstraction2_check(b: Multiset, v: Iterable[str], xs: Iterable[Multiset]) -> bool:
@@ -399,29 +319,29 @@ def prop_abstraction2_check(b: Multiset, v: Iterable[str], xs: Iterable[Multiset
     multiset sums, and squaring."""
     vs = frozenset(v)
     xs = list(xs)
-    clause1 = b.support == alpha2_group(b).support
-    clause2 = alpha2_group(b.restrict(vs)) == alpha2_group(b).restrict(vs)
+    clause1 = b.support == b.clip(2).support
+    clause2 = b.restrict(vs).clip(2) == b.clip(2).restrict(vs)
     total = EMPTY
     for x in xs:
         total = total + x
-    lhs = alpha2_group(total)
-    rhs = EMPTY2
+    lhs = total.clip(2)
+    rhs = EMPTY
     for x in xs:
-        rhs = oplus(rhs, alpha2_group(x))
+        rhs = oplus(rhs, x.clip(2))
     clause3 = lhs == rhs
-    clause4 = alpha2_group(b + b) == square(alpha2_group(b))
+    clause4 = (b + b).clip(2) == oplus(b.clip(2), b.clip(2))
     return clause1 and clause2 and clause3 and clause4
 
 
-def _read_two_group(sc: Scanner) -> TwoSharingGroup:
-    """Written counts above 1 and repeated variables clip to INF."""
-    exps: dict[str, float] = {}
+def _read_two_group(sc: Scanner) -> Multiset:
+    """Written counts above 1 and repeated variables clip to 2."""
+    exps: dict[str, int] = {}
     for v, n in sc.group(star=True):
-        exps[v] = INF if v in exps or n != 1 else 1
-    return two_group(exps)
+        exps[v] = 2 if v in exps or n != 1 else 1
+    return Multiset._from_clean(exps)
 
 
-def parse_two_group(text: str) -> TwoSharingGroup:
+def parse_two_group(text: str) -> Multiset:
     return Scanner(text).whole(_read_two_group)
 
 

@@ -25,13 +25,7 @@ from typing import Iterable, Mapping
 
 from .multiset import Multiset, fold_subsets
 from .shlin_omega import injective_renaming, same_interest
-from .shlin2 import (
-    INF,
-    ShLin2Element,
-    TwoSharingGroup,
-    two_element,
-    two_group,
-)
+from .shlin2 import ShLin2Element, two_element
 from .terms import Scanner
 
 __all__ = [
@@ -91,18 +85,18 @@ def sl_element(sharing, linear, interest) -> ShLinElement:
 
 def alpha_sl(e: ShLin2Element) -> ShLinElement:
     """Forget exponents: supports become sharing groups, variables that are
-    nowhere infinite stay linear."""
+    nowhere ``^*`` stay linear."""
     sharing = {g.support for g in e.maximals}
-    nonlinear = {x for m in e.maximals for x, n in m.items if n == INF}
+    nonlinear = {x for m in e.maximals for x, n in m.items() if n == 2}
     return sl_element(sharing, e.interest - nonlinear, e.interest)
 
 
-def gamma_sl_maximals(e: ShLinElement) -> frozenset[TwoSharingGroup]:
+def gamma_sl_maximals(e: ShLinElement) -> frozenset[Multiset]:
     """Best 2-sharing description of each group: linear variables get
-    exponent 1, the rest infinity. Distinct groups have distinct supports,
+    exponent 1, the rest 2 (``^*``). Distinct groups have distinct supports,
     so the result is already an antichain."""
     return frozenset(
-        two_group({v: (1 if v in e.linear else INF) for v in b}) for b in e.sharing
+        Multiset({v: (1 if v in e.linear else 2) for v in b}) for b in e.sharing
     )
 
 

@@ -22,14 +22,11 @@ from sharlin.existential import canonicalize
 from sharlin.multiset import EMPTY, Multiset, fold_subsets
 from sharlin.shlin_omega import alpha_omega, leq_omega, omega_element, parse_omega
 from sharlin.shlin2 import (
-    EMPTY2,
-    TwoSharingGroup,
     alpha2,
     leq2,
     oplus,
     parse_two,
     project2,
-    square,
     two_element,
 )
 from sharlin.shlin_sl import alpha_sl, gamma_sl, leq_sl, parse_sl
@@ -148,8 +145,8 @@ def _copies_amgu(e, var, term, domain, cap):
         return alpha_sl(_copies_amgu(gamma_sl(e), var, term, "two", cap))
     if domain == "two":
         rest, joins = _copies_bind(
-            e.maximals, var, term, TwoSharingGroup.exp, oplus,
-            lambda relevant: [square(g) for g in relevant], EMPTY2,
+            e.maximals, var, term, Multiset.count, oplus,
+            lambda relevant: [oplus(g, g) for g in relevant], EMPTY,
         )
         return two_element(rest | joins, e.interest)
 

@@ -447,6 +447,22 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
         assert err == "sharlin: a term is nested too deeply\n"
 
 
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(req):
+        raise MemoryError
+
+    monkeypatch.setattr(sharlin.cli, "analyze", exhausted)
+    prog = tmp_path / "app.pl"
+    prog.write_text("app([], v, v).\napp([u|v], w, [u|x]) :- app(v, w, x).\n")
+    argv = ["analyze", "--program", str(prog), "--goal", "app(x, y, z)",
+            "--call", "[xy, z]_{x,y,z}", "--domain", "omega", "--mode", "mgu", "--cap", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sharlin: out of memory\n"
+    assert "Traceback" not in captured.err
+
+
 def test_optimality_report_independent_of_hash_seed():
     argv = [sys.executable, "-m", "sharlin.cli",
             "verify", "optimality", "--trials", "200", "--seed", "7"]

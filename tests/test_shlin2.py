@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from sharlin.multiset import EMPTY, Multiset, parse_group
+from sharlin.multiset import EMPTY, Multiset, format_group, parse_group
 from sharlin.shlin_omega import match_omega, parse_omega
 from sharlin.shlin2 import (
-    EMPTY2,
     INF,
     TooLarge,
     alpha2,
-    alpha2_group,
     antichain_max,
     down_closure,
     el2_contains,
@@ -26,7 +24,6 @@ from sharlin.shlin2 import (
     project2,
     prop_abstraction2_check,
     rename2,
-    square,
     two_element,
     two_group,
     union2,
@@ -40,21 +37,32 @@ ANOPT = parse_two("[uv, u^*v^*x^*, uxz, u^*x^*, v^*x^*, vxz, x^*, xz]_{u,v,x,y,z
 
 
 def test_alpha2_group():
-    assert alpha2_group(parse_group("xy^2z")) == parse_two_group("xy^*z")
-    assert alpha2_group(parse_group("xz")) == parse_two_group("xz")
-    assert alpha2_group(EMPTY) == EMPTY2
+    # the abstraction of one group is the count clip at 2
+    assert parse_group("xy^2z").clip(2) == parse_two_group("xy^*z")
+    assert parse_group("xy^3z").clip(2) == parse_two_group("xy^*z")
+    assert parse_group("xz").clip(2) == parse_two_group("xz")
+    assert EMPTY.clip(2) == EMPTY
+    assert format_group(parse_group("xy^3z").clip(2), star=True) == "xy^*z"
 
 
 def test_oplus():
     ux = parse_two_group("ux")
     assert oplus(ux, ux) == parse_two_group("u^*x^*")
-    assert oplus(parse_two_group("vx^*"), EMPTY2) == parse_two_group("vx^*")
+    assert oplus(parse_two_group("vx^*"), EMPTY) == parse_two_group("vx^*")
     assert oplus(parse_two_group("x"), parse_two_group("vx^*")) == parse_two_group("vx^*")
+    rng = random.Random(47)
+    for _ in range(300):
+        o, p = (two_group({v: rng.choice((0, 1, 2)) for v in "uvxy"}) for _ in range(2))
+        assert oplus(o, p) == (o + p).clip(2)
 
 
 def test_square():
+    # delinearization: a group summed with itself, clipped
+    def square(o):
+        return o.scale(2).clip(2)
+
     assert square(parse_two_group("ux")) == parse_two_group("u^*x^*")
-    assert square(EMPTY2) == EMPTY2
+    assert square(EMPTY) == EMPTY
     assert square(parse_two_group("vx^*")) == parse_two_group("v^*x^*")
 
 
@@ -86,7 +94,7 @@ def test_match2_ref_worked_example():
 def test_match2_opt_matches_reference_on_worked_example():
     assert match2(T1, T2) == ANOPT
     raw = match2_opt(T1.maximals, T1.interest, T2.maximals, T2.interest)
-    names = {str(g) for g in raw if g}
+    names = {format_group(g, star=True) for g in raw if g}
     assert names == {
         "uv", "u^*x^*", "v^*x^*", "x^*", "u^*v^*x^*", "uxz", "vxz", "xz",
     }
@@ -140,7 +148,10 @@ def test_antichain_max_keeps_exactly_the_maximal_groups():
         gs = {
             two_group({v: rng.choice(exps) for v in "xyz"}) for _ in range(rng.randint(0, 6))
         }
-        expected = {g for g in gs if not any(g != h and g.leq(h) for h in gs)}
+        expected = {
+            g for g in gs
+            if not any(g != h and g.support == h.support and g.leq(h) for h in gs)
+        }
         assert antichain_max(gs) == expected
 
 
@@ -161,11 +172,11 @@ def _wedge_by_definition(o1, xsum, u1, u2):
     exps = {}
     for v in u1 | u2:
         if v not in u2:
-            exps[v] = o1.exp(v)
+            exps[v] = o1.count(v)
         elif v not in u1:
-            exps[v] = xsum.exp(v)
+            exps[v] = xsum.count(v)
         else:
-            exps[v] = min(o1.exp(v), xsum.exp(v))
+            exps[v] = min(o1.count(v), xsum.count(v))
     return two_group(exps)
 
 
@@ -186,7 +197,7 @@ def test_match2_provenance_rebuilds_every_group():
             kind, o1, x, xbar = provenance
             assert kind == "gen" and o1 in e1.maximals
             assert set(xbar) <= set(x) <= e2.maximals and len(set(x)) == len(x)
-            xsum, xbar_sum = EMPTY2, EMPTY2
+            xsum, xbar_sum = EMPTY, EMPTY
             for op in x:
                 xsum = oplus(xsum, op)
             for op in xbar:
@@ -275,3 +286,15 @@ def test_el2_contains_requires_equal_support():
     e = parse_two("[x^*y]_{x,y}")
     assert el2_contains(e, two_group({"x": 1, "y": 1}))
     assert not el2_contains(e, two_group({"x": 1}))
+
+
+def test_two_group_and_two_element_reject_bad_input():
+    assert two_group({"x": INF, "y": 1}) == two_group({"x": 2, "y": 1}) == parse_two_group("x^*y")
+    for bad in (3, 0.5, -1):
+        with pytest.raises(ValueError, match="must be 1, 2 or INF"):
+            two_group({"x": bad})
+    with pytest.raises(ValueError, match="count above 2"):
+        two_element({Multiset({"x": 3})}, {"x"})
+    with pytest.raises(ValueError) as err:
+        two_element({two_group({"x": INF})}, {"y"})
+    assert str(err.value) == "group x^* not over interest set ['y']"
