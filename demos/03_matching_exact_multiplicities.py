@@ -32,7 +32,7 @@ print()
 
 for text in ("u^2x^2", "ux^3", "u"):
     target = parse_group(text)
-    ok, witness = star_decompose(target, [parse_group(t) for t in ("ux", "vx^2", "x")], {"x"})
+    ok, witness = star_decompose(target, [parse_group(t) for t in ("ux", "vx^2", "x")])
     if ok:
         pretty = " + ".join(f"{k}*{g}" if k > 1 else str(g) for g, k in witness)
         print(f"{target} decomposes as {pretty}")

@@ -6,13 +6,15 @@ correctness / optimality suites), ``equiv`` (matcher equivalence suites)
 and ``diff`` (matching vs re-unification precision report).
 
 Exit codes: 0 ok, 1 usage, syntax or other input error (library errors
-print one ``sharlin: ...`` line, never a traceback), 2 I/O error, 3
-verification counterexample. A term nested too deeply for the library's
-recursion is an input error too, and so is running out of memory (an
-analysis without a multiplicity cap can grow without bound). Reports are
-byte-deterministic for fixed seeds, at any ``--jobs``; timing is never
-part of a report. A config file of ``key=value`` lines can supply
-defaults for any long flag; explicit flags win.
+print one ``sharlin: ...`` line, never a traceback), 2 I/O error in
+reading input or writing output, 3 verification counterexample. A term
+nested too deeply for the library's recursion is an input error too, and
+so is running out of memory (an analysis without a multiplicity cap can
+grow without bound). Reports are byte-deterministic for fixed seeds, at
+any ``--jobs``; timing is never part of a report. A config file of
+``key=value`` lines can supply defaults for optional long flags, not for
+the required ``--program``, ``--goal``, ``--call``, ``--domain`` and
+``--op``; explicit flags win.
 """
 from __future__ import annotations
 
@@ -56,15 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _IoError(str(exc)) from exc
-
-
-class _IoError(Exception):
-    pass
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _operand(text: str) -> str:
@@ -110,7 +105,8 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--domain", required=True, choices=sorted(DOMAINS))
     p_an.add_argument("--mode", default="matching", choices=("matching", "mgu"))
     p_an.add_argument("--inject", help="forward trace injection file")
-    p_an.add_argument("--cap", type=int, default=3)
+    p_an.add_argument("--cap", type=int, default=3,
+                      help="multiplicity clip during analysis, 0 = none")
     p_an.add_argument("--max-passes", type=int, default=64)
     p_an.add_argument("--trace", action="store_true")
 
@@ -123,7 +119,8 @@ def _build_parser() -> _Parser:
                        help="largest interest set (correctness pairs only)")
     p_ver.add_argument("--depth", type=int, default=2,
                        help="largest term depth (correctness pairs only)")
-    p_ver.add_argument("--cap", type=int, default=3)
+    p_ver.add_argument("--cap", type=int, default=3,
+                       help="largest multiplicity of random omega elements (at least 1)")
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--json", action="store_true")
 
@@ -141,7 +138,8 @@ def _build_parser() -> _Parser:
     p_diff.add_argument("--call", required=True)
     p_diff.add_argument("--domain", required=True, choices=sorted(DOMAINS))
     p_diff.add_argument("--inject", help="forward trace injection file")
-    p_diff.add_argument("--cap", type=int, default=3)
+    p_diff.add_argument("--cap", type=int, default=3,
+                        help="multiplicity clip during analysis, 0 = none")
 
     return parser
 
@@ -305,9 +303,15 @@ _INPUT_ERRORS = (
 
 def main(argv=None) -> int:
     try:
-        return _main(argv)
-    except _IoError as exc:
+        code = _main(argv)
+        sys.stdout.flush()  # a failed write surfaces here, not at exit
+        return code
+    except OSError as exc:  # reading an input file or writing stdout
         print(f"sharlin: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout is gone: the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except _INPUT_ERRORS as exc:
         print(f"sharlin: {exc}", file=sys.stderr)

@@ -341,7 +341,7 @@ def witness_theta1(
     if b.restrict(u1) not in e1.groups:
         raise NotInMatch(f"{b} restricted to {sorted(u1)} not in first argument")
     rest = [g for g in s2.groups if g.support & u1]
-    ok, witness = star_decompose(b.restrict(u2), rest, u1)
+    ok, witness = star_decompose(b.restrict(u2), rest)
     if not ok:  # pragma: no cover - matching only emits decomposable groups
         raise NotInMatch(f"{b} has no decomposition over the second argument")
 
@@ -385,7 +385,7 @@ def _omega_witness_reports(e1: ShLinOmegaElement, second) -> list[WitnessReport]
         elif not b.restrict(u1) and b in e2.groups:
             c2 = canonicalize(witness_theta2({b: 1}, u2), u2)
         else:
-            ok, witness = star_decompose(b.restrict(u2), rest, u1)
+            ok, witness = star_decompose(b.restrict(u2), rest)
             if not ok:  # pragma: no cover - see above
                 raise NotInMatch(f"{b} undecomposable")
             c2 = canonicalize(witness_theta2(dict(witness), u2), u2)

@@ -12,8 +12,10 @@ argument's groups can sum up to it on the shared variables; groups of the
 second argument that do not touch the first interest set pass through
 unchanged. The search over summand multisets is bounded: every usable
 summand contributes at least one occurrence on the shared variables, so it
-may repeat as often as it fits into the target. ``multiset.fold_subsets``
-folds these bounded repetitions and keeps each distinct partial sum once.
+may repeat as often as it fits into the target. ``_sums`` folds these
+bounded repetitions with ``multiset.fold_subsets``, keeping each distinct
+partial sum once; ``star_decompose`` asks the same fold whether one group
+is such a sum, and reads the summands off its back-pointers.
 """
 from __future__ import annotations
 
@@ -138,90 +140,78 @@ def approx_omega(e: ShLinOmegaElement, c: ExistentialSubstitution) -> bool:
     return leq_omega(alpha_omega(c), e)
 
 
-def _max_count(remaining: Mapping[str, int], g: Multiset) -> int:
-    return min(remaining.get(v, 0) // n for v, n in g.items())
+def _step(state, part):
+    left = tuple(map(sub, state[0], part[0]))
+    return (left, state[1] + part[1]) if min(left) >= 0 else None
+
+
+def _sums(target: Multiset, parts) -> dict:
+    """``fold_subsets`` over the sums of ``parts`` that stay within ``target``.
+
+    A part is an (on-target, off-target) pair of multisets; it may repeat as
+    often as it fits into ``target``, and a step that overshoots is pruned.
+    A state is (what is left of each target variable's count, in sorted
+    order; the sum of the off-target halves). A back-pointer names a part
+    by (its on-target count vector, its off-target half).
+    """
+    names = [v for v, _ in target.items()]
+    fits = {}
+    for on, off in parts:
+        k = min(target.count(v) // n for v, n in on.items())
+        if k:  # a part that fits has no variable outside the target
+            fits[tuple(on.count(v) for v in names), off] = k
+    return fold_subsets((tuple(n for _, n in target.items()), EMPTY), fits, _step)
 
 
 def star_decompose(
-    x: Multiset, s: Iterable[Multiset], u1=None
+    x: Multiset, s: Iterable[Multiset]
 ) -> tuple[bool, tuple[tuple[Multiset, int], ...] | None]:
     """Is ``x`` a finite sum of groups from ``s``? Returns (answer, witness).
 
-    The witness lists (group, repetition) pairs summing to ``x``. Empty
-    groups add nothing and are ignored; each remaining candidate has
-    nonempty support, so repetition counts are bounded by ``x`` itself
-    (callers typically guarantee a nonempty restriction on ``u1``, which is
-    what makes the search small in practice).
+    The witness lists (group, repetition) pairs summing to ``x``, distinct
+    groups in ``Multiset.sort_key`` order, so it does not depend on the
+    order of ``s``. Empty groups add nothing and are ignored.
     """
-    groups = sorted({g for g in s if g}, key=Multiset.sort_key)
-    witness: list[tuple[Multiset, int]] = []
-
-    def rec(i: int, remaining: dict[str, int]) -> bool:
-        if not remaining:
-            return True
-        if i == len(groups):
-            return False
-        g = groups[i]
-        top = _max_count(remaining, g)
-        for k in range(top, -1, -1):
-            if k:
-                rest = dict(remaining)
-                for v, n in g.items():
-                    m = rest[v] - n * k
-                    if m:
-                        rest[v] = m
-                    else:
-                        del rest[v]
-            else:
-                rest = remaining
-            if rec(i + 1, rest):
-                if k:
-                    witness.append((g, k))
-                return True
-        return False
-
-    ok = rec(0, {v: n for v, n in x.items()})
-    return (True, tuple(reversed(witness))) if ok else (False, None)
+    names = [v for v, _ in x.items()]
+    groups = sorted({g for g in s if g and g.support <= x.support}, key=Multiset.sort_key)
+    states = _sums(x, [(g, EMPTY) for g in groups])
+    goal = ((0,) * len(names), EMPTY)
+    if goal not in states:
+        return False, None
+    # the back-pointers from the goal take the parts in reverse fold order
+    counts: dict[Multiset, int] = {}
+    link = states[goal]
+    while link:
+        state, (vector, _) = link
+        g = Multiset(zip(names, vector))
+        counts[g] = counts.get(g, 0) + 1
+        link = states[state]
+    return True, tuple(reversed(counts.items()))
 
 
 def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
     """Abstract matching: exact enumeration of the joinable group sums.
 
-    For each distinct shared part ``target`` of a first-argument group, the
-    multisets of second-argument groups whose shared parts sum to it are
-    folded by ``fold_subsets`` over the states (what is left of the target,
-    sum of the rest). A group that fits ``k`` times into the target may be
-    repeated up to ``k`` times; a step that overshoots the target is pruned.
+    Second-argument groups touching the first interest set are split once
+    into (shared part, rest) pairs. For each distinct shared part ``target``
+    of a first-argument group, ``_sums`` folds the multisets of those pairs
+    whose shared parts stay within the target; each sum that uses up the
+    target joins the rests' sum onto every first-argument group over it.
     """
     u1, u2 = e1.interest, e2.interest
-    u = u1 | u2
     common = u1 & u2
-    pass_through = {b for b in e2.groups if not (b.support & u1)}
+    out = {b for b in e2.groups if not (b.support & u1)}
     rest = sorted((b for b in e2.groups if b.support & u1), key=Multiset.sort_key)
     parts = [(g.restrict(common), g.restrict(g.support - common)) for g in rest]
 
     by_target: dict[Multiset, list[Multiset]] = {}
     for b in e1.groups:
         by_target.setdefault(b.restrict(common), []).append(b)
-
-    def step(state, part):
-        left = tuple(map(sub, state[0], part[0]))
-        return (left, state[1] + part[1]) if min(left) >= 0 else None
-
-    out = set(pass_through)
     for target, firsts in by_target.items():
-        # what is left of the target is a count per variable of the target;
-        # a group that fits has no other shared variable
-        names, need = [v for v, _ in target.items()], tuple(n for _, n in target.items())
-        fits = {}
-        for g_common, g_out in parts:
-            k = min(target.count(v) // n for v, n in g_common.items())
-            if k:
-                fits[tuple(g_common.count(v) for v in names), g_out] = k
-        for left, tail in fold_subsets((need, EMPTY), fits, step):
+        for left, tail in _sums(target, parts):
             if not any(left):
                 out.update(b + tail for b in firsts)
-    return omega_element(out, u)
+    return omega_element(out, u1 | u2)
 
 
 def project_omega(e: ShLinOmegaElement, variables: Iterable[str]) -> ShLinOmegaElement:

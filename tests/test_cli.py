@@ -321,6 +321,22 @@ def test_equiv(capsys):
     assert payload["checks"]["sl_vs_composition"] == 150
 
 
+# the suites the workflow's other Python versions run and diff against the file
+SHORT_SUITES = (
+    ["verify", "correctness", "--trials", "200"],
+    ["verify", "optimality", "--trials", "100"],
+    ["equiv", "--trials", "100"],
+)
+
+
+def test_short_suite_reports_are_pinned(capsys):
+    for argv in SHORT_SUITES:
+        assert main(argv) == 0
+    pinned = os.path.join(os.path.dirname(__file__), "expected", "short_suites.txt")
+    with open(pinned, encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_equiv_max_vars_bounds_the_instances(capsys, monkeypatch):
     # a broken matcher makes every instance a counterexample, so the report
     # shows each instance's elements
@@ -474,6 +490,32 @@ def test_optimality_report_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def _run_cli_into(args, stdout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sharlin.cli", *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_device_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _run_cli_into(["equiv", "--trials", "20"], full)
+    assert proc.returncode == 2
+    assert proc.stderr == b"sharlin: [Errno 28] No space left on device\n"
+
+
+def test_output_pipe_closed_early_exits_2_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        proc = _run_cli_into(["verify", "optimality", "--trials", "20", "--json"], write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"sharlin: [Errno 32] Broken pipe\n"
 
 
 # well-formed operands per domain, and strings built from the pieces of every

@@ -54,7 +54,7 @@ def test_approx():
 
 def test_star_decompose():
     s = [parse_group("ux"), parse_group("vx^2"), parse_group("x")]
-    ok, witness = star_decompose(parse_group("u^2x^2"), s, {"x", "y", "z"})
+    ok, witness = star_decompose(parse_group("u^2x^2"), s)
     assert ok and dict(witness) == {parse_group("ux"): 2}
     ok, witness = star_decompose(EMPTY, s)
     assert ok and witness == ()
@@ -62,6 +62,36 @@ def test_star_decompose():
     assert ok and dict(witness) == {parse_group("ux"): 1, parse_group("x"): 2}
     ok, witness = star_decompose(parse_group("u"), s)
     assert not ok and witness is None
+
+
+def test_star_decompose_randomized_against_count_vectors():
+    rng = random.Random(20)
+    outcomes = []
+    for _ in range(400):
+        s = [Multiset({v: rng.randint(0, 2) for v in "uvx"}) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            x = sum((g.scale(rng.randint(0, 2)) for g in s), EMPTY)
+        else:
+            x = Multiset({v: rng.randint(0, 4) for v in "uvx"})
+        groups = sorted({g for g in s if g}, key=Multiset.sort_key)
+        tops = [min(x.count(v) // n for v, n in g.items()) for g in groups]
+        expected = any(
+            sum((g.scale(k) for g, k in zip(groups, ks)), EMPTY) == x
+            for ks in product(*(range(t + 1) for t in tops))
+        )
+        ok, witness = star_decompose(x, s)
+        assert ok == expected
+        outcomes.append(ok)
+        if ok:
+            assert sum((g.scale(k) for g, k in witness), EMPTY) == x
+            used = [g for g, _ in witness]
+            assert used == sorted(set(used), key=Multiset.sort_key)
+            assert set(used) <= set(groups) and all(k >= 1 for _, k in witness)
+        else:
+            assert witness is None
+        rng.shuffle(s)
+        assert star_decompose(x, s) == (ok, witness)
+    assert 100 < sum(outcomes) < 300
 
 
 def test_match_worked_example():
