@@ -17,8 +17,10 @@ binding-at-a-time rule: it is not a best transformer and is not meant to
 be one. When a variable and a linear term with linear, pairwise
 independent variables are unified, relevant groups are joined pairwise;
 otherwise the relevant groups are summed, each repeated up to a bound,
-with counts saturated at the domain's ceiling. A binding to a ground term
-removes the variable's groups.
+with counts saturated at the domain's ceiling. The sums are folded as
+count vectors packed into one integer, so a step is one saturating
+addition of integers. A binding to a ground term removes the variable's
+groups.
 Trace injection can replace forward results of the root goal's clauses
 with externally supplied elements, so backward precision can be studied
 independently of forward precision.
@@ -238,6 +240,13 @@ def _bind(groups, var, term, ceiling):
     1 + 2 + ... + k times, k the largest multiplicity (at least 2), as
     scales up to k cover every inheritance a unifier can produce, and at
     most ``ceiling`` times, beyond which sums saturate.
+
+    The sums are folded as packed count vectors: one field per relevant
+    variable in one ``int``, so a step adds two integers. With a ceiling,
+    each field has a guard bit above room for the ceiling, and the step
+    sets every field that went over to the ceiling (a SWAR saturating add);
+    exact fields are as wide as the largest sum the fold can reach. Only
+    the sums that touch both sides are decoded into groups.
     """
     tvars = frozenset(term_vars(term))
     rx = {g for g in groups if g.count(var)}
@@ -257,22 +266,42 @@ def _bind(groups, var, term, ceiling):
         # existential variable may align with itself
         joins = {gx + gt for gx in rx for gt in rt} | (rx & rt)
     else:
-        # sums are folded as count tuples over the relevant variables
         relevant = sorted(rx | rt, key=Multiset.sort_key)
         names = sorted(set().union(*(g.support for g in relevant)))
-        top = ceiling or float("inf")
         k = max(2, max(n for g in relevant for _, n in g.items()))
-        bound = min(k * (k + 1) // 2, top)
+        bound = k * (k + 1) // 2
+        if ceiling:
+            # a field holds at most the ceiling and the sum of two fields
+            # fits below the field's guard bit; lifting a field by
+            # 2^w - 1 - ceiling sets that bit exactly when it is over
+            bound = min(bound, ceiling)
+            w = ceiling.bit_length()
+            width = w + 1
+            ones = sum(1 << (i * width) for i in range(len(names)))
+            lift, guard = ones * ((1 << w) - 1 - ceiling), ones << w
 
-        def step(s, g):
-            return tuple(map(min, map(operator.add, s, g), itertools.repeat(top)))
-
-        counts = {tuple(map(g.count, names)): bound for g in relevant}
-        sums = (
-            Multiset._from_clean({v: n for v, n in zip(names, s) if n})
-            for s in fold_subsets((0,) * len(names), counts, step)
-        )
-        joins = {s for s in sums if s.count(var) and any(s.count(v) for v in tvars)}
+            def step(s, g):
+                x = s + g
+                over = ((x + lift) & guard) >> w
+                return (x & ~(over * field)) | over * ceiling
+        else:
+            # exact: the field fits the largest sum the fold can reach
+            width = max(sum(g.count(v) for g in relevant) * bound for v in names).bit_length()
+            step = operator.add
+        field = (1 << width) - 1
+        pos = {v: i * width for i, v in enumerate(names)}
+        # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
+        # the fields; groups that clip alike merge, which loses no sum, as a
+        # count over the ceiling makes the bound the ceiling
+        counts = {sum(min(n, ceiling or n) << pos[v] for v, n in g.items()): bound
+                  for g in relevant}
+        tmask = sum(field << pos[v] for v in tvars if v in pos)
+        xmask = field << pos[var] if var in pos else 0
+        joins = {
+            Multiset._from_clean({v: n for v, p in pos.items() if (n := s >> p & field)})
+            for s in fold_subsets(0, counts, step)
+            if s & xmask and s & tmask
+        }
     if ceiling:
         joins = {g.clip(ceiling) for g in joins}
     return rest | joins

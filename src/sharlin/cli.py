@@ -56,6 +56,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None):
+        # argparse drops a failed write; raise it, so main exits 2
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
 
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -256,7 +262,17 @@ def _emit(report: dict, as_json: bool) -> int:
     return 0 if not report["failures"] else 3
 
 
+def _check_least(args, **least) -> None:
+    """Reject a suite flag below its least value, naming the flag (which
+    ``TrialConfig``'s own check cannot), also when a config file set it."""
+    for dest, low in least.items():
+        value = getattr(args, dest)
+        if value < low:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least {low}, not {value}")
+
+
 def _cmd_verify(args) -> int:
+    _check_least(args, trials=1, depth=1, max_vars=1, cap=1)
     cfg = TrialConfig(
         seed=args.seed,
         trials=args.trials,
@@ -274,6 +290,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    _check_least(args, trials=1, max_vars=2)
     cfg = TrialConfig(seed=args.seed, trials=args.trials, max_vars=args.max_vars)
     report = _run(partial(check_equivalences, cfg), args.trials, args.jobs)
     return _emit(report, args.json)

@@ -196,6 +196,75 @@ def test_baseline_amgu_repetition_bounds_match_the_copies_rule():
             assert new == old if cap else leq_omega(old, new), (str(e), var, str(t), cap)
 
 
+def _tuple_bind(groups, var, term, ceiling):
+    """The binding rule folding its non-linear sums as count tuples, one
+    saturating add per variable and step. Reference for the packed fold of
+    ``baseline_amgu``."""
+    tvars = frozenset(term_vars(term))
+    rx = {g for g in groups if g.count(var)}
+    rt = {g for g in groups if g.support & tvars}
+    rest = {g for g in groups if g not in rx and g not in rt}
+    if not rt:
+        return rest
+    linear = (
+        var not in tvars
+        and all(g.count(var) <= 1 for g in groups)
+        and is_linear_term(term)
+        and all(all(g.count(v) <= 1 for g in groups) for v in tvars)
+        and not any(len(g.support & tvars) > 1 for g in groups)
+    )
+    if linear:
+        joins = {gx + gt for gx in rx for gt in rt} | (rx & rt)
+    else:
+        relevant = sorted(rx | rt, key=Multiset.sort_key)
+        names = sorted(set().union(*(g.support for g in relevant)))
+        top = ceiling or float("inf")
+        k = max(2, max(n for g in relevant for _, n in g.items()))
+        bound = min(k * (k + 1) // 2, top)
+
+        def step(s, g):
+            return tuple(min(a + b, top) for a, b in zip(s, g))
+
+        counts = {tuple(map(g.count, names)): bound for g in relevant}
+        sums = (Multiset({v: n for v, n in zip(names, s) if n})
+                for s in fold_subsets((0,) * len(names), counts, step))
+        joins = {s for s in sums if s.count(var) and any(s.count(v) for v in tvars)}
+    if ceiling:
+        joins = {g.clip(ceiling) for g in joins}
+    return rest | joins
+
+
+def _wide_bindings(rng, caps, n):
+    """``n`` random (cap, omega element, variable, term) bindings over up to
+    seven variables with counts up to 9, cycling through ``caps``."""
+    for i in range(n):
+        cap = caps[i % len(caps)]
+        variables = list("tuvwxyz"[: rng.randint(2, 7)])
+        most = rng.choice((2, 3, 9))
+        # with no cap a group of count k repeats k(k+1)/2 times, so an
+        # exact fold over counts up to 9 is kept to two groups
+        size = 2 if most == 9 and not cap else 4
+        groups = [Multiset({v: rng.randint(1, most) if rng.random() < 0.4 else 1
+                            for v in variables if rng.random() < 0.5})
+                  for _ in range(rng.randint(1, size))]
+        args = [Var(rng.choice(variables)) for _ in range(rng.randint(1, 3))]
+        t = args[0] if rng.random() < 0.3 else App("f", tuple(args))
+        yield cap, omega_element(groups, variables), rng.choice(variables), t
+
+
+def test_baseline_amgu_packed_fold_matches_the_tuple_fold():
+    caps = (None, 0, 1, 2, 3, 4, 5, 6, 7)
+    # a step from x^c y^c by itself sums every field to exactly 2c
+    edge = [(c, omega_element([Multiset({"x": c, "y": c}), Multiset({"y": 9})], ["x", "y"]),
+             "x", Var("y")) for c in range(1, 8)]
+    for cap, e, var, t in edge + list(_wide_bindings(random.Random(90), caps, 1800)):
+        expected = omega_element(_tuple_bind(e.groups, var, t, cap), e.interest)
+        assert baseline_amgu(e, var, t, "omega", cap) == expected, (str(e), var, str(t), cap)
+        two = alpha2(e)
+        expected = two_element(_tuple_bind(two.maximals, var, t, 2), two.interest)
+        assert baseline_amgu(two, var, t, "two", cap) == expected, (str(two), var, str(t))
+
+
 @pytest.mark.parametrize("program, goal, call, answer", [
     (
         "app([], v, v).\napp([u|v], w, [u|x]) :- app(v, w, x).\n",

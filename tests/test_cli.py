@@ -463,6 +463,25 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
         assert err == "sharlin: a term is nested too deeply\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "correctness", "--cap", "0"], "--cap must be at least 1, not 0"),
+    (["verify", "optimality", "--depth", "0"], "--depth must be at least 1, not 0"),
+    (["verify", "correctness", "--trials", "-2"], "--trials must be at least 1, not -2"),
+    (["verify", "correctness", "--max-vars", "0"], "--max-vars must be at least 1, not 0"),
+    (["equiv", "--trials", "0"], "--trials must be at least 1, not 0"),
+    (["equiv", "--max-vars", "1"], "--max-vars must be at least 2, not 1"),
+    (["--config", "{cfg}", "verify", "optimality"], "--depth must be at least 1, not 0"),
+    (["--config", "{cfg}", "equiv"], "--max-vars must be at least 2, not 0"),
+])
+def test_suite_flag_errors_name_the_flag(argv, error, tmp_path, capsys):
+    cfg = tmp_path / "sharlin.cfg"
+    cfg.write_text("depth=0\nmax_vars=0\n")
+    assert main([a.format(cfg=cfg) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sharlin: {error}\n"
+
+
 def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(req):
         raise MemoryError
@@ -503,6 +522,14 @@ def _run_cli_into(args, stdout):
 def test_full_output_device_exits_2_with_one_line():
     with open("/dev/full", "w") as full:
         proc = _run_cli_into(["equiv", "--trials", "20"], full)
+    assert proc.returncode == 2
+    assert proc.stderr == b"sharlin: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_into_a_full_output_device_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _run_cli_into(["verify", "--help"], full)
     assert proc.returncode == 2
     assert proc.stderr == b"sharlin: [Errno 28] No space left on device\n"
 
