@@ -23,12 +23,12 @@ from sharlin import (
 )
 
 b = parse_group("xy^2z")
-print("clipping:", b, "->", format_group(b.clip(2), star=True))
+print("clipping:", b, "->", format_group(b.clip(2), ceiling=2))
 print()
 
 e = parse_two("[xy^*z]_{x,y,z}")
 print("element:", e)
-print("its closure:", sorted(format_group(g, star=True) for g in down_closure(e.maximals)))
+print("its closure:", sorted(format_group(g, ceiling=2) for g in down_closure(e.groups)))
 for g in ("xyz", "xy^3z", "x^2yz"):
     print(f"  contains {g}?", gamma2_contains(e, parse_group(g)))
 print()
@@ -43,8 +43,8 @@ print("  antichain:", opt)
 print("  equal:", ref == opt)
 print()
 
-raw = match2_opt(t1.maximals, t1.interest, t2.maximals, t2.interest)
-print("raw maximal groups:", sorted(format_group(g, star=True) for g in raw if g))
+raw = match2_opt(t1.groups, t1.interest, t2.groups, t2.interest)
+print("raw maximal groups:", sorted(format_group(g, ceiling=2) for g in raw if g))
 print()
 print("note vxz: choosing the delinearized vx from below vx^* is different")
 print("from choosing a group twice; xz's x is linear, so vx^* enters once")

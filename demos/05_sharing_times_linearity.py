@@ -24,7 +24,7 @@ print("exit side: ", s1, " (y is ground, hence linear; x is not)")
 print("entry side:", s2)
 print()
 
-embedded = sorted(format_group(g, star=True) for g in gamma_sl_maximals(s1))
+embedded = sorted(format_group(g, ceiling=2) for g in gamma_sl_maximals(s1))
 print("embedding of the exit side:", embedded)
 print("  x is possibly non-linear, so every group delinearizes on x")
 print()

@@ -29,8 +29,9 @@ Only the domain changes between analyses. Each of the three supplies
 projection, renaming, union, a forward ``amgu`` and its optimal matching
 as a ``DomainOps`` in ``DOMAINS``. ``omega`` (ShLin^omega) keeps exact
 multiplicities, which its forward rule saturates at the cap. ``two``
-(King's ShLin^2) holds the same groups with counts saturated at 2,
-printed ``^*``, and runs the same forward rule with ceiling 2. ``sl``
+(King's ShLin^2) is the same element with a ceiling of 2, printed
+``^*``: it inherits every omega operation, whose forward rule saturates
+at the element's ceiling, and supplies only its parser and matcher. ``sl``
 (Sharing x Lin) matches directly with ``match_sl`` and runs its forward
 rule through ``two``, embedding with ``gamma_sl`` and forgetting with
 ``alpha_sl``.
@@ -52,21 +53,12 @@ from .multiset import Multiset, fold_subsets, format_group
 from .shlin_omega import (
     ShLinOmegaElement,
     match_omega,
-    omega_element,
     parse_omega,
     project_omega,
     rename_omega,
     union_omega,
 )
-from .shlin2 import (
-    ShLin2Element,
-    match2,
-    parse_two,
-    project2,
-    rename2,
-    two_element,
-    union2,
-)
+from .shlin2 import ShLin2Element, match2, parse_two
 from .shlin_sl import (
     alpha_sl,
     gamma_sl,
@@ -224,7 +216,7 @@ class DomainOps:
 
     def groups_of(self, e) -> set[str]:
         """Canonical textual group set, for precision diffs."""
-        return {str(g) for g in e.groups if g}
+        return {format_group(g, e.ceiling) for g in e.groups if g}
 
 
 def _bind(groups, var, term, ceiling):
@@ -308,58 +300,44 @@ def _bind(groups, var, term, ceiling):
 
 
 class _OmegaOps(DomainOps):
+    element = ShLinOmegaElement
     parse = staticmethod(parse_omega)
     project = staticmethod(project_omega)
     union = staticmethod(union_omega)
     rename = staticmethod(rename_omega)
 
     def bottom(self, interest):
-        return ShLinOmegaElement(frozenset(), frozenset(interest))
+        return self.element(frozenset(), frozenset(interest))
 
     def extend(self, e, new_vars):
         groups = set(e.groups) | {Multiset({v: 1}) for v in new_vars}
-        return omega_element(groups, e.interest | frozenset(new_vars))
+        return e.of(groups, e.interest | frozenset(new_vars))
 
     def join_disjoint(self, e1, e2):
-        return omega_element(e1.groups | e2.groups, e1.interest | e2.interest)
+        return e1.of(e1.groups | e2.groups, e1.interest | e2.interest)
 
     def match(self, exit_elem, full_elem):
         return match_omega(exit_elem, full_elem)
 
     def amgu(self, e, var, term, cap):
-        return omega_element(_bind(e.groups, var, term, cap), e.interest)
+        # an element's own ceiling overrides the analysis cap
+        return e.of(_bind(e.groups, var, term, e.ceiling or cap), e.interest)
 
     def clip(self, e, cap):
         if not cap:
             return e
-        return omega_element({g.clip(cap) for g in e.groups}, e.interest)
+        return e.of({g.clip(cap) for g in e.groups}, e.interest)
 
 
-class _TwoOps(DomainOps):
+class _TwoOps(_OmegaOps):
+    """The omega operations on elements of ceiling 2, without the cap clip."""
+
+    element = ShLin2Element
     parse = staticmethod(parse_two)
-    project = staticmethod(project2)
-    union = staticmethod(union2)
-    rename = staticmethod(rename2)
-
-    def bottom(self, interest):
-        return ShLin2Element(frozenset(), frozenset(interest))
-
-    def extend(self, e, new_vars):
-        groups = set(e.maximals) | {Multiset({v: 1}) for v in new_vars}
-        return two_element(groups, e.interest | frozenset(new_vars))
-
-    def join_disjoint(self, e1, e2):
-        return two_element(e1.maximals | e2.maximals, e1.interest | e2.interest)
+    clip = DomainOps.clip
 
     def match(self, exit_elem, full_elem):
         return match2(exit_elem, full_elem)
-
-    def amgu(self, e, var, term, cap):
-        # the exact rule saturated at 2, so a group repeats at most twice
-        return two_element(_bind(e.maximals, var, term, 2), e.interest)
-
-    def groups_of(self, e):
-        return {format_group(g, star=True) for g in e.maximals if g}
 
 
 class _SlOps(DomainOps):
@@ -657,6 +635,8 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
     """Run the goal-dependent analysis to a fixpoint and return the answer
     over the goal's variables, with per-clause traces from the final pass."""
     _check_cap(req.cap)
+    if req.max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, not {req.max_passes}")
     goal_vars = req.goal.variables
     if not goal_vars <= req.call.interest:
         raise ValueError(

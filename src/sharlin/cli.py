@@ -226,6 +226,7 @@ def _make_request(args) -> AnalysisRequest:
 
 
 def _cmd_analyze(args) -> int:
+    _check_least(args, max_passes=1)
     result = analyze(_make_request(args))
     print(result.answer)
     if args.trace:
@@ -245,7 +246,7 @@ def _cmd_analyze(args) -> int:
 def _run(suite, trials: int, jobs: int) -> dict:
     """The report of ``suite(lo, hi)`` over all trials: in-process as one
     chunk, or split into up to ``jobs`` consecutive chunks run in parallel."""
-    size = -(-trials // max(1, jobs))
+    size = -(-trials // jobs)
     los = range(0, trials, size)
     if len(los) == 1:
         return suite(0, trials)
@@ -263,8 +264,8 @@ def _emit(report: dict, as_json: bool) -> int:
 
 
 def _check_least(args, **least) -> None:
-    """Reject a suite flag below its least value, naming the flag (which
-    ``TrialConfig``'s own check cannot), also when a config file set it."""
+    """Reject a flag below its least value, naming the flag (which the
+    library's own checks cannot), also when a config file set it."""
     for dest, low in least.items():
         value = getattr(args, dest)
         if value < low:
@@ -272,7 +273,7 @@ def _check_least(args, **least) -> None:
 
 
 def _cmd_verify(args) -> int:
-    _check_least(args, trials=1, depth=1, max_vars=1, cap=1)
+    _check_least(args, trials=1, depth=1, max_vars=1, cap=1, jobs=1)
     cfg = TrialConfig(
         seed=args.seed,
         trials=args.trials,
@@ -290,7 +291,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    _check_least(args, trials=1, max_vars=2)
+    _check_least(args, trials=1, max_vars=2, jobs=1)
     cfg = TrialConfig(seed=args.seed, trials=args.trials, max_vars=args.max_vars)
     report = _run(partial(check_equivalences, cfg), args.trials, args.jobs)
     return _emit(report, args.json)

@@ -177,13 +177,14 @@ def fold_subsets(start, generators, step) -> dict:
     return states
 
 
-def format_group(a: Multiset, star: bool = False) -> str:
-    """Polynomial notation; with ``star`` every count above 1 prints as
-    ``^*``, the 2-sharing reading of a clipped group."""
+def format_group(a: Multiset, ceiling: int | None = None) -> str:
+    """Polynomial notation; a count of ``ceiling`` or more prints as ``^*``,
+    the reading of a group saturated at the ceiling."""
     if not a:
         return "0"
     return "".join(
-        var if n == 1 else f"{var}^*" if star else f"{var}^{n}" for var, n in a.items()
+        var if n == 1 else f"{var}^*" if ceiling and n >= ceiling else f"{var}^{n}"
+        for var, n in a.items()
     )
 
 

@@ -408,9 +408,9 @@ def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element) -> list[WitnessRe
     if e1.is_bottom():
         return reports
     u1, u2 = e1.interest, e2.interest
-    generators = match2_opt_generators(e1.maximals, u1, e2.maximals, u2)
+    generators = match2_opt_generators(e1.groups, u1, e2.groups, u2)
     result = two_element(generators, u1 | u2)
-    for o in sorted(result.maximals, key=Multiset.sort_key):
+    for o in sorted(result.groups, key=Multiset.sort_key):
         kind = generators[o]
         if kind[0] == "pass":
             c_group = o

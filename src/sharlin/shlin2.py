@@ -10,6 +10,10 @@ downward-closed sets of groups, and an element is represented by its
 maximal groups (an antichain) plus the interest set. As in the exact
 multiplicity domain, nonempty elements contain the empty group.
 
+An element is the ShLin^omega element with ceiling 2, normalized by
+``antichain_max``, so ``project2``, ``rename2`` and ``union2`` are the
+ShLin^omega functions.
+
 Two matching operators are provided. ``match2_ref`` is the literal
 set-level definition, enumerating all candidate groups over the joint
 interest set; it is exponential in the number of variables and exists as a
@@ -27,11 +31,16 @@ count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from itertools import product
 
-from .multiset import EMPTY, Multiset, fold_subsets, format_group
-from .shlin_omega import ShLinOmegaElement, injective_renaming, omega_element, same_interest
+from .multiset import EMPTY, Multiset, fold_subsets
+from .shlin_omega import (
+    ShLinOmegaElement,
+    omega_element,
+    project_omega,
+    rename_omega,
+    union_omega,
+)
 from .terms import Scanner
 
 __all__ = [
@@ -117,42 +126,19 @@ def down_closure(groups: Iterable[Multiset]) -> set[Multiset]:
     return out
 
 
-@dataclass(frozen=True)
-class ShLin2Element:
-    """Downward-closed set of 2-sharing groups, stored as its maximals."""
+class ShLin2Element(ShLinOmegaElement):
+    """Downward-closed set of 2-sharing groups, stored as its maximals: the
+    ShLin^omega element with ceiling 2."""
 
-    maximals: frozenset[Multiset]
-    interest: frozenset[str]
+    ceiling = 2
 
-    def is_bottom(self) -> bool:
-        return not self.maximals
-
-    def __str__(self) -> str:
-        gs = sorted((g for g in self.maximals if g), key=Multiset.sort_key)
-        if not gs and self.maximals:
-            body = "0"
-        else:
-            body = ", ".join(format_group(g, star=True) for g in gs)
-        vs = ", ".join(sorted(self.interest))
-        return f"[{body}]_{{{vs}}}"
-
-    def __repr__(self) -> str:
-        groups = {format_group(g, star=True) for g in self.maximals}
-        return f"ShLin2Element({groups!r}, {set(self.interest)!r})"
+    @staticmethod
+    def normalize(groups):
+        # a module-level lookup, so a tracer rebinding antichain_max sees it
+        return antichain_max(groups)
 
 
-def two_element(groups: Iterable[Multiset], interest: Iterable[str]) -> ShLin2Element:
-    u = frozenset(interest)
-    gs = set(groups)
-    for g in gs:
-        if not g.support <= u:
-            shown = format_group(g, star=True)
-            raise ValueError(f"group {shown} not over interest set {sorted(u)}")
-        if any(n > 2 for _, n in g.items()):
-            raise ValueError(f"group {g} has a count above 2")
-    if gs:
-        gs.add(EMPTY)
-    return ShLin2Element(antichain_max(gs), u)
+two_element = ShLin2Element.of
 
 
 def alpha2(e: ShLinOmegaElement) -> ShLin2Element:
@@ -167,13 +153,13 @@ def gamma2_contains(e: ShLin2Element, b: Multiset) -> bool:
 
 def el2_contains(e: ShLin2Element, o: Multiset) -> bool:
     """Is ``o`` below a maximal group: same support, exponents no larger?"""
-    return any(o.support == m.support and o.leq(m) for m in e.maximals)
+    return any(o.support == m.support and o.leq(m) for m in e.groups)
 
 
 def leq2(e1: ShLin2Element, e2: ShLin2Element) -> bool:
     if e1.interest != e2.interest:
         return False
-    return all(el2_contains(e2, m) for m in e1.maximals)
+    return all(el2_contains(e2, m) for m in e1.groups)
 
 
 def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Element:
@@ -182,11 +168,11 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Ele
     u = u1 | u2
     if len(u) > cap:
         raise TooLarge(f"{len(u)} variables exceeds the cap of {cap}")
-    t1_full = down_closure(e1.maximals)
-    t2_full = down_closure(e2.maximals)
-    if e1.maximals:
+    t1_full = down_closure(e1.groups)
+    t2_full = down_closure(e2.groups)
+    if e1.groups:
         t1_full.add(EMPTY)
-    if e2.maximals:
+    if e2.groups:
         t2_full.add(EMPTY)
     t2_pass = {o for o in t2_full if not o.support & u1}
     t2_rest = t2_full - t2_pass
@@ -285,32 +271,18 @@ def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
     """Element-level matching via the maximal-antichain algorithm."""
     # two_element keeps the maximal groups, as match2_opt would.
     return two_element(
-        match2_opt_generators(e1.maximals, e1.interest, e2.maximals, e2.interest),
+        match2_opt_generators(e1.groups, e1.interest, e2.groups, e2.interest),
         e1.interest | e2.interest,
     )
 
 
-def project2(e: ShLin2Element, variables: Iterable[str]) -> ShLin2Element:
-    v = frozenset(variables)
-    return two_element({g.restrict(v) for g in e.maximals}, e.interest & v)
-
-
-def rename2(e: ShLin2Element, rho: Mapping[str, str]) -> ShLin2Element:
-    relevant = injective_renaming(e, rho)
-    groups = {
-        Multiset({relevant[v]: n for v, n in g.items()}) for g in e.maximals
-    }
-    return two_element(groups, set(relevant.values()))
-
-
-def union2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
-    return two_element(e1.maximals | e2.maximals, same_interest(e1, e2))
+project2, rename2, union2 = project_omega, rename_omega, union_omega
 
 
 def embed_cap2(e: ShLin2Element) -> ShLinOmegaElement:
     """Concretization with exponents capped at 2 (exact for clipping checks,
     since any multiplicity of at least 2 clips to 2)."""
-    return omega_element(down_closure(e.maximals), e.interest)
+    return omega_element(down_closure(e.groups), e.interest)
 
 
 def prop_abstraction2_check(b: Multiset, v: Iterable[str], xs: Iterable[Multiset]) -> bool:

@@ -16,6 +16,9 @@ may repeat as often as it fits into the target. ``_sums`` folds these
 bounded repetitions with ``multiset.fold_subsets``, keeping each distinct
 partial sum once; ``star_decompose`` asks the same fold whether one group
 is such a sum, and reads the summands off its back-pointers.
+
+Projection, renaming and union build through the element's own class, so
+they also serve ShLin^2, whose element is this one with a ceiling of 2.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from operator import sub
 from typing import Iterable, Mapping
 
 from .existential import ExistentialSubstitution
-from .multiset import EMPTY, Multiset, fold_subsets
+from .multiset import EMPTY, Multiset, fold_subsets, format_group
 from .terms import Scanner, Var
 
 __all__ = [
@@ -69,8 +72,33 @@ def injective_renaming(e, rho: Mapping[str, str]) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class ShLinOmegaElement:
+    """A set of sharing groups over an interest set; bottom has no groups.
+
+    ``ceiling`` is the largest count a group may hold (``None``: exact); a
+    count at the ceiling reads "that many or more" and prints as ``^*``.
+    ``normalize`` picks the groups stored. Subclasses (``ShLin2Element``)
+    set both, and elements of different classes never compare equal.
+    """
+
     groups: frozenset[Multiset]
     interest: frozenset[str]
+    ceiling = None
+    normalize = staticmethod(frozenset)
+
+    @classmethod
+    def of(cls, groups: Iterable[Multiset], interest: Iterable[str]):
+        """Build an element, inserting the empty group into nonempty ones."""
+        u = frozenset(interest)
+        gs = set(groups)
+        top = cls.ceiling
+        for g in gs:
+            if not g.support <= u:
+                raise ValueError(f"group {format_group(g, top)} not over interest set {sorted(u)}")
+            if top and any(n > top for _, n in g.items()):
+                raise ValueError(f"group {g} has a count above {top}")
+        if gs:
+            gs.add(EMPTY)
+        return cls(cls.normalize(gs), u)
 
     def is_bottom(self) -> bool:
         return not self.groups
@@ -80,24 +108,16 @@ class ShLinOmegaElement:
         if not gs and self.groups:
             body = "0"  # only the empty group: success with everything ground
         else:
-            body = ", ".join(str(g) for g in gs)
+            body = ", ".join(format_group(g, self.ceiling) for g in gs)
         vs = ", ".join(sorted(self.interest))
         return f"[{body}]_{{{vs}}}"
 
     def __repr__(self) -> str:
-        return f"ShLinOmegaElement({set(map(str, self.groups))!r}, {set(self.interest)!r})"
+        groups = {format_group(g, self.ceiling) for g in self.groups}
+        return f"{type(self).__name__}({groups!r}, {set(self.interest)!r})"
 
 
-def omega_element(groups: Iterable[Multiset], interest: Iterable[str]) -> ShLinOmegaElement:
-    """Build an element, inserting the empty group into nonempty ones."""
-    u = frozenset(interest)
-    gs = set(groups)
-    for g in gs:
-        if not g.support <= u:
-            raise ValueError(f"group {g} not over interest set {sorted(u)}")
-    if gs:
-        gs.add(EMPTY)
-    return ShLinOmegaElement(frozenset(gs), u)
+omega_element = ShLinOmegaElement.of
 
 
 def alpha_omega(c: ExistentialSubstitution) -> ShLinOmegaElement:
@@ -216,7 +236,7 @@ def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
 
 def project_omega(e: ShLinOmegaElement, variables: Iterable[str]) -> ShLinOmegaElement:
     v = frozenset(variables)
-    return omega_element({g.restrict(v) for g in e.groups}, e.interest & v)
+    return e.of({g.restrict(v) for g in e.groups}, e.interest & v)
 
 
 def rename_omega(e: ShLinOmegaElement, rho: Mapping[str, str]) -> ShLinOmegaElement:
@@ -225,11 +245,11 @@ def rename_omega(e: ShLinOmegaElement, rho: Mapping[str, str]) -> ShLinOmegaElem
     groups = {
         Multiset({relevant[v]: n for v, n in g.items()}) for g in e.groups
     }
-    return omega_element(groups, set(relevant.values()))
+    return e.of(groups, set(relevant.values()))
 
 
 def union_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
-    return omega_element(e1.groups | e2.groups, same_interest(e1, e2))
+    return e1.of(e1.groups | e2.groups, same_interest(e1, e2))
 
 
 def parse_omega(text: str) -> ShLinOmegaElement:

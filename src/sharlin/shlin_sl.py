@@ -86,8 +86,8 @@ def sl_element(sharing, linear, interest) -> ShLinElement:
 def alpha_sl(e: ShLin2Element) -> ShLinElement:
     """Forget exponents: supports become sharing groups, variables that are
     nowhere ``^*`` stay linear."""
-    sharing = {g.support for g in e.maximals}
-    nonlinear = {x for m in e.maximals for x, n in m.items() if n == 2}
+    sharing = {g.support for g in e.groups}
+    nonlinear = {x for m in e.groups for x, n in m.items() if n == 2}
     return sl_element(sharing, e.interest - nonlinear, e.interest)
 
 

@@ -145,7 +145,7 @@ def _copies_amgu(e, var, term, domain, cap):
         return alpha_sl(_copies_amgu(gamma_sl(e), var, term, "two", cap))
     if domain == "two":
         rest, joins = _copies_bind(
-            e.maximals, var, term, Multiset.count, oplus,
+            e.groups, var, term, Multiset.count, oplus,
             lambda relevant: [oplus(g, g) for g in relevant], EMPTY,
         )
         return two_element(rest | joins, e.interest)
@@ -261,7 +261,7 @@ def test_baseline_amgu_packed_fold_matches_the_tuple_fold():
         expected = omega_element(_tuple_bind(e.groups, var, t, cap), e.interest)
         assert baseline_amgu(e, var, t, "omega", cap) == expected, (str(e), var, str(t), cap)
         two = alpha2(e)
-        expected = two_element(_tuple_bind(two.maximals, var, t, 2), two.interest)
+        expected = two_element(_tuple_bind(two.groups, var, t, 2), two.interest)
         assert baseline_amgu(two, var, t, "two", cap) == expected, (str(two), var, str(t))
 
 
@@ -423,6 +423,7 @@ def test_fixpoint_terminates_without_cap_in_finite_domains():
 def test_fixpoint_limit():
     prog = parse_program("loop(u) :- loop(u).")
     goal = parse_goal("loop(x)")
+    # the first pass always adds a table entry, so one pass never settles
     with pytest.raises(FixpointLimitExceeded):
         analyze(
             AnalysisRequest(
@@ -430,9 +431,17 @@ def test_fixpoint_limit():
                 goal=goal,
                 call=parse_two("[x]_{x}"),
                 domain="two",
-                max_passes=0,
+                max_passes=1,
             )
         )
+
+
+@pytest.mark.parametrize("passes", [0, -2])
+def test_analyze_rejects_max_passes_below_1(passes):
+    req = AnalysisRequest(program=parse_program("p(u)."), goal=parse_goal("p(x)"),
+                          call=parse_two("[x]_{x}"), domain="two", max_passes=passes)
+    with pytest.raises(ValueError, match=f"max_passes must be at least 1, not {passes}"):
+        analyze(req)
 
 
 def test_matching_at_least_as_precise_on_the_worked_instances():

@@ -463,6 +463,11 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
         assert err == "sharlin: a term is nested too deeply\n"
 
 
+# formatted with str.format, so the call's braces are doubled
+ANALYZE_MISSING = ["--program", "{missing}", "--goal", "p(x)", "--call", "[x]_{{x}}",
+                   "--domain", "two"]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify", "correctness", "--cap", "0"], "--cap must be at least 1, not 0"),
     (["verify", "optimality", "--depth", "0"], "--depth must be at least 1, not 0"),
@@ -472,14 +477,35 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
     (["equiv", "--max-vars", "1"], "--max-vars must be at least 2, not 1"),
     (["--config", "{cfg}", "verify", "optimality"], "--depth must be at least 1, not 0"),
     (["--config", "{cfg}", "equiv"], "--max-vars must be at least 2, not 0"),
+    (["verify", "correctness", "--jobs", "0"], "--jobs must be at least 1, not 0"),
+    (["verify", "optimality", "--jobs", "-3", "--trials", "5"], "--jobs must be at least 1, not -3"),
+    (["equiv", "--jobs", "0"], "--jobs must be at least 1, not 0"),
+    (["--config", "{cfg}", "equiv", "--max-vars", "2"], "--jobs must be at least 1, not -1"),
+    # the program file does not exist: the flag is checked before it is read
+    (["analyze", "--max-passes", "0", *ANALYZE_MISSING], "--max-passes must be at least 1, not 0"),
+    (["--config", "{cfg}", "analyze", *ANALYZE_MISSING], "--max-passes must be at least 1, not 0"),
 ])
 def test_suite_flag_errors_name_the_flag(argv, error, tmp_path, capsys):
     cfg = tmp_path / "sharlin.cfg"
-    cfg.write_text("depth=0\nmax_vars=0\n")
-    assert main([a.format(cfg=cfg) for a in argv]) == 1
+    cfg.write_text("depth=0\nmax_vars=0\njobs=-1\nmax_passes=0\n")
+    assert main([a.format(cfg=cfg, missing=tmp_path / "missing.pl") for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sharlin: {error}\n"
+
+
+def test_least_flag_values_still_run(tmp_path, capsys):
+    assert main(["verify", "correctness", "--jobs", "1", "--trials", "5"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    prog = tmp_path / "p.pl"
+    prog.write_text("p(u).\n")
+    # one pass runs the analysis; settling takes a second pass
+    argv = ["analyze", "--program", str(prog), "--goal", "p(x)", "--call", "[x]_{x}",
+            "--domain", "two", "--max-passes"]
+    assert main(argv + ["1"]) == 1
+    assert capsys.readouterr().err == "sharlin: no fixpoint after 1 passes\n"
+    assert main(argv + ["2"]) == 0
+    assert capsys.readouterr().out == "[x]_{x}\n"
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,19 @@
-"""The analyzer's answers on the benchmark corpus, pinned byte for byte.
+"""The analyzer's answers and ``sharlin diff`` lines on the benchmark
+corpus, pinned byte for byte.
 
-Run as a script, this prints the answers in the pinned format:
-``PYTHONPATH=src python tests/test_corpus.py``. It needs no test
-dependencies, so other Python versions can diff it against the pin.
+Run as a script, this prints them in the pinned formats:
+``PYTHONPATH=src python tests/test_corpus.py`` prints the answers and
+``PYTHONPATH=src python tests/test_corpus.py diffs`` the diff lines. It
+needs no test dependencies, so other Python versions can diff it against
+the pins.
 """
+import contextlib
+import io
 import os
 import sys
 
 from sharlin.analyzer import AnalysisRequest, analyze, parse_goal, parse_program
+from sharlin.cli import main
 from sharlin.existential import canonicalize
 from sharlin.shlin_omega import alpha_omega
 from sharlin.shlin2 import alpha2
@@ -17,6 +23,7 @@ from sharlin.terms import parse_substitution
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROGRAMS = os.path.join(ROOT, "perfbench", "programs")
 PINNED = os.path.join(ROOT, "tests", "expected", "corpus_answers.txt")
+PINNED_DIFFS = os.path.join(ROOT, "tests", "expected", "corpus_diffs.txt")
 
 
 def _read(path):
@@ -24,24 +31,44 @@ def _read(path):
         return fh.read()
 
 
-def corpus_answers() -> str:
-    """One ``<item> <domain> <mode>: <answer>`` line per corpus item of
-    ``items.txt``, domain and backward mode, at the default cap. Each
-    domain's call abstracts the item's concrete call."""
-    lines = []
+def _items():
+    """(name, program file, goal text, domain -> call) per corpus item of
+    ``items.txt``. Each domain's call abstracts the item's concrete call."""
     for raw in _read(os.path.join(PROGRAMS, "items.txt")).splitlines():
         if not raw.strip() or raw.startswith("#"):
             continue
         name, program, goal, call, _ = (f.strip() for f in raw.split("|"))
-        program = parse_program(_read(os.path.join(PROGRAMS, program)))
-        goal = parse_goal(goal)
-        omega = alpha_omega(canonicalize(parse_substitution(call), goal.variables))
+        omega = alpha_omega(canonicalize(parse_substitution(call), parse_goal(goal).variables))
         calls = {"omega": omega, "two": alpha2(omega), "sl": alpha_sl(alpha2(omega))}
+        yield name, os.path.join(PROGRAMS, program), goal, calls
+
+
+def corpus_answers() -> str:
+    """One ``<item> <domain> <mode>: <answer>`` line per corpus item,
+    domain and backward mode, at the default cap."""
+    lines = []
+    for name, path, goal, calls in _items():
+        program, atom = parse_program(_read(path)), parse_goal(goal)
         for domain, e in calls.items():
             for mode in ("matching", "mgu"):
-                req = AnalysisRequest(program=program, goal=goal, call=e, domain=domain,
+                req = AnalysisRequest(program=program, goal=atom, call=e, domain=domain,
                                       mode=mode)
                 lines.append(f"{name} {domain} {mode}: {analyze(req).answer}\n")
+    return "".join(lines)
+
+
+def corpus_diffs() -> str:
+    """One ``<item> <domain>: difference: {...}`` line per corpus item and
+    domain: the last line ``sharlin diff`` prints, at the default cap."""
+    lines = []
+    for name, path, goal, calls in _items():
+        for domain, e in calls.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["diff", "--program", path, "--goal", goal, "--call", str(e),
+                             "--domain", domain])
+            assert code == 0, (name, domain)
+            lines.append(f"{name} {domain}: {out.getvalue().splitlines()[-1]}\n")
     return "".join(lines)
 
 
@@ -52,5 +79,10 @@ def test_corpus_answers_are_pinned():
     assert corpus_answers() == _read(PINNED)
 
 
+def test_corpus_diffs_are_pinned():
+    # `nonlinear omega` reads the same unsound answers as above
+    assert corpus_diffs() == _read(PINNED_DIFFS)
+
+
 if __name__ == "__main__":
-    sys.stdout.write(corpus_answers())
+    sys.stdout.write(corpus_diffs() if sys.argv[1:] == ["diffs"] else corpus_answers())

@@ -116,7 +116,7 @@ def test_check_optimality_two_and_sl():
     assert reports and all(r.verified for r in reports)
     maxima = {str(g) for g in parse_two(
         "[uv, u^*v^*x^*, uxz, u^*x^*, v^*x^*, vxz, x^*, xz]_{u,v,x,y,z}"
-    ).maximals}
+    ).groups}
     assert len(reports) == len(maxima)
 
     sl_reports = check_optimality(

@@ -1,9 +1,10 @@
+import ast
 import random
 
 import pytest
 
 from sharlin.multiset import EMPTY, Multiset, format_group, parse_group
-from sharlin.shlin_omega import match_omega, parse_omega
+from sharlin.shlin_omega import ShLinOmegaElement, match_omega, omega_element, parse_omega
 from sharlin.shlin2 import (
     INF,
     TooLarge,
@@ -42,7 +43,7 @@ def test_alpha2_group():
     assert parse_group("xy^3z").clip(2) == parse_two_group("xy^*z")
     assert parse_group("xz").clip(2) == parse_two_group("xz")
     assert EMPTY.clip(2) == EMPTY
-    assert format_group(parse_group("xy^3z").clip(2), star=True) == "xy^*z"
+    assert format_group(parse_group("xy^3z").clip(2), ceiling=2) == "xy^*z"
 
 
 def test_oplus():
@@ -93,8 +94,8 @@ def test_match2_ref_worked_example():
 
 def test_match2_opt_matches_reference_on_worked_example():
     assert match2(T1, T2) == ANOPT
-    raw = match2_opt(T1.maximals, T1.interest, T2.maximals, T2.interest)
-    names = {format_group(g, star=True) for g in raw if g}
+    raw = match2_opt(T1.groups, T1.interest, T2.groups, T2.interest)
+    names = {format_group(g, ceiling=2) for g in raw if g}
     assert names == {
         "uv", "u^*x^*", "v^*x^*", "x^*", "u^*v^*x^*", "uxz", "vxz", "xz",
     }
@@ -188,15 +189,15 @@ def test_match2_provenance_rebuilds_every_group():
         u2 = frozenset(names[rng.randint(0, len(names) - 1):])
         e1, e2 = _random_two(rng, u1), _random_two(rng, u2)
         e2 = union2(e2, _random_two(rng, u2))
-        generators = match2_opt_generators(e1.maximals, u1, e2.maximals, u2)
+        generators = match2_opt_generators(e1.groups, u1, e2.groups, u2)
         for group, provenance in generators.items():
             if provenance[0] == "pass":
-                assert provenance == ("pass", group) and group in e2.maximals
+                assert provenance == ("pass", group) and group in e2.groups
                 assert not group.support & u1
                 continue
             kind, o1, x, xbar = provenance
-            assert kind == "gen" and o1 in e1.maximals
-            assert set(xbar) <= set(x) <= e2.maximals and len(set(x)) == len(x)
+            assert kind == "gen" and o1 in e1.groups
+            assert set(xbar) <= set(x) <= e2.groups and len(set(x)) == len(x)
             xsum, xbar_sum = EMPTY, EMPTY
             for op in x:
                 xsum = oplus(xsum, op)
@@ -257,7 +258,7 @@ def test_every_operation_preserves_the_antichain_invariant():
             project2(e, set(rng.sample(sorted(u), rng.randint(0, len(u))))),
         ]
         for r in others:
-            assert antichain_max(r.maximals) == r.maximals
+            assert antichain_max(r.groups) == r.groups
 
 
 def test_prop_abstraction2_random():
@@ -298,3 +299,39 @@ def test_two_group_and_two_element_reject_bad_input():
     with pytest.raises(ValueError) as err:
         two_element({two_group({"x": INF})}, {"y"})
     assert str(err.value) == "group x^* not over interest set ['y']"
+
+
+def _repr_parts(e, name):
+    """The class name and the (group strings, interest) of ``repr(e)``,
+    whose set order follows the hash seed."""
+    text = repr(e)
+    assert text.startswith(name + "(")
+    return ast.literal_eval(text[len(name):])
+
+
+def test_one_element_body_serves_both_domains():
+    x2 = Multiset({"x": 2})
+    omega = omega_element({x2}, {"x"})
+    two = two_element({x2}, {"x"})
+    assert isinstance(two, ShLinOmegaElement)
+    assert (omega.groups, omega.interest) == (two.groups, two.interest)
+    assert omega != two and two != omega
+    assert len({omega, two}) == 2
+    for parse, name, star in ((parse_omega, "ShLinOmegaElement", "x^2"),
+                              (parse_two, "ShLin2Element", "x^*")):
+        bottom, ground, groups = parse("[]_{x}"), parse("[0]_{x}"), parse(f"[{star}]_{{x}}")
+        assert bottom.is_bottom() and not ground.is_bottom()
+        assert (str(bottom), str(ground), str(groups)) == ("[]_{x}", "[0]_{x}", f"[{star}]_{{x}}")
+        assert _repr_parts(bottom, name) == (set(), {"x"})
+        assert _repr_parts(ground, name) == ({"0"}, {"x"})
+        assert _repr_parts(groups, name) == ({"0", star}, {"x"})
+    with pytest.raises(ValueError) as err:
+        omega_element({x2}, {"y"})
+    assert str(err.value) == "group x^2 not over interest set ['y']"
+    with pytest.raises(ValueError) as err:
+        two_element({x2}, {"y"})
+    assert str(err.value) == "group x^* not over interest set ['y']"
+    with pytest.raises(ValueError) as err:
+        two_element({Multiset({"x": 1, "y": 3})}, {"x", "y"})
+    assert str(err.value) == "group xy^3 has a count above 2"
+    assert omega_element({Multiset({"y": 3})}, {"y"}).groups == {EMPTY, Multiset({"y": 3})}
