@@ -19,8 +19,8 @@ independent variables are unified, relevant groups are joined pairwise;
 otherwise the relevant groups are summed, each repeated up to a bound,
 with counts saturated at the domain's ceiling. The sums are folded as
 count vectors packed into one integer, so a step is one saturating
-addition of integers. A binding to a ground term removes the variable's
-groups.
+addition of integers, applied to a whole frontier of new sums at once.
+A binding to a ground term removes the variable's groups.
 Trace injection can replace forward results of the root goal's clauses
 with externally supplied elements, so backward precision can be studied
 independently of forward precision.
@@ -38,18 +38,21 @@ rule through ``two``, embedding with ``gamma_sl`` and forgetting with
 
 The fixpoint engine tabulates answers per (predicate, call pattern) with
 call patterns normalized up to variable renaming, and iterates whole-goal
-evaluation until the table is stable. Exact-multiplicity analyses clip
+evaluation until the table is stable. Every pass renames clauses alike,
+so later passes mostly repeat the pure steps of the first: each forward
+step, body combination and backward step runs once per distinct
+arguments, in a table that lives only as long as its analysis.
+Exact-multiplicity analyses clip
 multiplicities at a configurable cap during analysis only; the library
 operators stay exact.
 """
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from .multiset import Multiset, fold_subsets, format_group
+from .multiset import Multiset, format_group
 from .shlin_omega import (
     ShLinOmegaElement,
     match_omega,
@@ -236,9 +239,15 @@ def _bind(groups, var, term, ceiling):
     The sums are folded as packed count vectors: one field per relevant
     variable in one ``int``, so a step adds two integers. With a ceiling,
     each field has a guard bit above room for the ceiling, and the step
-    sets every field that went over to the ceiling (a SWAR saturating add);
-    exact fields are as wide as the largest sum the fold can reach. Only
-    the sums that touch both sides are decoded into groups.
+    sets every field that went over to the ceiling (a SWAR saturating add),
+    so only the pairwise joins need clipping; exact fields are as wide as
+    the largest sum the fold can reach. Only the sums that touch both sides
+    are decoded into groups.
+
+    Only the set of sums is read, so the fold keeps no back-pointers and
+    prunes nothing: it adds each group to a whole frontier of sums at a
+    time, reaching exactly the states of ``fold_subsets`` (the tests check
+    the two against each other).
     """
     tvars = frozenset(term_vars(term))
     rx = {g for g in groups if g.count(var)}
@@ -257,6 +266,8 @@ def _bind(groups, var, term, ceiling):
         # a group on both sides can also survive unchanged: the same
         # existential variable may align with itself
         joins = {gx + gt for gx in rx for gt in rt} | (rx & rt)
+        if ceiling:
+            joins = {g.clip(ceiling) for g in joins}
     else:
         relevant = sorted(rx | rt, key=Multiset.sort_key)
         names = sorted(set().union(*(g.support for g in relevant)))
@@ -272,14 +283,15 @@ def _bind(groups, var, term, ceiling):
             ones = sum(1 << (i * width) for i in range(len(names)))
             lift, guard = ones * ((1 << w) - 1 - ceiling), ones << w
 
-            def step(s, g):
-                x = s + g
-                over = ((x + lift) & guard) >> w
-                return (x & ~(over * field)) | over * ceiling
+            def step(frontier, g):
+                return {(x & ~(o * field)) | o * ceiling for s in frontier
+                        for x in (s + g,) for o in (((x + lift) & guard) >> w,)}
         else:
             # exact: the field fits the largest sum the fold can reach
             width = max(sum(g.count(v) for g in relevant) * bound for v in names).bit_length()
-            step = operator.add
+
+            def step(frontier, g):
+                return {s + g for s in frontier}
         field = (1 << width) - 1
         pos = {v: i * width for i, v in enumerate(names)}
         # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
@@ -287,15 +299,25 @@ def _bind(groups, var, term, ceiling):
         # count over the ceiling makes the bound the ceiling
         counts = {sum(min(n, ceiling or n) << pos[v] for v, n in g.items()): bound
                   for g in relevant}
+        # the states fold_subsets would reach: each generator extends the
+        # sums before it one frontier at a time, a frontier dropping the
+        # sums already there, whose own repeats cover the rest
+        sums = {0}
+        for g, bound in counts.items():
+            frontier, new = sums, set()
+            for _ in range(bound):
+                frontier = step(frontier, g) - sums
+                if not frontier:
+                    break
+                new |= frontier
+            sums |= new
         tmask = sum(field << pos[v] for v in tvars if v in pos)
         xmask = field << pos[var] if var in pos else 0
         joins = {
             Multiset._from_clean({v: n for v, p in pos.items() if (n := s >> p & field)})
-            for s in fold_subsets(0, counts, step)
+            for s in sums
             if s & xmask and s & tmask
         }
-    if ceiling:
-        joins = {g.clip(ceiling) for g in joins}
     return rest | joins
 
 
@@ -510,6 +532,7 @@ class _Engine:
         self.req = req
         self.ops = DOMAINS[req.domain]
         self.memo: dict = {}
+        self.steps: dict = {}
         self.trace: list[TraceStep] = []
         self.counter = itertools.count(1)
         self.changed = False
@@ -566,6 +589,15 @@ class _Engine:
             )
         return self.ops.rename(elem, rho)
 
+    def _step(self, f, *args):
+        """``f(*args)`` for a pure pipeline step, computed once per analysis:
+        each pass renames clauses alike, so later passes repeat most steps."""
+        key = (f, args)
+        out = self.steps.get(key)
+        if out is None:
+            out = self.steps[key] = f(*args)
+        return out
+
     def solve(self, atom: Atom, call, depth: int, stack: set, done: set) -> object:
         ops = self.ops
         # answers range over the caller's variables of interest, which may
@@ -586,8 +618,8 @@ class _Engine:
         for idx, clause in clauses:
             rclause, crho = self._rename_clause(clause)
             cvars = rclause.variables
-            full, entry, theta = forward_unify(
-                call, atom, rclause.head, self.req.domain, self.req.cap, cvars
+            full, entry, theta = self._step(
+                forward_unify, call, atom, rclause.head, self.req.domain, self.req.cap, cvars
             )
             if depth == 0:
                 full = self._inject(idx, 0, crho, full)
@@ -601,9 +633,9 @@ class _Engine:
                 if bans.is_bottom():
                     exit_elem = ops.bottom(exit_elem.interest)
                     break
-                exit_elem = self._combine(bans, exit_elem)
-            answer = backward_unify(
-                call, exit_elem, full, theta, self.req.mode,
+                exit_elem = self._step(self._combine, bans, exit_elem)
+            answer = self._step(
+                backward_unify, call, exit_elem, full, theta, self.req.mode,
                 self.req.domain, gv, self.req.cap,
             )
             total = ops.union(total, answer)

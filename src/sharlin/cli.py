@@ -113,7 +113,9 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--inject", help="forward trace injection file")
     p_an.add_argument("--cap", type=int, default=3,
                       help="multiplicity clip during analysis, 0 = none")
-    p_an.add_argument("--max-passes", type=int, default=64)
+    p_an.add_argument("--max-passes", type=int, default=64,
+                      help="most fixpoint passes; the last only confirms a stable "
+                           "table, so 2 is the least that can succeed")
     p_an.add_argument("--trace", action="store_true")
 
     p_ver = sub.add_parser("verify", help="randomized theorem suites")

@@ -10,8 +10,9 @@ A 2-sharing group is a multiset whose counts are saturated at 2 (see
 Counts are plain Python integers, so sums are exact and never wrap.
 
 ``fold_subsets`` is the one enumeration of sums of groups, each repeated
-up to a bound, behind all three matchers and the analyzer's forward
-abstract unification.
+up to a bound, with back-pointers and pruning, behind all three matchers.
+The analyzer's forward abstract unification needs neither and folds the
+same states a frontier at a time over packed integers.
 """
 from __future__ import annotations
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sharlin import analyzer
 from sharlin.analyzer import (
     AnalysisRequest,
     Atom,
@@ -442,6 +443,41 @@ def test_analyze_rejects_max_passes_below_1(passes):
                           call=parse_two("[x]_{x}"), domain="two", max_passes=passes)
     with pytest.raises(ValueError, match=f"max_passes must be at least 1, not {passes}"):
         analyze(req)
+
+
+NREV = """
+app([], v, v).
+app([u|v], w, [u|x]) :- app(v, w, x).
+nrev([], []).
+nrev([u|v], w) :- nrev(v, x), app(x, [u], w).
+"""
+
+
+def test_forward_steps_run_once_per_analysis(monkeypatch):
+    forward, clauses = [], [0]
+    unify, rename = analyzer.forward_unify, analyzer._Engine._rename_clause
+
+    def counted_unify(*args):
+        forward.append(args)
+        return unify(*args)
+
+    def counted_rename(self, clause):
+        clauses[0] += 1
+        return rename(self, clause)
+
+    monkeypatch.setattr(analyzer, "forward_unify", counted_unify)
+    monkeypatch.setattr(analyzer._Engine, "_rename_clause", counted_rename)
+    req = AnalysisRequest(program=parse_program(NREV), goal=parse_goal("nrev(x, y)"),
+                          call=parse_two("[x, y]_{x,y}"), domain="two", mode="mgu")
+    result = analyze(req)
+    assert result.passes == 5
+    # every clause evaluation of every pass needs a forward step, but only
+    # the distinct ones run: later passes repeat the first one's arguments
+    assert len(forward) == len(set(forward)) < clauses[0]
+    # the table belongs to its analysis: the same request runs them again
+    first = len(forward)
+    assert analyze(req) == result
+    assert forward[first:] == forward[:first]
 
 
 def test_matching_at_least_as_precise_on_the_worked_instances():

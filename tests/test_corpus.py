@@ -1,8 +1,9 @@
-"""The analyzer's answers and ``sharlin diff`` lines on the benchmark
-corpus, pinned byte for byte.
+"""The analyzer's answers, ``analyze --trace`` reports and ``sharlin
+diff`` lines on the benchmark corpus, pinned byte for byte.
 
 Run as a script, this prints them in the pinned formats:
-``PYTHONPATH=src python tests/test_corpus.py`` prints the answers and
+``PYTHONPATH=src python tests/test_corpus.py`` prints the answers,
+``PYTHONPATH=src python tests/test_corpus.py traces`` the trace reports and
 ``PYTHONPATH=src python tests/test_corpus.py diffs`` the diff lines. It
 needs no test dependencies, so other Python versions can diff it against
 the pins.
@@ -24,6 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROGRAMS = os.path.join(ROOT, "perfbench", "programs")
 PINNED = os.path.join(ROOT, "tests", "expected", "corpus_answers.txt")
 PINNED_DIFFS = os.path.join(ROOT, "tests", "expected", "corpus_diffs.txt")
+PINNED_TRACES = os.path.join(ROOT, "tests", "expected", "corpus_traces.txt")
 
 
 def _read(path):
@@ -57,18 +59,39 @@ def corpus_answers() -> str:
     return "".join(lines)
 
 
+def _cli(args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    assert code == 0, args
+    return out.getvalue()
+
+
+def corpus_traces() -> str:
+    """What ``sharlin analyze --trace`` prints for each corpus item, domain
+    and backward mode, at the default cap, under a ``== <item> <domain>
+    <mode>`` line: the answer, the passes and table size, and every clause
+    step of the final pass."""
+    lines = []
+    for name, path, goal, calls in _items():
+        for domain, e in calls.items():
+            for mode in ("matching", "mgu"):
+                lines.append(f"== {name} {domain} {mode}\n")
+                lines.append(_cli(["analyze", "--program", path, "--goal", goal,
+                                   "--call", str(e), "--domain", domain, "--mode", mode,
+                                   "--trace"]))
+    return "".join(lines)
+
+
 def corpus_diffs() -> str:
     """One ``<item> <domain>: difference: {...}`` line per corpus item and
     domain: the last line ``sharlin diff`` prints, at the default cap."""
     lines = []
     for name, path, goal, calls in _items():
         for domain, e in calls.items():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["diff", "--program", path, "--goal", goal, "--call", str(e),
-                             "--domain", domain])
-            assert code == 0, (name, domain)
-            lines.append(f"{name} {domain}: {out.getvalue().splitlines()[-1]}\n")
+            out = _cli(["diff", "--program", path, "--goal", goal, "--call", str(e),
+                        "--domain", domain])
+            lines.append(f"{name} {domain}: {out.splitlines()[-1]}\n")
     return "".join(lines)
 
 
@@ -79,10 +102,17 @@ def test_corpus_answers_are_pinned():
     assert corpus_answers() == _read(PINNED)
 
 
+def test_corpus_traces_are_pinned():
+    # passes, table sizes and every step of the final pass, not only the
+    # answers: the analyzer's control flow is pinned along with its results
+    assert corpus_traces() == _read(PINNED_TRACES)
+
+
 def test_corpus_diffs_are_pinned():
     # `nonlinear omega` reads the same unsound answers as above
     assert corpus_diffs() == _read(PINNED_DIFFS)
 
 
 if __name__ == "__main__":
-    sys.stdout.write(corpus_diffs() if sys.argv[1:] == ["diffs"] else corpus_answers())
+    pins = {"diffs": corpus_diffs, "traces": corpus_traces}
+    sys.stdout.write(pins.get("".join(sys.argv[1:]), corpus_answers)())
