@@ -42,9 +42,8 @@ evaluation until the table is stable. Every pass renames clauses alike,
 so later passes mostly repeat the pure steps of the first: each forward
 step, body combination and backward step runs once per distinct
 arguments, in a table that lives only as long as its analysis.
-Exact-multiplicity analyses clip
-multiplicities at a configurable cap during analysis only; the library
-operators stay exact.
+Exact-multiplicity analyses clip multiplicities at a configurable cap
+during analysis only; the library operators stay exact.
 """
 from __future__ import annotations
 
@@ -241,13 +240,10 @@ def _bind(groups, var, term, ceiling):
     each field has a guard bit above room for the ceiling, and the step
     sets every field that went over to the ceiling (a SWAR saturating add),
     so only the pairwise joins need clipping; exact fields are as wide as
-    the largest sum the fold can reach. Only the sums that touch both sides
-    are decoded into groups.
-
-    Only the set of sums is read, so the fold keeps no back-pointers and
-    prunes nothing: it adds each group to a whole frontier of sums at a
-    time, reaching exactly the states of ``fold_subsets`` (the tests check
-    the two against each other).
+    the largest sum the fold can reach. Only the set of sums is read, so
+    the fold keeps no back-pointers: it adds each group to a whole frontier
+    of sums at a time, reaching exactly the states of ``fold_subsets``. Only
+    the sums that touch both sides are decoded into groups.
     """
     tvars = frozenset(term_vars(term))
     rx = {g for g in groups if g.count(var)}
@@ -299,9 +295,8 @@ def _bind(groups, var, term, ceiling):
         # count over the ceiling makes the bound the ceiling
         counts = {sum(min(n, ceiling or n) << pos[v] for v, n in g.items()): bound
                   for g in relevant}
-        # the states fold_subsets would reach: each generator extends the
-        # sums before it one frontier at a time, a frontier dropping the
-        # sums already there, whose own repeats cover the rest
+        # repeating a group stops at sums from before it, whose own
+        # repeats cover the rest
         sums = {0}
         for g, bound in counts.items():
             frontier, new = sums, set()
@@ -466,6 +461,20 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
     return ops.project(combined, gv)
 
 
+def _combine(answer, cur, mode: str, domain: str, cap: int | None):
+    """The clause body's element ``cur`` after a body atom's ``answer``:
+    matched in ``matching`` mode, re-unified through renamed copies in
+    ``mgu`` mode."""
+    ops = DOMAINS[domain]
+    if mode == "matching":
+        return ops.clip(ops.match(answer, cur), cap)
+    avars = sorted(answer.interest)
+    primed = {v: f"_b{i}" for i, v in enumerate(avars)}
+    joined = ops.join_disjoint(cur, ops.rename(answer, primed))
+    bindings = [(primed[v], Var(v)) for v in avars]
+    return ops.project(_amgu_all(ops, joined, bindings, cap), cur.interest)
+
+
 # --- analysis requests -------------------------------------------------------
 
 
@@ -591,7 +600,9 @@ class _Engine:
 
     def _step(self, f, *args):
         """``f(*args)`` for a pure pipeline step, computed once per analysis:
-        each pass renames clauses alike, so later passes repeat most steps."""
+        each pass renames clauses alike, so later passes repeat most steps.
+        Keys hold module functions, never the engine, so the table makes no
+        reference cycle and goes with the engine as soon as it is dropped."""
         key = (f, args)
         out = self.steps.get(key)
         if out is None:
@@ -633,7 +644,8 @@ class _Engine:
                 if bans.is_bottom():
                     exit_elem = ops.bottom(exit_elem.interest)
                     break
-                exit_elem = self._step(self._combine, bans, exit_elem)
+                exit_elem = self._step(_combine, bans, exit_elem, self.req.mode,
+                                       self.req.domain, self.req.cap)
             answer = self._step(
                 backward_unify, call, exit_elem, full, theta, self.req.mode,
                 self.req.domain, gv, self.req.cap,
@@ -651,16 +663,6 @@ class _Engine:
             self.changed = True
         back = {n: v for v, n in rho.items()}
         return ops.rename(stored, back)
-
-    def _combine(self, answer, cur):
-        ops = self.ops
-        if self.req.mode == "matching":
-            return ops.clip(ops.match(answer, cur), self.req.cap)
-        avars = sorted(answer.interest)
-        primed = {v: f"_b{i}" for i, v in enumerate(avars)}
-        joined = ops.join_disjoint(cur, ops.rename(answer, primed))
-        bindings = [(primed[v], Var(v)) for v in avars]
-        return ops.project(_amgu_all(ops, joined, bindings, self.req.cap), cur.interest)
 
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:

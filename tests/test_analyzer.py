@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -453,9 +455,14 @@ nrev([u|v], w) :- nrev(v, x), app(x, [u], w).
 """
 
 
-def test_forward_steps_run_once_per_analysis(monkeypatch):
-    forward, clauses = [], [0]
+def test_step_table_is_live_and_per_analysis(monkeypatch):
+    forward, clauses, engines = [], [0], []
     unify, rename = analyzer.forward_unify, analyzer._Engine._rename_clause
+    init = analyzer._Engine.__init__
+
+    def tracked_init(self, req):
+        init(self, req)
+        engines.append(weakref.ref(self))
 
     def counted_unify(*args):
         forward.append(args)
@@ -467,6 +474,7 @@ def test_forward_steps_run_once_per_analysis(monkeypatch):
 
     monkeypatch.setattr(analyzer, "forward_unify", counted_unify)
     monkeypatch.setattr(analyzer._Engine, "_rename_clause", counted_rename)
+    monkeypatch.setattr(analyzer._Engine, "__init__", tracked_init)
     req = AnalysisRequest(program=parse_program(NREV), goal=parse_goal("nrev(x, y)"),
                           call=parse_two("[x, y]_{x,y}"), domain="two", mode="mgu")
     result = analyze(req)
@@ -478,6 +486,13 @@ def test_forward_steps_run_once_per_analysis(monkeypatch):
     first = len(forward)
     assert analyze(req) == result
     assert forward[first:] == forward[:first]
+    # and goes when the analysis returns, not at the next cyclic collection
+    gc.disable()
+    try:
+        analyze(req)
+    finally:
+        gc.enable()
+    assert len(engines) == 3 and all(ref() is None for ref in engines)
 
 
 def test_matching_at_least_as_precise_on_the_worked_instances():
