@@ -456,7 +456,7 @@ nrev([u|v], w) :- nrev(v, x), app(x, [u], w).
 
 
 def test_step_table_is_live_and_per_analysis(monkeypatch):
-    forward, clauses, engines = [], [0], []
+    forward, clauses, engines = [], [], []
     unify, rename = analyzer.forward_unify, analyzer._Engine._rename_clause
     init = analyzer._Engine.__init__
 
@@ -469,7 +469,7 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
         return unify(*args)
 
     def counted_rename(self, clause):
-        clauses[0] += 1
+        clauses.append(clause)
         return rename(self, clause)
 
     monkeypatch.setattr(analyzer, "forward_unify", counted_unify)
@@ -481,7 +481,7 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
     assert result.passes == 5
     # every clause evaluation of every pass needs a forward step, but only
     # the distinct ones run: later passes repeat the first one's arguments
-    assert len(forward) == len(set(forward)) < clauses[0]
+    assert len(forward) == len(set(forward)) < len(clauses)
     # the table belongs to its analysis: the same request runs them again
     first = len(forward)
     assert analyze(req) == result

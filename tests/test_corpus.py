@@ -115,4 +115,4 @@ def test_corpus_diffs_are_pinned():
 
 if __name__ == "__main__":
     pins = {"diffs": corpus_diffs, "traces": corpus_traces}
-    sys.stdout.write(pins.get("".join(sys.argv[1:]), corpus_answers)())
+    sys.stdout.write(pins.get(sys.argv[-1], corpus_answers)())
