@@ -12,12 +12,14 @@ propagation is the point of the exercise and comes in two modes:
   (collect the groups of the disjoint elements, then fold the abstract
   binding rule), for precision comparison.
 
-The forward step folds ``baseline_amgu``, a deliberately plain, sound
+The forward step folds ``baseline_amgu``, a deliberately plain
 binding-at-a-time rule: it is not a best transformer and is not meant to
-be one. When a variable and a linear term with linear, pairwise
-independent variables are unified, relevant groups are joined pairwise;
-otherwise the relevant groups are summed, each repeated up to a bound,
-with counts saturated at the domain's ceiling. The sums are folded as
+be one, and its linear join is known to miss sums (see ``_bind``). When a
+variable and a linear term with linear, pairwise independent variables
+are unified, relevant groups are joined pairwise; otherwise the relevant
+groups are summed, each repeated up to the ceiling, with counts
+saturated at the ceiling: the analysis cap in ``omega``, 2 in ``two``
+and ``sl``. The sums are folded as
 count vectors packed into one integer, so a step is one saturating
 addition of integers, applied to a whole frontier of new sums at once.
 A binding to a ground term removes the variable's groups.
@@ -42,8 +44,10 @@ evaluation until the table is stable. Every pass renames clauses alike,
 so later passes mostly repeat the pure steps of the first: each forward
 step, body combination and backward step runs once per distinct
 arguments, in a table that lives only as long as its analysis.
-Exact-multiplicity analyses clip multiplicities at a configurable cap
-during analysis only; the library operators stay exact.
+The omega analysis clips multiplicities at a configurable cap of at
+least 1 during analysis only; the library operators stay exact. There is
+no uncapped analysis: ``[x, xy, y]`` bound by ``x/y`` needs ``x^n y^n``
+for every n, so no finite exact answer covers it.
 """
 from __future__ import annotations
 
@@ -224,25 +228,26 @@ class DomainOps:
 def _bind(groups, var, term, ceiling):
     """The sharing groups after binding ``var`` to ``term``: the groups
     that touch neither side, and the joins that replace the others, with
-    counts saturated at ``ceiling`` (0 or ``None``: exact).
+    counts saturated at ``ceiling`` (at least 1).
 
     The binding is linear when ``var`` is not in the term, the term is
     linear, no group holds ``var`` or a term variable more than once, and
     no group holds two term variables; then relevant groups are joined
     pairwise. Otherwise the joins are the sums of relevant groups that meet
-    both sides (a shared group covers both). A group repeats up to
-    1 + 2 + ... + k times, k the largest multiplicity (at least 2), as
-    scales up to k cover every inheritance a unifier can produce, and at
-    most ``ceiling`` times, beyond which sums saturate.
+    both sides (a shared group covers both), each group repeated up to
+    ``ceiling`` times, beyond which sums saturate. The rule is not sound
+    yet: the linear join reaches only chains of two groups, even when a
+    group holds both ``var`` and a term variable. In ``two``,
+    ``[vw, wy, y]`` bound by ``w/y`` answers ``[vw^*y, w^*y^*]``, but a
+    concrete instance abstracts to ``[vw^*y^*]``.
 
     The sums are folded as packed count vectors: one field per relevant
-    variable in one ``int``, so a step adds two integers. With a ceiling,
-    each field has a guard bit above room for the ceiling, and the step
-    sets every field that went over to the ceiling (a SWAR saturating add),
-    so only the pairwise joins need clipping; exact fields are as wide as
-    the largest sum the fold can reach. Only the set of sums is read, so
-    the fold keeps no back-pointers: it adds each group to a whole frontier
-    of sums at a time, reaching exactly the states of ``fold_subsets``. Only
+    variable in one ``int``, so a step adds two integers. Each field has a
+    guard bit above room for the ceiling, and the step sets every field
+    that went over to the ceiling (a SWAR saturating add), so only the
+    pairwise joins need clipping. Only the set of sums is read, so the
+    fold keeps no back-pointers: it adds each group to a whole frontier of
+    sums at a time, reaching exactly the states of ``fold_subsets``. Only
     the sums that touch both sides are decoded into groups.
     """
     tvars = frozenset(term_vars(term))
@@ -262,57 +267,42 @@ def _bind(groups, var, term, ceiling):
         # a group on both sides can also survive unchanged: the same
         # existential variable may align with itself
         joins = {gx + gt for gx in rx for gt in rt} | (rx & rt)
-        if ceiling:
-            joins = {g.clip(ceiling) for g in joins}
-    else:
-        relevant = sorted(rx | rt, key=Multiset.sort_key)
-        names = sorted(set().union(*(g.support for g in relevant)))
-        k = max(2, max(n for g in relevant for _, n in g.items()))
-        bound = k * (k + 1) // 2
-        if ceiling:
-            # a field holds at most the ceiling and the sum of two fields
-            # fits below the field's guard bit; lifting a field by
-            # 2^w - 1 - ceiling sets that bit exactly when it is over
-            bound = min(bound, ceiling)
-            w = ceiling.bit_length()
-            width = w + 1
-            ones = sum(1 << (i * width) for i in range(len(names)))
-            lift, guard = ones * ((1 << w) - 1 - ceiling), ones << w
-
-            def step(frontier, g):
-                return {(x & ~(o * field)) | o * ceiling for s in frontier
-                        for x in (s + g,) for o in (((x + lift) & guard) >> w,)}
-        else:
-            # exact: the field fits the largest sum the fold can reach
-            width = max(sum(g.count(v) for g in relevant) * bound for v in names).bit_length()
-
-            def step(frontier, g):
-                return {s + g for s in frontier}
-        field = (1 << width) - 1
-        pos = {v: i * width for i, v in enumerate(names)}
-        # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
-        # the fields; groups that clip alike merge, which loses no sum, as a
-        # count over the ceiling makes the bound the ceiling
-        counts = {sum(min(n, ceiling or n) << pos[v] for v, n in g.items()): bound
-                  for g in relevant}
-        # repeating a group stops at sums from before it, whose own
-        # repeats cover the rest
-        sums = {0}
-        for g, bound in counts.items():
-            frontier, new = sums, set()
-            for _ in range(bound):
-                frontier = step(frontier, g) - sums
-                if not frontier:
-                    break
-                new |= frontier
-            sums |= new
-        tmask = sum(field << pos[v] for v in tvars if v in pos)
-        xmask = field << pos[var] if var in pos else 0
-        joins = {
-            Multiset._from_clean({v: n for v, p in pos.items() if (n := s >> p & field)})
-            for s in sums
-            if s & xmask and s & tmask
-        }
+        return rest | {g.clip(ceiling) for g in joins}
+    relevant = sorted(rx | rt, key=Multiset.sort_key)
+    names = sorted(set().union(*(g.support for g in relevant)))
+    # a field holds at most the ceiling and the sum of two fields fits
+    # below the field's guard bit; lifting a field by 2^w - 1 - ceiling
+    # sets that bit exactly when it is over
+    w = ceiling.bit_length()
+    width = w + 1
+    field = (1 << width) - 1
+    pos = {v: i * width for i, v in enumerate(names)}
+    ones = sum(1 << p for p in pos.values())
+    lift, guard = ones * ((1 << w) - 1 - ceiling), ones << w
+    # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
+    # the fields; groups that clip alike merge, which loses no sum, as
+    # ``ceiling`` repeats of a group already saturate each of its fields
+    packed = dict.fromkeys(sum(min(n, ceiling) << pos[v] for v, n in g.items())
+                           for g in relevant)
+    # repeating a group stops at sums from before it, whose own repeats
+    # cover the rest
+    sums = {0}
+    for g in packed:
+        frontier, new = sums, set()
+        for _ in range(ceiling):
+            frontier = {(x & ~(o * field)) | o * ceiling for s in frontier
+                        for x in (s + g,) for o in (((x + lift) & guard) >> w,)} - sums
+            if not frontier:
+                break
+            new |= frontier
+        sums |= new
+    tmask = sum(field << pos[v] for v in tvars if v in pos)
+    xmask = field << pos[var] if var in pos else 0
+    joins = {
+        Multiset._from_clean({v: n for v, p in pos.items() if (n := s >> p & field)})
+        for s in sums
+        if s & xmask and s & tmask
+    }
     return rest | joins
 
 
@@ -341,8 +331,6 @@ class _OmegaOps(DomainOps):
         return e.of(_bind(e.groups, var, term, e.ceiling or cap), e.interest)
 
     def clip(self, e, cap):
-        if not cap:
-            return e
         return e.of({g.clip(cap) for g in e.groups}, e.interest)
 
 
@@ -404,20 +392,21 @@ DOMAINS: Mapping[str, DomainOps] = {
 }
 
 
-def _check_cap(cap: int | None) -> None:
-    if cap is not None and cap < 0:
-        raise ValueError(f"the multiplicity cap must be 0 (no cap) or more, not {cap}")
+def _check_cap(cap: int) -> None:
+    if cap is None or cap < 1:
+        raise ValueError(f"the multiplicity cap must be at least 1, not {cap}")
 
 
-def baseline_amgu(e, var: str, term: Term, domain: str, cap: int | None = None):
-    """Sound binding-at-a-time abstract unification (not a best transformer)."""
+def baseline_amgu(e, var: str, term: Term, domain: str, cap: int = 3):
+    """Binding-at-a-time abstract unification (not a best transformer, and
+    not yet sound: see ``_bind``)."""
     _check_cap(cap)
     if var not in e.interest or not term_vars(term) <= e.interest:
         raise ValueError("binding mentions variables outside the interest set")
     return DOMAINS[domain].amgu(e, var, term, cap)
 
 
-def _amgu_all(ops: DomainOps, e, bindings, cap: int | None):
+def _amgu_all(ops: DomainOps, e, bindings, cap: int):
     for v, t in bindings:
         e = ops.amgu(e, v, t, cap)
     return e
@@ -426,7 +415,7 @@ def _amgu_all(ops: DomainOps, e, bindings, cap: int | None):
 # --- clause pipeline ---------------------------------------------------------
 
 
-def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int | None = None,
+def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int = 3,
                   clause_vars: frozenset[str] | None = None):
     """Parameter passing: returns (full element, entry element, head bindings).
 
@@ -434,6 +423,7 @@ def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int | None = N
     the clause variable to the goal term. A unification failure yields
     bottom elements and no bindings.
     """
+    _check_cap(cap)
     ops = DOMAINS[domain]
     if goal.pred != head.pred or len(goal.args) != len(head.args):
         raise PredicateMismatch(f"{goal} vs {head}")
@@ -447,8 +437,9 @@ def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int | None = N
 
 
 def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
-                   domain: str, goal_vars, cap: int | None = None):
+                   domain: str, goal_vars, cap: int = 3):
     """Answer propagation for one clause; mode selects matching or re-unification."""
+    _check_cap(cap)
     ops = DOMAINS[domain]
     gv = frozenset(goal_vars)
     if exit_elem.is_bottom() or theta is None:
@@ -461,7 +452,7 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
     return ops.project(combined, gv)
 
 
-def _combine(answer, cur, mode: str, domain: str, cap: int | None):
+def _combine(answer, cur, mode: str, domain: str, cap: int):
     """The clause body's element ``cur`` after a body atom's ``answer``:
     matched in ``matching`` mode, re-unified through renamed copies in
     ``mgu`` mode."""

@@ -9,8 +9,7 @@ Exit codes: 0 ok, 1 usage, syntax or other input error (library errors
 print one ``sharlin: ...`` line, never a traceback), 2 I/O error in
 reading input or writing output, 3 verification counterexample. A term
 nested too deeply for the library's recursion is an input error too, and
-so is running out of memory (an analysis without a multiplicity cap can
-grow without bound). Reports are byte-deterministic for fixed seeds, at
+so is running out of memory. Reports are byte-deterministic for fixed seeds, at
 any ``--jobs``; timing is never part of a report. A config file of
 ``key=value`` lines can supply defaults for optional long flags, not for
 the required ``--program``, ``--goal``, ``--call``, ``--domain`` and
@@ -112,7 +111,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--mode", default="matching", choices=("matching", "mgu"))
     p_an.add_argument("--inject", help="forward trace injection file")
     p_an.add_argument("--cap", type=int, default=3,
-                      help="multiplicity clip during analysis, 0 = none")
+                      help="multiplicity clip during analysis (at least 1)")
     p_an.add_argument("--max-passes", type=int, default=64,
                       help="most fixpoint passes; the last only confirms a stable "
                            "table, so 2 is the least that can succeed")
@@ -147,7 +146,7 @@ def _build_parser() -> _Parser:
     p_diff.add_argument("--domain", required=True, choices=sorted(DOMAINS))
     p_diff.add_argument("--inject", help="forward trace injection file")
     p_diff.add_argument("--cap", type=int, default=3,
-                        help="multiplicity clip during analysis, 0 = none")
+                        help="multiplicity clip during analysis (at least 1)")
 
     return parser
 
@@ -228,7 +227,7 @@ def _make_request(args) -> AnalysisRequest:
 
 
 def _cmd_analyze(args) -> int:
-    _check_least(args, max_passes=1)
+    _check_least(args, cap=1, max_passes=1)
     result = analyze(_make_request(args))
     print(result.answer)
     if args.trace:
@@ -300,6 +299,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    _check_least(args, cap=1)
     req = _make_request(args)
     ops = DOMAINS[args.domain]
     match_result = analyze(req)

@@ -21,7 +21,7 @@ from sharlin.analyzer import (
     parse_program,
     DOMAINS,
 )
-from sharlin.existential import canonicalize
+from sharlin.existential import canonicalize, emgu_subst, parse_existential
 from sharlin.multiset import EMPTY, Multiset, fold_subsets
 from sharlin.shlin_omega import alpha_omega, leq_omega, omega_element, parse_omega
 from sharlin.shlin2 import (
@@ -110,8 +110,32 @@ def test_baseline_amgu_rejects_foreign_variables():
 
 
 def test_baseline_amgu_rejects_a_negative_cap():
-    with pytest.raises(ValueError, match="cap .* not -1"):
-        baseline_amgu(parse_omega("[x^2, y]_{x,y}"), "x", Var("y"), "omega", cap=-1)
+    # an uncapped omega analysis has no finite sound answer, so 0 and None
+    # are rejected like a negative cap, by every entry point
+    e = parse_omega("[x^2, y]_{x,y}")
+    goal, head = parse_goal("p(x, y)"), parse_goal("p(u, v)")
+    for cap in (-1, 0, None):
+        entry_points = [
+            lambda: baseline_amgu(e, "x", Var("y"), "omega", cap=cap),
+            lambda: forward_unify(e, goal, head, "omega", cap),
+            lambda: backward_unify(e, e, e, Substitution({}), "mgu", "omega", {"x", "y"}, cap),
+        ]
+        for entry in entry_points:
+            with pytest.raises(ValueError, match=f"cap .* not {cap}$"):
+                entry()
+
+
+@pytest.mark.parametrize("cap", [4, 5, 6])
+def test_baseline_amgu_covers_the_concrete_answer_at_high_caps(cap):
+    # {w/t(_1,_1)} abstracts to [v, w^2]; bound by v/f(w, w) it gives
+    # v^4w^2, which a repetition bound below the cap missed
+    delta = parse_substitution("{v/f(w,w)}")
+    concrete = alpha_omega(emgu_subst(parse_existential("[{w/t(_1,_1)}]_{v,w}"), delta))
+    assert concrete == parse_omega("[v^4w^2]_{v,w}")
+    answer = baseline_amgu(parse_omega("[v, w^2]_{v,w}"), "v", parse_term("f(w, w)"),
+                           "omega", cap)
+    for g in concrete.groups:
+        assert g.clip(cap) in answer.groups, (cap, str(answer))
 
 
 def _copies_bind(groups, var, term, exp, add, copies, zero):
@@ -139,10 +163,6 @@ def _copies_bind(groups, var, term, exp, add, copies, zero):
     return rest, {s for s in sums if exp(s, var) and any(exp(s, v) for v in tvars)}
 
 
-def _clip(g, cap):
-    return Multiset({v: min(n, cap) if cap else n for v, n in g.items()})
-
-
 def _copies_amgu(e, var, term, domain, cap):
     if domain == "sl":
         return alpha_sl(_copies_amgu(gamma_sl(e), var, term, "two", cap))
@@ -155,13 +175,13 @@ def _copies_amgu(e, var, term, domain, cap):
 
     def copies(relevant):
         top = max(n for g in relevant for _, n in g.items())
-        top = min(top, cap) if cap else top
+        top = min(top, cap)
         return [g.scale(k) for g in relevant for k in range(2, max(top, 2) + 1)]
 
     rest, joins = _copies_bind(
-        e.groups, var, term, Multiset.count, lambda a, b: _clip(a + b, cap), copies, EMPTY,
+        e.groups, var, term, Multiset.count, lambda a, b: (a + b).clip(cap), copies, EMPTY,
     )
-    return omega_element(rest | {_clip(g, cap) for g in joins}, e.interest)
+    return omega_element(rest | {g.clip(cap) for g in joins}, e.interest)
 
 
 def _random_binding(rng):
@@ -189,14 +209,14 @@ def test_baseline_amgu_repetition_bounds_match_the_copies_rule():
         e, var, t = _random_binding(rng)
         two = alpha2(e)
         sl = alpha_sl(two)
-        for cap in (None, 0, 1, 2, 3, 4):
+        for cap in (1, 2, 3, 4):
             assert baseline_amgu(two, var, t, "two", cap) == _copies_amgu(two, var, t, "two", cap)
             assert baseline_amgu(sl, var, t, "sl", cap) == _copies_amgu(sl, var, t, "sl", cap)
             new = baseline_amgu(e, var, t, "omega", cap)
             old = _copies_amgu(e, var, t, "omega", cap)
-            # with no cap, equal copies of different groups were counted
-            # once, so the copies rule missed some sums
-            assert new == old if cap else leq_omega(old, new), (str(e), var, str(t), cap)
+            # the copies rule repeats a group at most 1 + 2 + ... + k times,
+            # which falls short of a cap of 4 or more
+            assert new == old if cap <= 3 else leq_omega(old, new), (str(e), var, str(t), cap)
 
 
 def _tuple_bind(groups, var, term, ceiling):
@@ -221,20 +241,15 @@ def _tuple_bind(groups, var, term, ceiling):
     else:
         relevant = sorted(rx | rt, key=Multiset.sort_key)
         names = sorted(set().union(*(g.support for g in relevant)))
-        top = ceiling or float("inf")
-        k = max(2, max(n for g in relevant for _, n in g.items()))
-        bound = min(k * (k + 1) // 2, top)
 
         def step(s, g):
-            return tuple(min(a + b, top) for a, b in zip(s, g))
+            return tuple(min(a + b, ceiling) for a, b in zip(s, g))
 
-        counts = {tuple(map(g.count, names)): bound for g in relevant}
+        counts = {tuple(map(g.count, names)): ceiling for g in relevant}
         sums = (Multiset({v: n for v, n in zip(names, s) if n})
                 for s in fold_subsets((0,) * len(names), counts, step))
         joins = {s for s in sums if s.count(var) and any(s.count(v) for v in tvars)}
-    if ceiling:
-        joins = {g.clip(ceiling) for g in joins}
-    return rest | joins
+    return rest | {g.clip(ceiling) for g in joins}
 
 
 def _wide_bindings(rng, caps, n):
@@ -244,19 +259,16 @@ def _wide_bindings(rng, caps, n):
         cap = caps[i % len(caps)]
         variables = list("tuvwxyz"[: rng.randint(2, 7)])
         most = rng.choice((2, 3, 9))
-        # with no cap a group of count k repeats k(k+1)/2 times, so an
-        # exact fold over counts up to 9 is kept to two groups
-        size = 2 if most == 9 and not cap else 4
         groups = [Multiset({v: rng.randint(1, most) if rng.random() < 0.4 else 1
                             for v in variables if rng.random() < 0.5})
-                  for _ in range(rng.randint(1, size))]
+                  for _ in range(rng.randint(1, 4))]
         args = [Var(rng.choice(variables)) for _ in range(rng.randint(1, 3))]
         t = args[0] if rng.random() < 0.3 else App("f", tuple(args))
         yield cap, omega_element(groups, variables), rng.choice(variables), t
 
 
 def test_baseline_amgu_packed_fold_matches_the_tuple_fold():
-    caps = (None, 0, 1, 2, 3, 4, 5, 6, 7)
+    caps = (1, 2, 3, 4, 5, 6, 7)
     # a step from x^c y^c by itself sums every field to exactly 2c
     edge = [(c, omega_element([Multiset({"x": c, "y": c}), Multiset({"y": 9})], ["x", "y"]),
              "x", Var("y")) for c in range(1, 8)]
@@ -413,13 +425,11 @@ def test_analyze_deterministic_and_traced():
     assert any(step.depth == 1 for step in r1.trace)
 
 
-def test_fixpoint_terminates_without_cap_in_finite_domains():
+def test_fixpoint_terminates_in_finite_domains():
     prog = parse_program("loop(u) :- loop(u).\nloop(a).")
     goal = parse_goal("loop(x)")
     for domain, call in (("two", parse_two("[x]_{x}")), ("sl", parse_sl("[{x}, lin={x}]_{x}"))):
-        res = analyze(
-            AnalysisRequest(program=prog, goal=goal, call=call, domain=domain, cap=0)
-        )
+        res = analyze(AnalysisRequest(program=prog, goal=goal, call=call, domain=domain))
         assert res.passes <= 4
 
 

@@ -458,7 +458,7 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
     if "union" in argv:
         assert err == "sharlin: interest sets differ: ['x'] vs ['y']\n"
     if "--cap" in argv:
-        assert err == "sharlin: the multiplicity cap must be 0 (no cap) or more, not -1\n"
+        assert err == "sharlin: --cap must be at least 1, not -1\n"
     if "q(x)" in argv or any(DEEP in a for a in argv):
         assert err == "sharlin: a term is nested too deeply\n"
 
@@ -484,11 +484,18 @@ ANALYZE_MISSING = ["--program", "{missing}", "--goal", "p(x)", "--call", "[x]_{{
     # the program file does not exist: the flag is checked before it is read
     (["analyze", "--max-passes", "0", *ANALYZE_MISSING], "--max-passes must be at least 1, not 0"),
     (["--config", "{cfg}", "analyze", *ANALYZE_MISSING], "--max-passes must be at least 1, not 0"),
+    (["analyze", "--cap", "0", *ANALYZE_MISSING], "--cap must be at least 1, not 0"),
+    (["diff", "--cap", "0", *ANALYZE_MISSING], "--cap must be at least 1, not 0"),
+    (["--config", "{cap_cfg}", "analyze", *ANALYZE_MISSING], "--cap must be at least 1, not 0"),
+    (["--config", "{cap_cfg}", "diff", *ANALYZE_MISSING], "--cap must be at least 1, not 0"),
 ])
 def test_suite_flag_errors_name_the_flag(argv, error, tmp_path, capsys):
     cfg = tmp_path / "sharlin.cfg"
     cfg.write_text("depth=0\nmax_vars=0\njobs=-1\nmax_passes=0\n")
-    assert main([a.format(cfg=cfg, missing=tmp_path / "missing.pl") for a in argv]) == 1
+    cap_cfg = tmp_path / "cap.cfg"
+    cap_cfg.write_text("cap=0\n")
+    argv = [a.format(cfg=cfg, cap_cfg=cap_cfg, missing=tmp_path / "missing.pl") for a in argv]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sharlin: {error}\n"
@@ -516,7 +523,7 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     prog = tmp_path / "app.pl"
     prog.write_text("app([], v, v).\napp([u|v], w, [u|x]) :- app(v, w, x).\n")
     argv = ["analyze", "--program", str(prog), "--goal", "app(x, y, z)",
-            "--call", "[xy, z]_{x,y,z}", "--domain", "omega", "--mode", "mgu", "--cap", "0"]
+            "--call", "[xy, z]_{x,y,z}", "--domain", "omega", "--mode", "mgu"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
