@@ -4,13 +4,19 @@ Clause processing follows the classic four-state pipeline: the call
 substitution is unified forward with the head bindings to give the entry
 substitution, the body runs under the entry, and the resulting exit
 substitution is propagated back to the caller as the answer. Backward
-propagation is the point of the exercise and comes in two modes:
+propagation is the point of the exercise, and every answer returns
+through the one backward step, ``backward_unify``: a clause's exit to its
+call, and a body atom's answer to the clause body's element before it,
+with no head bindings. It comes in two modes:
 
-* ``matching``: match the exit against the pre-projection element of the
-  forward step and project onto the goal variables;
-* ``mgu``: re-unify call, exit and the concrete head bindings from scratch
-  (collect the groups of the disjoint elements, then fold the abstract
-  binding rule), for precision comparison.
+* ``matching``: match the answer against the pre-projection element of
+  the forward step (for a body atom, the body's element itself) and
+  project onto the caller's variables;
+* ``mgu``: re-unify the caller's element, the answer and the concrete head
+  bindings from scratch (rename the answer's variables that the caller
+  shares apart, collect the groups of the now disjoint elements, then fold
+  the abstract binding rule over the renamed variables bound back and the
+  head bindings), for precision comparison.
 
 The forward step folds ``baseline_amgu``, a deliberately plain
 binding-at-a-time rule: it is not a best transformer and is not meant to
@@ -40,10 +46,11 @@ rule through ``two``, embedding with ``gamma_sl`` and forgetting with
 
 The fixpoint engine tabulates answers per (predicate, call pattern) with
 call patterns normalized up to variable renaming, and iterates whole-goal
-evaluation until the table is stable. Every pass renames clauses alike,
-so later passes mostly repeat the pure steps of the first: each forward
-step, body combination and backward step runs once per distinct
-arguments, in a table that lives only as long as its analysis.
+evaluation until the table is stable. Clauses are renamed apart from the
+goal, the source clauses and the call's variables. Every pass renames
+clauses alike, so later passes mostly repeat the pure steps of the first:
+each forward and backward step runs once per distinct arguments, in a
+table of the two steps that lives only as long as its analysis.
 The omega analysis clips multiplicities at a configurable cap of at
 least 1 during analysis only; the library operators stay exact. There is
 no uncapped analysis: ``[x, xy, y]`` bound by ``x/y`` needs ``x^n y^n``
@@ -76,6 +83,7 @@ from .shlin_sl import (
     union_sl,
 )
 from .terms import (
+    EPSILON,
     ParseError,
     Scanner,
     Substitution,
@@ -438,7 +446,11 @@ def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int = 3,
 
 def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
                    domain: str, goal_vars, cap: int = 3):
-    """Answer propagation for one clause; mode selects matching or re-unification."""
+    """The caller's element ``call`` after an answer ``exit_elem``, a
+    clause's exit or a body atom's answer, projected onto ``goal_vars``.
+    ``matching`` matches the answer against ``full``; ``mgu`` re-unifies
+    ``call`` and the answer under ``theta``, after renaming apart the
+    variables they share and binding them back."""
     _check_cap(cap)
     ops = DOMAINS[domain]
     gv = frozenset(goal_vars)
@@ -448,22 +460,12 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
         return ops.project(ops.clip(ops.match(exit_elem, full), cap), gv)
     if mode != "mgu":
         raise ValueError(f"unknown backward mode {mode!r}")
-    combined = _amgu_all(ops, ops.join_disjoint(call, exit_elem), theta.bindings(), cap)
-    return ops.project(combined, gv)
-
-
-def _combine(answer, cur, mode: str, domain: str, cap: int):
-    """The clause body's element ``cur`` after a body atom's ``answer``:
-    matched in ``matching`` mode, re-unified through renamed copies in
-    ``mgu`` mode."""
-    ops = DOMAINS[domain]
-    if mode == "matching":
-        return ops.clip(ops.match(answer, cur), cap)
-    avars = sorted(answer.interest)
-    primed = {v: f"_b{i}" for i, v in enumerate(avars)}
-    joined = ops.join_disjoint(cur, ops.rename(answer, primed))
-    bindings = [(primed[v], Var(v)) for v in avars]
-    return ops.project(_amgu_all(ops, joined, bindings, cap), cur.interest)
+    shared = sorted(exit_elem.interest & call.interest)
+    primed = {v: f"_b{i}" for i, v in enumerate(shared)}
+    joined = ops.join_disjoint(call, ops.rename(exit_elem, primed))
+    # in ``shared`` order: a Substitution would sort _b10 before _b2
+    bindings = [(primed[v], Var(v)) for v in shared] + list(theta.bindings())
+    return ops.project(_amgu_all(ops, joined, bindings, cap), gv)
 
 
 # --- analysis requests -------------------------------------------------------
@@ -562,12 +564,14 @@ class _Engine:
         args = tuple(sub.apply(a) for a in atom.args)
         return (atom.pred, args, self.ops.rename(call, rho)), rho
 
-    def _rename_clause(self, clause: Clause):
+    def _rename_clause(self, clause: Clause, avoid: frozenset[str]):
+        """A copy of ``clause`` whose variables are new to the goal, the
+        source clauses and ``avoid``, the call's variables."""
         cvars = sorted(clause.variables)
         while True:
             n = next(self.counter)
             rho = {v: f"{v}{n}" for v in cvars}
-            if not (set(rho.values()) & self.reserved):
+            if self.reserved.isdisjoint(rho.values()) and avoid.isdisjoint(rho.values()):
                 break
         sub = Substitution({v: Var(w) for v, w in rho.items()})
         head = Atom(clause.head.pred, tuple(sub.apply(a) for a in clause.head.args))
@@ -590,8 +594,9 @@ class _Engine:
         return self.ops.rename(elem, rho)
 
     def _step(self, f, *args):
-        """``f(*args)`` for a pure pipeline step, computed once per analysis:
-        each pass renames clauses alike, so later passes repeat most steps.
+        """``f(*args)`` for a pure pipeline step, ``forward_unify`` or
+        ``backward_unify``, computed once per analysis: each pass renames
+        clauses alike, so later passes repeat most steps.
         Keys hold module functions, never the engine, so the table makes no
         reference cycle and goes with the engine as soon as it is dropped."""
         key = (f, args)
@@ -600,28 +605,25 @@ class _Engine:
             out = self.steps[key] = f(*args)
         return out
 
-    def solve(self, atom: Atom, call, depth: int, stack: set, done: set) -> object:
-        ops = self.ops
+    def solve(self, atom: Atom, call, depth: int, visited: set) -> object:
+        ops, req = self.ops, self.req
         # answers range over the caller's variables of interest, which may
         # strictly contain the atom's own variables at the root
         gv = call.interest
         if call.is_bottom():
             return ops.bottom(gv)
         key, rho = self._key(atom, call)
-        if key in stack or key in done:
+        back = {n: v for v, n in rho.items()}
+        if key in visited:
             cached = self.memo.get(key)
-            if cached is None:
-                return ops.bottom(gv)
-            back = {n: v for v, n in rho.items()}
-            return ops.rename(cached, back)
-        stack.add(key)
+            return ops.bottom(gv) if cached is None else ops.rename(cached, back)
+        visited.add(key)
         total = ops.bottom(gv)
-        clauses = self.req.program.matching(atom.pred, len(atom.args))
-        for idx, clause in clauses:
-            rclause, crho = self._rename_clause(clause)
+        for idx, clause in req.program.matching(atom.pred, len(atom.args)):
+            rclause, crho = self._rename_clause(clause, gv)
             cvars = rclause.variables
             full, entry, theta = self._step(
-                forward_unify, call, atom, rclause.head, self.req.domain, self.req.cap, cvars
+                forward_unify, call, atom, rclause.head, req.domain, req.cap, cvars
             )
             if depth == 0:
                 full = self._inject(idx, 0, crho, full)
@@ -631,20 +633,13 @@ class _Engine:
                 if exit_elem.is_bottom():
                     break
                 bcall = ops.project(exit_elem, batom.variables)
-                bans = self.solve(batom, bcall, depth + 1, stack, done)
-                if bans.is_bottom():
-                    exit_elem = ops.bottom(exit_elem.interest)
-                    break
-                exit_elem = self._step(_combine, bans, exit_elem, self.req.mode,
-                                       self.req.domain, self.req.cap)
-            answer = self._step(
-                backward_unify, call, exit_elem, full, theta, self.req.mode,
-                self.req.domain, gv, self.req.cap,
-            )
+                bans = self.solve(batom, bcall, depth + 1, visited)
+                exit_elem = self._step(backward_unify, exit_elem, bans, exit_elem, EPSILON,
+                                       req.mode, req.domain, exit_elem.interest, req.cap)
+            answer = self._step(backward_unify, call, exit_elem, full, theta, req.mode,
+                                req.domain, gv, req.cap)
             total = ops.union(total, answer)
             self.trace.append(TraceStep(depth, idx, atom, call, full, entry, exit_elem, answer))
-        stack.remove(key)
-        done.add(key)
         stored = ops.rename(total, rho)
         old = self.memo.get(key)
         if old is not None:
@@ -652,7 +647,6 @@ class _Engine:
         if old != stored:
             self.memo[key] = stored
             self.changed = True
-        back = {n: v for v, n in rho.items()}
         return ops.rename(stored, back)
 
 
@@ -674,7 +668,7 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
         engine.changed = False
         engine.trace = []
         engine.counter = itertools.count(1)
-        answer = engine.solve(req.goal, req.call, 0, set(), set())
+        answer = engine.solve(req.goal, req.call, 0, set())
         if not engine.changed:
             return AnalysisResult(answer, tuple(engine.trace), passno, len(engine.memo))
     raise FixpointLimitExceeded(f"no fixpoint after {req.max_passes} passes")

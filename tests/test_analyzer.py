@@ -478,9 +478,9 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
         forward.append(args)
         return unify(*args)
 
-    def counted_rename(self, clause):
+    def counted_rename(self, clause, avoid):
         clauses.append(clause)
-        return rename(self, clause)
+        return rename(self, clause, avoid)
 
     monkeypatch.setattr(analyzer, "forward_unify", counted_unify)
     monkeypatch.setattr(analyzer._Engine, "_rename_clause", counted_rename)
@@ -503,6 +503,28 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
     finally:
         gc.enable()
     assert len(engines) == 3 and all(ref() is None for ref in engines)
+
+
+# (program, goal, call, answer): a renamed clause variable must not be a
+# call variable. `p(u)` renamed `u` to `u1`, and `x1` + `1` and `x` + `11`
+# both gave `x11`, which joined the call's independent variables.
+RENAMING = [
+    ("p(u).", "p(x)", "[x, u1]_{u1,x}", "[u1, x]_{u1,x}"),
+    ("q(x1, y) :- s, r(y, x1).\n" + "s.\n" * 9 + "r(x, w).\n", "q(u, v)", "[u, v]_{u,v}",
+     "[u, v]_{u,v}"),
+]
+
+
+@pytest.mark.parametrize("program, goal, call, answer", RENAMING, ids=["u1", "x11"])
+@pytest.mark.parametrize("domain", ["omega", "two", "sl"])
+@pytest.mark.parametrize("mode", ["matching", "mgu"])
+def test_clauses_are_not_renamed_onto_call_variables(program, goal, call, answer, domain,
+                                                     mode):
+    as_domain = {"omega": parse_omega, "two": parse_two,
+                 "sl": lambda text: alpha_sl(parse_two(text))}[domain]
+    req = AnalysisRequest(program=parse_program(program), goal=parse_goal(goal),
+                          call=as_domain(call), domain=domain, mode=mode)
+    assert analyze(req).answer == as_domain(answer)
 
 
 def test_matching_at_least_as_precise_on_the_worked_instances():

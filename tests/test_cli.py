@@ -20,6 +20,8 @@ PROGRAM_61 = "p(u,v,w).\n"
 PROGRAM_62 = "member(u, [u|v]).\nmember(u, [v|w]) :- member(u, w).\n"
 # a ground term nested far deeper than the recursion limit
 DEEP = "f(" * 3000 + "a" + ")" * 3000
+# no deep term, but a chain of calls deeper than the analyzer's recursion
+CHAIN = "".join(f"p{i}(x) :- p{i + 1}(x).\n" for i in range(1000)) + "p1000(a).\n"
 INJECT_62 = (
     "0 0 [u^*x^*y^*]_{u,v,x,y,z}\n"
     "0 1 [u^*]_{u,v}\n"
@@ -443,12 +445,13 @@ def test_usage_error_exits_1(capsys):
         ["eval", "--domain", "concrete", "--op", "match", f"[{{x/{DEEP}}}]_{{x}}", "[{y/a}]_{y}"],
         ["eval", "--domain", "omega", "--op", "alpha", f"[{{x/{DEEP}}}]_{{x}}"],
         ["analyze", "--goal", "q(x)", "--call", "[x]_{x}", "--domain", "two"],
+        ["analyze", "--goal", "p0(x)", "--call", "[x]_{x}", "--domain", "two"],
     ],
 )
 def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
     if argv[0] == "analyze":
         prog = tmp_path / "prog.pl"
-        prog.write_text(PROGRAM_62 + "p(f(u,u,u,u,u)).\n" + f"q({DEEP}).\n")
+        prog.write_text(PROGRAM_62 + "p(f(u,u,u,u,u)).\n" + f"q({DEEP}).\n" + CHAIN)
         argv = argv + ["--program", str(prog)]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -459,8 +462,8 @@ def test_input_errors_exit_1_with_one_line(argv, tmp_path, capsys):
         assert err == "sharlin: interest sets differ: ['x'] vs ['y']\n"
     if "--cap" in argv:
         assert err == "sharlin: --cap must be at least 1, not -1\n"
-    if "q(x)" in argv or any(DEEP in a for a in argv):
-        assert err == "sharlin: a term is nested too deeply\n"
+    if "q(x)" in argv or "p0(x)" in argv or any(DEEP in a for a in argv):
+        assert err == "sharlin: a term or a chain of calls is nested too deeply\n"
 
 
 # formatted with str.format, so the call's braces are doubled

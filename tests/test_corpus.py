@@ -13,7 +13,7 @@ import io
 import os
 import sys
 
-from sharlin.analyzer import AnalysisRequest, analyze, parse_goal, parse_program
+from sharlin.analyzer import DOMAINS, AnalysisRequest, analyze, parse_goal, parse_program
 from sharlin.cli import main
 from sharlin.existential import canonicalize
 from sharlin.shlin_omega import alpha_omega
@@ -106,6 +106,23 @@ def test_corpus_traces_are_pinned():
     # passes, table sizes and every step of the final pass, not only the
     # answers: the analyzer's control flow is pinned along with its results
     assert corpus_traces() == _read(PINNED_TRACES)
+
+
+def test_answers_do_not_depend_on_variable_names():
+    # a call variable that is not in the goal, named like a renamed clause
+    # variable, stays an independent linear variable, and nothing else moves
+    for name, path, goal, calls in _items():
+        program, atom = parse_program(_read(path)), parse_goal(goal)
+        for domain, e in calls.items():
+            ops = DOMAINS[domain]
+            for mode in ("matching", "mgu"):
+                def answer(call):
+                    return analyze(AnalysisRequest(program=program, goal=atom, call=call,
+                                                   domain=domain, mode=mode)).answer
+                base = answer(e)
+                for extra in ("u1", "x11", "v21"):
+                    assert answer(ops.extend(e, {extra})) == ops.extend(base, {extra}), (
+                        name, domain, mode, extra)
 
 
 def test_corpus_diffs_are_pinned():
