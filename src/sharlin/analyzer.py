@@ -16,7 +16,9 @@ with no head bindings. It comes in two modes:
   bindings from scratch (rename the answer's variables that the caller
   shares apart, collect the groups of the now disjoint elements, then fold
   the abstract binding rule over the renamed variables bound back and the
-  head bindings), for precision comparison.
+  head bindings), for precision comparison. Each variable outside the
+  caller's is projected away as soon as no later binding reads it, inside
+  the binding that reads it last.
 
 The forward step folds ``baseline_amgu``, a deliberately plain
 binding-at-a-time rule: it is not a best transformer and is not meant to
@@ -216,7 +218,8 @@ class DomainOps:
     """One abstract domain as the analyzer sees it: ``parse``, ``bottom``,
     ``extend`` (add fresh independent linear variables), ``project``,
     ``union``, ``rename``, ``join_disjoint`` (union over disjoint interest
-    sets), ``match(exit, full)`` and ``amgu(e, var, term, cap)``, with the
+    sets), ``match(exit, full)`` and ``amgu(e, var, term, cap, drop)``
+    (bind, then project ``drop``, variables of the binding, away), with the
     defaults below. Elements answer ``is_bottom()`` and ``interest``.
 
     ``match`` looks its matcher up in this module on every call, so
@@ -233,10 +236,13 @@ class DomainOps:
         return {format_group(g, e.ceiling) for g in e.groups if g}
 
 
-def _bind(groups, var, term, ceiling):
+def _bind(groups, var, term, ceiling, drop=frozenset()):
     """The sharing groups after binding ``var`` to ``term``: the groups
     that touch neither side, and the joins that replace the others, with
-    counts saturated at ``ceiling`` (at least 1).
+    counts saturated at ``ceiling`` (at least 1) and the variables in
+    ``drop`` projected away. Only variables of the binding may be dropped:
+    no group that touches neither side holds one, so leaving them out of
+    the joins is the same as projecting afterwards.
 
     The binding is linear when ``var`` is not in the term, the term is
     linear, no group holds ``var`` or a term variable more than once, and
@@ -274,7 +280,8 @@ def _bind(groups, var, term, ceiling):
     if linear:
         # a group on both sides can also survive unchanged: the same
         # existential variable may align with itself
-        joins = {gx + gt for gx in rx for gt in rt} | (rx & rt)
+        cut = {g: g.restrict(g.support - drop) if g.support & drop else g for g in rx | rt}
+        joins = {cut[gx] + cut[gt] for gx in rx for gt in rt} | {cut[g] for g in rx & rt}
         return rest | {g.clip(ceiling) for g in joins}
     relevant = sorted(rx | rt, key=Multiset.sort_key)
     names = sorted(set().union(*(g.support for g in relevant)))
@@ -306,8 +313,9 @@ def _bind(groups, var, term, ceiling):
         sums |= new
     tmask = sum(field << pos[v] for v in tvars if v in pos)
     xmask = field << pos[var] if var in pos else 0
+    keep = [(v, p) for v, p in pos.items() if v not in drop]
     joins = {
-        Multiset._from_clean({v: n for v, p in pos.items() if (n := s >> p & field)})
+        Multiset._from_clean({v: n for v, p in keep if (n := s >> p & field)})
         for s in sums
         if s & xmask and s & tmask
     }
@@ -334,9 +342,9 @@ class _OmegaOps(DomainOps):
     def match(self, exit_elem, full_elem):
         return match_omega(exit_elem, full_elem)
 
-    def amgu(self, e, var, term, cap):
+    def amgu(self, e, var, term, cap, drop=frozenset()):
         # an element's own ceiling overrides the analysis cap
-        return e.of(_bind(e.groups, var, term, e.ceiling or cap), e.interest)
+        return e.of(_bind(e.groups, var, term, e.ceiling or cap, drop), e.interest - drop)
 
     def clip(self, e, cap):
         return e.of({g.clip(cap) for g in e.groups}, e.interest)
@@ -381,11 +389,9 @@ class _SlOps(DomainOps):
     def match(self, exit_elem, full_elem):
         return match_sl(exit_elem, full_elem)
 
-    def amgu(self, e, var, term, cap):
+    def amgu(self, e, var, term, cap, drop=frozenset()):
         # route through the clipped domain: embed, run its rule, forget
-        two = gamma_sl(e)
-        out = _TWO_OPS.amgu(two, var, term, cap)
-        return alpha_sl(out)
+        return alpha_sl(_TWO_OPS.amgu(gamma_sl(e), var, term, cap, drop))
 
     def groups_of(self, e):
         return {"".join(sorted(g)) for g in e.sharing if g}
@@ -414,12 +420,6 @@ def baseline_amgu(e, var: str, term: Term, domain: str, cap: int = 3):
     return DOMAINS[domain].amgu(e, var, term, cap)
 
 
-def _amgu_all(ops: DomainOps, e, bindings, cap: int):
-    for v, t in bindings:
-        e = ops.amgu(e, v, t, cap)
-    return e
-
-
 # --- clause pipeline ---------------------------------------------------------
 
 
@@ -440,7 +440,9 @@ def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int = 3,
         theta = mgu_terms(list(zip(head.args, goal.args)))
     except UnificationError:
         return ops.bottom(call.interest | cvars), ops.bottom(cvars), None
-    full = _amgu_all(ops, ops.extend(call, cvars - call.interest), theta.bindings(), cap)
+    full = ops.extend(call, cvars - call.interest)
+    for v, t in theta.bindings():
+        full = ops.amgu(full, v, t, cap)
     return full, ops.project(full, cvars), theta
 
 
@@ -450,7 +452,10 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
     clause's exit or a body atom's answer, projected onto ``goal_vars``.
     ``matching`` matches the answer against ``full``; ``mgu`` re-unifies
     ``call`` and the answer under ``theta``, after renaming apart the
-    variables they share and binding them back."""
+    variables they share and binding them back. It keeps only ``goal_vars``
+    and the variables the bindings read, and drops each of the latter
+    inside the binding that reads it last: a binding reads only its own
+    variables' counts, and projection commutes with its sums."""
     _check_cap(cap)
     ops = DOMAINS[domain]
     gv = frozenset(goal_vars)
@@ -465,7 +470,15 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
     joined = ops.join_disjoint(call, ops.rename(exit_elem, primed))
     # in ``shared`` order: a Substitution would sort _b10 before _b2
     bindings = [(primed[v], Var(v)) for v in shared] + list(theta.bindings())
-    return ops.project(_amgu_all(ops, joined, bindings, cap), gv)
+    drops, keep = [], set(gv)
+    for v, t in reversed(bindings):
+        uses = term_vars(t, {v})
+        drops.append(frozenset(uses - keep))
+        keep |= uses
+    e = joined if joined.interest <= keep else ops.project(joined, keep)
+    for (v, t), drop in zip(bindings, reversed(drops)):
+        e = ops.amgu(e, v, t, cap, drop)
+    return e
 
 
 # --- analysis requests -------------------------------------------------------

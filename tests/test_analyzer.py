@@ -280,19 +280,26 @@ def test_baseline_amgu_packed_fold_matches_the_tuple_fold():
         assert baseline_amgu(two, var, t, "two", cap) == expected, (str(two), var, str(t))
 
 
+APP = "app([], v, v).\napp([u|v], w, [u|x]) :- app(v, w, x).\n"
+
+
 @pytest.mark.parametrize("program, goal, call, answer", [
     (
-        "app([], v, v).\napp([u|v], w, [u|x]) :- app(v, w, x).\n",
+        APP,
         "app(x, y, z)",
         "[xy, z]_{x,y,z}",
         "[xyz, xyz^2, xyz^3, x^2y^2z, x^2y^2z^2, x^2y^2z^3, x^3y^3z, x^3y^3z^2, x^3y^3z^3]"
         "_{x,y,z}",
     ),
     (MEMBER, "member(x, y)", "[xy, x^2]_{x,y}", "[xy, x^2y^2, x^3y, x^3y^2, x^3y^3]_{x,y}"),
-], ids=["app-alias", "member"])
+    (APP, "app(x, x, y)", "[xy, y]_{x,y}", "[xy, xy^2, xy^3, x^2y^2, x^2y^3, x^3y^3]_{x,y}"),
+    (APP, "app([x|y], z, z)", "[yz]_{x,y,z}", "[yz, y^2z^2, y^3z^3]_{x,y,z}"),
+], ids=["app-alias", "member", "app-xxy", "app-cons"])
 def test_omega_mgu_answers_of_the_copies_rule(program, goal, call, answer):
-    # the answers the scaled-copies rule gave, after 19 s and 21 s on a
-    # 2-core x86 box where the bounded-repetition fold needs under 2 s
+    # the first two are the answers the scaled-copies rule gave, after 19 s
+    # and 21 s on a 2-core x86 box where the bounded-repetition fold needs
+    # under 2 s; the last two took about 20 s each on that box while the
+    # backward step folded every variable to the end, and about 2.5 s since
     res = analyze(AnalysisRequest(
         program=parse_program(program), goal=parse_goal(goal), call=parse_omega(call),
         domain="omega", mode="mgu",
@@ -361,6 +368,87 @@ def test_backward_unify_62_steps():
     assert m == parse_two("[x^*y^*]_{x,y,z}")
     g = backward_unify(call, exit_elem, full, theta, "mgu", "two", {"x", "y", "z"})
     assert g == parse_two("[x^*y^*, x^*y^*z^*]_{x,y,z}")
+
+
+def _mgu_step_without_drops(call, exit_elem, theta, domain, goal_vars, cap):
+    """The ``mgu`` backward step folding every binding over the whole joined
+    element, and projecting onto the goal variables only at the end."""
+    ops = DOMAINS[domain]
+    shared = sorted(exit_elem.interest & call.interest)
+    primed = {v: f"_b{i}" for i, v in enumerate(shared)}
+    e = ops.join_disjoint(call, ops.rename(exit_elem, primed))
+    bindings = [(primed[v], Var(v)) for v in shared] + list(theta.bindings())
+    steps = []
+    for v, t in bindings:
+        steps.append((e, v, t))
+        e = ops.amgu(e, v, t, cap)
+    return ops.project(e, goal_vars), steps
+
+
+def _random_backward_step(rng, domain):
+    """A call over some of w, x, y, z, an answer over the clause variables
+    t, u, v and perhaps some call variables, head bindings from unifying
+    random head and goal arguments, and goal variables, some of which may
+    be read by no binding."""
+    def element(variables):
+        groups = [Multiset({v: rng.randint(1, 3) if rng.random() < 0.3 else 1
+                            for v in variables if rng.random() < 0.5})
+                  for _ in range(rng.randint(1, 3))]
+        e = omega_element(groups, variables)
+        if domain == "omega":
+            return e
+        return alpha2(e) if domain == "two" else alpha_sl(alpha2(e))
+
+    def term(variables, depth):
+        if depth == 0 or rng.random() < 0.5:
+            return Var(rng.choice(variables)) if rng.random() < 0.75 else App("a")
+        return App(rng.choice("fg"), tuple(term(variables, depth - 1)
+                                           for _ in range(rng.randint(1, 2))))
+
+    call_vars = rng.sample("wxyz", rng.randint(2, 3))
+    clause_vars = rng.sample("tuv", rng.randint(1, 3))
+    if rng.random() < 0.2:  # a body atom's answer: no head bindings
+        answer_vars, theta = rng.sample(call_vars, rng.randint(1, len(call_vars))), EPSILON
+    else:
+        answer_vars = clause_vars + [v for v in call_vars if rng.random() < 0.3]
+        pairs = [(term(clause_vars, 2), term(call_vars, 2)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            pairs.append((Var(rng.choice(clause_vars)), App("a")))
+        try:
+            theta = mgu_terms(pairs)
+        except UnificationError:
+            theta = mgu_terms([(Var(v), Var(rng.choice(call_vars))) for v in clause_vars])
+    goal_vars = {v for v in call_vars + answer_vars if rng.random() < 0.6}
+    return element(call_vars), element(answer_vars), theta, goal_vars
+
+
+@pytest.mark.parametrize("domain, cap", [("omega", 1), ("omega", 2), ("omega", 3),
+                                         ("omega", 4), ("two", 3), ("sl", 3)])
+def test_mgu_backward_step_drops_variables_exactly(domain, cap):
+    # dropping each variable at its last use must answer what folding every
+    # binding over the whole element and projecting at the end answers
+    rng = random.Random(1500 + cap + len(domain))
+    seen = dict.fromkeys(("shared", "dies early", "ground", "linear"), 0)
+    for _ in range(1000):
+        call, exit_elem, theta, goal_vars = _random_backward_step(rng, domain)
+        got = backward_unify(call, exit_elem, None, theta, "mgu", domain, goal_vars, cap)
+        expected, steps = _mgu_step_without_drops(call, exit_elem, theta, domain, goal_vars, cap)
+        assert got == expected, (str(call), str(exit_elem), str(theta), sorted(goal_vars))
+        last = {u: i for i, (_, v, t) in enumerate(steps) for u in (v, *term_vars(t))}
+        seen["shared"] += any(v.startswith("_b") for _, v, _ in steps)
+        seen["dies early"] += any(i < len(steps) - 1 for u, i in last.items()
+                                  if u not in goal_vars)
+        seen["ground"] += any(not term_vars(t) for _, _, t in steps)
+        for e, v, t in steps:
+            groups = gamma_sl(e).groups if domain == "sl" else e.groups
+            tvars = term_vars(t)
+            seen["linear"] += bool(
+                any(g.support & tvars for g in groups)
+                and v not in tvars and is_linear_term(t)
+                and all(g.count(u) <= 1 for g in groups for u in tvars | {v})
+                and not any(len(g.support & tvars) > 1 for g in groups)
+            )
+    assert min(seen.values()) >= 100, seen
 
 
 def test_analyze_61_end_to_end():
@@ -447,6 +535,32 @@ def test_fixpoint_limit():
                 max_passes=1,
             )
         )
+
+
+def test_mgu_backward_step_folds_few_groups(monkeypatch):
+    # each variable leaves the backward step once nothing reads it, so the
+    # aliased app call hands _bind at most 137 groups; folding every
+    # variable to the end handed it up to 425
+    sizes, inside = [], []
+    bind, backward = analyzer._bind, analyzer.backward_unify
+
+    def measured_bind(groups, *args):
+        if inside:
+            sizes.append(len(groups))
+        return bind(groups, *args)
+
+    def marked_backward(*args):
+        inside.append(True)
+        try:
+            return backward(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(analyzer, "_bind", measured_bind)
+    monkeypatch.setattr(analyzer, "backward_unify", marked_backward)
+    analyze(AnalysisRequest(program=parse_program(APP), goal=parse_goal("app(x, y, z)"),
+                            call=parse_omega("[xy, z]_{x,y,z}"), domain="omega", mode="mgu"))
+    assert sizes and max(sizes) <= 150, max(sizes)
 
 
 @pytest.mark.parametrize("passes", [0, -2])
