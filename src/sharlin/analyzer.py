@@ -22,29 +22,16 @@ with no head bindings. It comes in two modes:
 
 The forward step folds ``baseline_amgu``, a deliberately plain
 binding-at-a-time rule: it is not a best transformer and is not meant to
-be one, and its linear join is known to miss sums (see ``_bind``). When a
-variable and a linear term with linear, pairwise independent variables
-are unified, relevant groups are joined pairwise; otherwise the relevant
-groups are summed, each repeated up to the ceiling, with counts
-saturated at the ceiling: the analysis cap in ``omega``, 2 in ``two``
-and ``sl``. The sums are folded as
-count vectors packed into one integer, so a step is one saturating
-addition of integers, applied to a whole frontier of new sums at once.
-A binding to a ground term removes the variable's groups.
+be one, and its linear join is known to miss sums (see
+``shlin_omega._bind``). When a variable and a linear term with linear,
+pairwise independent variables are unified, relevant groups are joined
+pairwise; otherwise the relevant groups are summed, each repeated up to
+the ceiling, with counts saturated at the ceiling: the analysis cap in
+``omega``, 2 in ``two`` and ``sl``. A binding to a ground term removes
+the variable's groups.
 Trace injection can replace forward results of the root goal's clauses
 with externally supplied elements, so backward precision can be studied
 independently of forward precision.
-
-Only the domain changes between analyses. Each of the three supplies
-projection, renaming, union, a forward ``amgu`` and its optimal matching
-as a ``DomainOps`` in ``DOMAINS``. ``omega`` (ShLin^omega) keeps exact
-multiplicities, which its forward rule saturates at the cap. ``two``
-(King's ShLin^2) is the same element with a ceiling of 2, printed
-``^*``: it inherits every omega operation, whose forward rule saturates
-at the element's ceiling, and supplies only its parser and matcher. ``sl``
-(Sharing x Lin) matches directly with ``match_sl`` and runs its forward
-rule through ``two``, embedding with ``gamma_sl`` and forgetting with
-``alpha_sl``.
 
 The fixpoint engine tabulates answers per (predicate, call pattern) with
 call patterns normalized up to variable renaming, and iterates whole-goal
@@ -64,26 +51,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .multiset import Multiset, format_group
-from .shlin_omega import (
-    ShLinOmegaElement,
-    match_omega,
-    parse_omega,
-    project_omega,
-    rename_omega,
-    union_omega,
-)
-from .shlin2 import ShLin2Element, match2, parse_two
-from .shlin_sl import (
-    alpha_sl,
-    gamma_sl,
-    match_sl,
-    parse_sl,
-    project_sl,
-    rename_sl,
-    sl_element,
-    union_sl,
-)
+from .domains import DOMAINS
 from .terms import (
     EPSILON,
     ParseError,
@@ -93,7 +61,6 @@ from .terms import (
     UnificationError,
     Var,
     format_term,
-    is_linear_term,
     mgu_terms,
     read_term,
     term_vars,
@@ -117,7 +84,6 @@ __all__ = [
     "backward_unify",
     "analyze",
     "DOMAINS",
-    "DomainOps",
 ]
 
 
@@ -211,201 +177,6 @@ def parse_goal(text: str) -> Atom:
     return atom
 
 
-# --- domain adapters ---------------------------------------------------------
-
-
-class DomainOps:
-    """One abstract domain as the analyzer sees it: ``parse``, ``bottom``,
-    ``extend`` (add fresh independent linear variables), ``project``,
-    ``union``, ``rename``, ``join_disjoint`` (union over disjoint interest
-    sets), ``match(exit, full)`` and ``amgu(e, var, term, cap, drop)``
-    (bind, then project ``drop``, variables of the binding, away), with the
-    defaults below. Elements answer ``is_bottom()`` and ``interest``.
-
-    ``match`` looks its matcher up in this module on every call, so
-    rebinding the matcher here (as perfbench's tracer does) reaches the
-    analyzer; a ``staticmethod`` would keep the original."""
-
-    def clip(self, e, cap):
-        """Saturate multiplicities at the analysis cap (identity except for
-        the exact-multiplicity domain, whose library operators are exact)."""
-        return e
-
-    def groups_of(self, e) -> set[str]:
-        """Canonical textual group set, for precision diffs."""
-        return {format_group(g, e.ceiling) for g in e.groups if g}
-
-
-def _bind(groups, var, term, ceiling, drop=frozenset()):
-    """The sharing groups after binding ``var`` to ``term``: the groups
-    that touch neither side, and the joins that replace the others, with
-    counts saturated at ``ceiling`` (at least 1) and the variables in
-    ``drop`` projected away. Only variables of the binding may be dropped:
-    no group that touches neither side holds one, so leaving them out of
-    the joins is the same as projecting afterwards.
-
-    The binding is linear when ``var`` is not in the term, the term is
-    linear, no group holds ``var`` or a term variable more than once, and
-    no group holds two term variables; then relevant groups are joined
-    pairwise. Otherwise the joins are the sums of relevant groups that meet
-    both sides (a shared group covers both), each group repeated up to
-    ``ceiling`` times, beyond which sums saturate. The rule is not sound
-    yet: the linear join reaches only chains of two groups, even when a
-    group holds both ``var`` and a term variable. In ``two``,
-    ``[vw, wy, y]`` bound by ``w/y`` answers ``[vw^*y, w^*y^*]``, but a
-    concrete instance abstracts to ``[vw^*y^*]``.
-
-    The sums are folded as packed count vectors: one field per relevant
-    variable in one ``int``, so a step adds two integers. Each field has a
-    guard bit above room for the ceiling, and the step sets every field
-    that went over to the ceiling (a SWAR saturating add), so only the
-    pairwise joins need clipping. Only the set of sums is read, so the
-    fold keeps no back-pointers: it adds each group to a whole frontier of
-    sums at a time, reaching exactly the states of ``fold_subsets``. Only
-    the sums that touch both sides are decoded into groups.
-    """
-    tvars = frozenset(term_vars(term))
-    rx = {g for g in groups if g.count(var)}
-    rt = {g for g in groups if g.support & tvars}
-    rest = {g for g in groups if g not in rx and g not in rt}
-    if not rt:  # a ground term, or one whose variables are all ground
-        return rest
-    linear = (
-        var not in tvars
-        and all(g.count(var) <= 1 for g in groups)
-        and is_linear_term(term)
-        and all(all(g.count(v) <= 1 for g in groups) for v in tvars)
-        and not any(len(g.support & tvars) > 1 for g in groups)
-    )
-    if linear:
-        # a group on both sides can also survive unchanged: the same
-        # existential variable may align with itself
-        cut = {g: g.restrict(g.support - drop) if g.support & drop else g for g in rx | rt}
-        joins = {cut[gx] + cut[gt] for gx in rx for gt in rt} | {cut[g] for g in rx & rt}
-        return rest | {g.clip(ceiling) for g in joins}
-    relevant = sorted(rx | rt, key=Multiset.sort_key)
-    names = sorted(set().union(*(g.support for g in relevant)))
-    # a field holds at most the ceiling and the sum of two fields fits
-    # below the field's guard bit; lifting a field by 2^w - 1 - ceiling
-    # sets that bit exactly when it is over
-    w = ceiling.bit_length()
-    width = w + 1
-    field = (1 << width) - 1
-    pos = {v: i * width for i, v in enumerate(names)}
-    ones = sum(1 << p for p in pos.values())
-    lift, guard = ones * ((1 << w) - 1 - ceiling), ones << w
-    # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
-    # the fields; groups that clip alike merge, which loses no sum, as
-    # ``ceiling`` repeats of a group already saturate each of its fields
-    packed = dict.fromkeys(sum(min(n, ceiling) << pos[v] for v, n in g.items())
-                           for g in relevant)
-    # repeating a group stops at sums from before it, whose own repeats
-    # cover the rest
-    sums = {0}
-    for g in packed:
-        frontier, new = sums, set()
-        for _ in range(ceiling):
-            frontier = {(x & ~(o * field)) | o * ceiling for s in frontier
-                        for x in (s + g,) for o in (((x + lift) & guard) >> w,)} - sums
-            if not frontier:
-                break
-            new |= frontier
-        sums |= new
-    tmask = sum(field << pos[v] for v in tvars if v in pos)
-    xmask = field << pos[var] if var in pos else 0
-    keep = [(v, p) for v, p in pos.items() if v not in drop]
-    joins = {
-        Multiset._from_clean({v: n for v, p in keep if (n := s >> p & field)})
-        for s in sums
-        if s & xmask and s & tmask
-    }
-    return rest | joins
-
-
-class _OmegaOps(DomainOps):
-    element = ShLinOmegaElement
-    parse = staticmethod(parse_omega)
-    project = staticmethod(project_omega)
-    union = staticmethod(union_omega)
-    rename = staticmethod(rename_omega)
-
-    def bottom(self, interest):
-        return self.element(frozenset(), frozenset(interest))
-
-    def extend(self, e, new_vars):
-        groups = set(e.groups) | {Multiset({v: 1}) for v in new_vars}
-        return e.of(groups, e.interest | frozenset(new_vars))
-
-    def join_disjoint(self, e1, e2):
-        return e1.of(e1.groups | e2.groups, e1.interest | e2.interest)
-
-    def match(self, exit_elem, full_elem):
-        return match_omega(exit_elem, full_elem)
-
-    def amgu(self, e, var, term, cap, drop=frozenset()):
-        # an element's own ceiling overrides the analysis cap
-        return e.of(_bind(e.groups, var, term, e.ceiling or cap, drop), e.interest - drop)
-
-    def clip(self, e, cap):
-        return e.of({g.clip(cap) for g in e.groups}, e.interest)
-
-
-class _TwoOps(_OmegaOps):
-    """The omega operations on elements of ceiling 2, without the cap clip."""
-
-    element = ShLin2Element
-    parse = staticmethod(parse_two)
-    clip = DomainOps.clip
-
-    def match(self, exit_elem, full_elem):
-        return match2(exit_elem, full_elem)
-
-
-class _SlOps(DomainOps):
-    parse = staticmethod(parse_sl)
-    project = staticmethod(project_sl)
-    union = staticmethod(union_sl)
-    rename = staticmethod(rename_sl)
-
-    def bottom(self, interest):
-        u = frozenset(interest)
-        return sl_element((), u, u)
-
-    def extend(self, e, new_vars):
-        new = frozenset(new_vars)
-        return sl_element(
-            set(e.sharing) | {frozenset({v}) for v in new},
-            e.linear | new,
-            e.interest | new,
-        )
-
-    def join_disjoint(self, e1, e2):
-        return sl_element(
-            e1.sharing | e2.sharing,
-            e1.linear | e2.linear,
-            e1.interest | e2.interest,
-        )
-
-    def match(self, exit_elem, full_elem):
-        return match_sl(exit_elem, full_elem)
-
-    def amgu(self, e, var, term, cap, drop=frozenset()):
-        # route through the clipped domain: embed, run its rule, forget
-        return alpha_sl(_TWO_OPS.amgu(gamma_sl(e), var, term, cap, drop))
-
-    def groups_of(self, e):
-        return {"".join(sorted(g)) for g in e.sharing if g}
-
-
-_TWO_OPS = _TwoOps()
-
-DOMAINS: Mapping[str, DomainOps] = {
-    "omega": _OmegaOps(),
-    "two": _TWO_OPS,
-    "sl": _SlOps(),
-}
-
-
 def _check_cap(cap: int) -> None:
     if cap is None or cap < 1:
         raise ValueError(f"the multiplicity cap must be at least 1, not {cap}")
@@ -413,7 +184,7 @@ def _check_cap(cap: int) -> None:
 
 def baseline_amgu(e, var: str, term: Term, domain: str, cap: int = 3):
     """Binding-at-a-time abstract unification (not a best transformer, and
-    not yet sound: see ``_bind``)."""
+    not yet sound: see ``shlin_omega._bind``)."""
     _check_cap(cap)
     if var not in e.interest or not term_vars(term) <= e.interest:
         raise ValueError("binding mentions variables outside the interest set")
@@ -524,7 +295,8 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
 
     Step 0 is the full pre-projection element of the forward step, step 1
     the entry element; comments start with ``#``. Elements use the clause's
-    source variable names.
+    source variable names. ``analyze`` checks that each clause index names
+    a clause of the root goal's predicate.
     """
     ops = DOMAINS[domain]
     out: dict[tuple[int, int], object] = {}
@@ -533,9 +305,10 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 2)
-        if len(parts) != 3:
-            raise ValueError(f"bad injection entry on line {ln}: {raw!r}")
-        clause_idx, step_idx, elem = int(parts[0]), int(parts[1]), parts[2]
+        try:
+            clause_idx, step_idx, elem = int(parts[0]), int(parts[1]), parts[2]
+        except (ValueError, IndexError):
+            raise ValueError(f"bad injection entry on line {ln}: {raw!r}") from None
         if step_idx not in (0, 1):
             raise ValueError(f"step index must be 0 or 1 on line {ln}")
         out[(clause_idx, step_idx)] = ops.parse(elem)
@@ -675,6 +448,11 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
             f"call interest set {sorted(req.call.interest)} must cover "
             f"the goal variables {sorted(goal_vars)}"
         )
+    pred, arity = req.goal.pred, len(req.goal.args)
+    clauses = {i for i, _ in req.program.matching(pred, arity)}
+    stray = sorted({i for i, _ in req.injection or ()} - clauses)
+    if stray:
+        raise ValueError(f"injected clause index {stray[0]} names no clause of {pred}/{arity}")
     engine = _Engine(req)
     answer = None
     for passno in range(1, req.max_passes + 1):

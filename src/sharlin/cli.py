@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .analyzer import (
-    DOMAINS,
     AnalysisRequest,
     FixpointLimitExceeded,
     PredicateMismatch,
@@ -36,6 +35,7 @@ from .analyzer import (
     parse_injection,
     parse_program,
 )
+from .domains import DOMAINS
 from .oracle import (
     DOMAIN_TAGS,
     TrialConfig,
@@ -165,44 +165,29 @@ def _eval_concrete(args):
     return "undefined" if result is UNDEFINED else result
 
 
-def _eval_alpha(args):
-    from .existential import parse_existential
-    from .shlin_omega import alpha_omega, parse_omega
-    from .shlin2 import alpha2, parse_two
-    from .shlin_sl import alpha_sl
-
-    if len(args.operands) != 1:
-        raise ValueError("alpha takes one operand")
-    text = _operand(args.operands[0])
-    if args.domain == "omega":
-        return alpha_omega(parse_existential(text))
-    if args.domain == "two":
-        return alpha2(parse_omega(text))
-    return alpha_sl(parse_two(text))
-
-
 def _cmd_eval(args) -> int:
-    if args.domain == "concrete":
+    d = DOMAINS.get(args.domain)
+    if d is None:
         result = _eval_concrete(args)
     elif args.op == "alpha":
-        result = _eval_alpha(args)
+        if len(args.operands) != 1:
+            raise ValueError("alpha takes one operand")
+        result = d.alpha(d.above.parse(_operand(args.operands[0])))
+    elif args.op in ("match", "union"):
+        if len(args.operands) != 2:
+            raise ValueError(f"{args.op} takes two operands")
+        e1 = d.parse(_operand(args.operands[0]))
+        e2 = d.parse(_operand(args.operands[1]))
+        result = d.match(e1, e2) if args.op == "match" else d.union(e1, e2)
     else:
-        ops = DOMAINS[args.domain]
-        if args.op in ("match", "union"):
-            if len(args.operands) != 2:
-                raise ValueError(f"{args.op} takes two operands")
-            e1 = ops.parse(_operand(args.operands[0]))
-            e2 = ops.parse(_operand(args.operands[1]))
-            result = ops.match(e1, e2) if args.op == "match" else ops.union(e1, e2)
-        else:
-            if len(args.operands) != 2:
-                raise ValueError("project takes an element and a {v1,v2} variable set")
-            e1 = ops.parse(_operand(args.operands[0]))
-            sc = Scanner(_operand(args.operands[1]))
-            sc.expect("{")
-            variables = sc.names()
-            sc.end()
-            result = ops.project(e1, variables)
+        if len(args.operands) != 2:
+            raise ValueError("project takes an element and a {v1,v2} variable set")
+        e1 = d.parse(_operand(args.operands[0]))
+        sc = Scanner(_operand(args.operands[1]))
+        sc.expect("{")
+        variables = sc.names()
+        sc.end()
+        result = d.project(e1, variables)
     print(result)
     return 0
 
@@ -210,8 +195,7 @@ def _cmd_eval(args) -> int:
 def _make_request(args) -> AnalysisRequest:
     program = parse_program(_read_file(args.program))
     goal = parse_goal(args.goal)
-    ops = DOMAINS[args.domain]
-    call = ops.parse(args.call)
+    call = DOMAINS[args.domain].parse(args.call)
     injection = None
     if getattr(args, "inject", None):
         injection = parse_injection(_read_file(args.inject), args.domain)
@@ -283,7 +267,7 @@ def _cmd_verify(args) -> int:
         max_vars=args.max_vars,
         multiplicity_cap=args.cap,
     )
-    domains = DOMAIN_TAGS if args.domain == "all" else (args.domain,)
+    domains = (args.domain,) if args.domain in DOMAINS else DOMAIN_TAGS
     if args.kind == "correctness":
         suites = [partial(run_correctness, cfg, domains)]
     else:
@@ -302,12 +286,12 @@ def _cmd_equiv(args) -> int:
 def _cmd_diff(args) -> int:
     _check_least(args, cap=1)
     req = _make_request(args)
-    ops = DOMAINS[args.domain]
+    d = DOMAINS[args.domain]
     match_result = analyze(req)
     mgu_result = analyze(dataclasses.replace(req, mode="mgu"))
     print(f"matching: {match_result.answer}")
     print(f"mgu:      {mgu_result.answer}")
-    extra = sorted(ops.groups_of(mgu_result.answer) - ops.groups_of(match_result.answer))
+    extra = sorted(d.groups_of(mgu_result.answer) - d.groups_of(match_result.answer))
     print("difference: {" + ", ".join(extra) + "}")
     return 0
 

@@ -1,0 +1,40 @@
+"""The abstract domains, each one module that is its own record.
+
+The paper derives each domain's matching from the one above it through an
+abstraction map, so a domain is a fixed set of operations plus an
+``alpha`` from the domain above: ShLin^2 (``shlin2``) abstracts
+ShLin^omega (``shlin_omega``), and Sharing x Lin (``shlin_sl``)
+abstracts ShLin^2. ``existential``, the concrete domain, sits above
+ShLin^omega and supplies only ``parse``. Every module in ``DOMAINS``
+supplies these names:
+
+* ``parse(text)``: the element a textual form denotes;
+* ``leq(e1, e2)``: the order of the domain;
+* ``match(e1, e2)``: the optimal abstract matching;
+* ``gen(rng, variables, cap)``: a random element over ``variables``, counts at most ``cap``;
+* ``above``: the module whose elements ``alpha`` abstracts;
+* ``alpha(e)``: the best abstraction of an element of ``above``;
+* ``bottom(interest)``: the element approximating no substitution;
+* ``extend(e, new_vars)``: add fresh independent linear variables;
+* ``project(e, variables)``: keep only ``variables``;
+* ``union(e1, e2)``: the join over one interest set;
+* ``rename(e, rho)``: apply an injective renaming;
+* ``join_disjoint(e1, e2)``: the union over disjoint interest sets;
+* ``amgu(e, var, term, cap, drop)``: bind ``var`` to ``term``, then project ``drop`` away;
+* ``clip(e, cap)``: saturate counts at the analysis cap;
+* ``groups_of(e)``: the textual sharing groups, for precision diffs.
+
+A domain whose optimal matching is proved through the domain above also
+supplies ``gamma(e)``, the embedding into ``above`` (only ``shlin_sl``).
+Every caller looks an operation up on its module when it calls it, so
+rebinding a module attribute reaches every caller. The order of
+``DOMAINS`` is the order of reports; each module comes after the one
+above it.
+"""
+from __future__ import annotations
+
+from . import shlin2, shlin_omega, shlin_sl
+
+__all__ = ["DOMAINS"]
+
+DOMAINS = {"omega": shlin_omega, "two": shlin2, "sl": shlin_sl}

@@ -235,3 +235,6 @@ def parse_existential(text: str) -> ExistentialSubstitution:
     sc.expect("[")
     subst = read_substitution(sc)
     return canonicalize(subst, frozenset(sc.interest(is_variable_name)))
+
+
+parse = parse_existential  # the domain above ``shlin_omega`` (see ``sharlin.domains``)

@@ -25,6 +25,7 @@ __all__ = [
     "mrestrict",
     "msupport",
     "fold_subsets",
+    "random_groups",
     "parse_group",
     "format_group",
 ]
@@ -176,6 +177,15 @@ def fold_subsets(start, generators, step) -> dict:
                 states.setdefault(t, (s, g))
                 s = t
     return states
+
+
+def random_groups(rng, variables, exponent) -> list[dict[str, int]]:
+    """One to three random groups, for the domains' ``gen``: each variable
+    is kept with probability 0.45, and only then given ``exponent()``."""
+    return [
+        {v: exponent() for v in sorted(variables) if rng.random() < 0.45}
+        for _ in range(rng.randint(1, 3))
+    ]
 
 
 def format_group(a: Multiset, ceiling: int | None = None) -> str:

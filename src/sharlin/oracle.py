@@ -32,6 +32,8 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+from . import existential, shlin2, shlin_omega, shlin_sl
+from .domains import DOMAINS
 from .existential import (
     ExistentialSubstitution,
     UNDEFINED,
@@ -58,14 +60,7 @@ from .shlin2 import (
     match2_ref,
     two_element,
 )
-from .shlin_sl import (
-    ShLinElement,
-    alpha_sl,
-    gamma_sl,
-    leq_sl,
-    match_sl,
-    sl_element,
-)
+from .shlin_sl import alpha_sl, gamma_sl, match_sl
 from .terms import App, Substitution, Term, Var, preimage_var, term_vars
 
 __all__ = [
@@ -85,7 +80,7 @@ __all__ = [
     "DOMAIN_TAGS",
 ]
 
-DOMAIN_TAGS = ("omega", "two", "sl")
+DOMAIN_TAGS = tuple(DOMAINS)
 
 _UNIVERSE = ("u", "v", "w", "x", "y", "z")
 
@@ -179,32 +174,6 @@ def _gen_pair(rng: random.Random, cfg: TrialConfig):
     return canonicalize(theta1, u1), canonicalize(theta2, u2)
 
 
-def _gen_groups(rng: random.Random, variables, exponent) -> list[dict[str, int]]:
-    """One to three random groups: each variable is kept with probability
-    0.45, and only then given ``exponent()``."""
-    return [
-        {v: exponent() for v in sorted(variables) if rng.random() < 0.45}
-        for _ in range(rng.randint(1, 3))
-    ]
-
-
-def _gen_omega_element(rng: random.Random, variables, cfg: TrialConfig) -> ShLinOmegaElement:
-    groups = _gen_groups(rng, variables, lambda: rng.randint(1, cfg.multiplicity_cap))
-    return omega_element(set(map(Multiset, groups)), variables)
-
-
-def _gen_two_element(rng: random.Random, variables) -> ShLin2Element:
-    groups = _gen_groups(rng, variables, lambda: 2 if rng.random() < 0.4 else 1)
-    return two_element(set(map(Multiset, groups)), variables)
-
-
-def _gen_sl_element(rng: random.Random, variables) -> ShLinElement:
-    groups = [frozenset(g) for g in _gen_groups(rng, variables, lambda: 1)]
-    covered = frozenset().union(*groups)
-    linear = {v for v in sorted(covered) if rng.random() < 0.6}
-    return sl_element(groups, linear, variables)
-
-
 def _split_universe(rng: random.Random, limit: int):
     total = rng.randint(2, min(limit, len(_UNIVERSE)))
     names = rng.sample(_UNIVERSE, total)
@@ -216,24 +185,18 @@ def _split_universe(rng: random.Random, limit: int):
 # --- correctness -------------------------------------------------------------
 
 
-def _abstractions(c1, c2, concrete):
-    """First argument, second argument and concrete answer, abstracted in
-    the exact-multiplicity domain and then clipped."""
-    omega = (alpha_omega(c1), alpha_omega(c2), alpha_omega(concrete))
-    return omega, tuple(map(alpha2, omega))
+def _abstracted(d, triples: dict) -> tuple:
+    """``d``'s abstractions of the first argument, the second and the
+    concrete answer: ``triples`` starts from the concrete triple under
+    ``existential`` and keeps each domain's on the way down ``above``."""
+    if d not in triples:
+        triples[d] = tuple(map(d.alpha, _abstracted(d.above, triples)))
+    return triples[d]
 
 
-def _match_correct(domain: str, omega, two) -> bool:
-    """One domain's correctness check from precomputed ``_abstractions``."""
-    if domain == "omega":
-        a1, a2, conc = omega
-        return leq_omega(conc, match_omega(a1, a2))
-    a1, a2, conc = two
-    if domain == "two":
-        return leq2(conc, match2(a1, a2))
-    if domain == "sl":
-        return leq_sl(alpha_sl(conc), match_sl(alpha_sl(a1), alpha_sl(a2)))
-    raise ValueError(f"unknown domain {domain!r}")
+def _match_correct(d, triples: dict) -> bool:
+    a1, a2, conc = _abstracted(d, triples)
+    return d.leq(conc, d.match(a1, a2))
 
 
 def check_match_correct(c1, c2, domain: str) -> bool:
@@ -241,7 +204,7 @@ def check_match_correct(c1, c2, domain: str) -> bool:
     concrete = ematch(c1, c2)
     if concrete is UNDEFINED:
         return True
-    return _match_correct(domain, *_abstractions(c1, c2, concrete))
+    return _match_correct(DOMAINS[domain], {existential: (c1, c2, concrete)})
 
 
 # --- optimality witnesses ----------------------------------------------------
@@ -451,23 +414,25 @@ def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element) -> list[WitnessRe
     return reports
 
 
+_WITNESSES = {shlin_omega: _omega_witness_reports, shlin2: _two_witness_reports}
+
+
 def check_optimality(e1, second, domain: str, cfg: TrialConfig) -> list[WitnessReport]:
     """Constructive optimality check: one report per group of the abstract
     matching result, each carrying the realizing substitution pair. The
     second argument may be an abstract element or, for the exact domain, a
-    concrete substitution class kept fixed across all groups."""
-    if domain == "omega":
-        return _omega_witness_reports(e1, second)
-    if domain == "two":
-        return _two_witness_reports(e1, second)
-    if domain == "sl":
-        t1, t2 = gamma_sl(e1), gamma_sl(second)
-        reports = _two_witness_reports(t1, t2)
-        if match_sl(e1, second) != alpha_sl(match2(t1, t2)):
-            for r in reports:
-                r.verified = False
-        return reports
-    raise ValueError(f"unknown domain {domain!r}")
+    concrete substitution class kept fixed across all groups. A domain
+    with a ``gamma`` is witnessed in the domain above, and its matching
+    must abstract the matching there."""
+    d = DOMAINS[domain]
+    if not hasattr(d, "gamma"):
+        return _WITNESSES[d](e1, second)
+    t1, t2 = d.gamma(e1), d.gamma(second)
+    reports = _WITNESSES[d.above](t1, t2)
+    if d.match(e1, second) != d.alpha(d.above.match(t1, t2)):
+        for r in reports:
+            r.verified = False
+    return reports
 
 
 # --- suites ------------------------------------------------------------------
@@ -493,9 +458,9 @@ def run_correctness(
                 counts[d] += 1
             continue
         defined += 1
-        omega, two = _abstractions(c1, c2, concrete)
+        triples = {existential: (c1, c2, concrete)}
         for d in domains:
-            if _match_correct(d, omega, two):
+            if _match_correct(DOMAINS[d], triples):
                 counts[d] += 1
             else:
                 failures.append({"trial": i, "domain": d, "c1": str(c1), "c2": str(c2)})
@@ -511,22 +476,14 @@ def run_correctness(
 
 def run_optimality(cfg: TrialConfig, domain: str, lo: int = 0, hi: int | None = None) -> dict:
     hi = cfg.trials if hi is None else hi
+    d = DOMAINS[domain]
     groups_checked = 0
     failures = []
     for i in range(lo, hi):
         rng = _rng(cfg, f"opt:{domain}", i)
         u1, u2 = _split_universe(rng, 5)
-        if domain == "omega":
-            e1 = _gen_omega_element(rng, u1, cfg)
-            e2 = _gen_omega_element(rng, u2, cfg)
-        elif domain == "two":
-            e1 = _gen_two_element(rng, u1)
-            e2 = _gen_two_element(rng, u2)
-        elif domain == "sl":
-            e1 = _gen_sl_element(rng, u1)
-            e2 = _gen_sl_element(rng, u2)
-        else:
-            raise ValueError(f"unknown domain {domain!r}")
+        e1 = d.gen(rng, u1, cfg.multiplicity_cap)
+        e2 = d.gen(rng, u2, cfg.multiplicity_cap)
         reports = check_optimality(e1, e2, domain, cfg)
         groups_checked += len(reports)
         for r in reports:
@@ -563,8 +520,8 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
     for i in range(lo, hi):
         rng = _rng(cfg, "equiv", i)
         u1, u2 = _split_universe(rng, cfg.max_vars)
-        e1 = _gen_two_element(rng, u1)
-        e2 = _gen_two_element(rng, u2)
+        e1 = shlin2.gen(rng, u1, cfg.multiplicity_cap)
+        e2 = shlin2.gen(rng, u2, cfg.multiplicity_cap)
         ref = match2_ref(e1, e2)
         opt = match2(e1, e2)
         two_checked += 1
@@ -579,8 +536,8 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
                     "opt": str(opt),
                 }
             )
-        s1 = _gen_sl_element(rng, u1)
-        s2 = _gen_sl_element(rng, u2)
+        s1 = shlin_sl.gen(rng, u1, cfg.multiplicity_cap)
+        s2 = shlin_sl.gen(rng, u2, cfg.multiplicity_cap)
         direct = match_sl(s1, s2)
         composed = alpha_sl(match2(gamma_sl(s1), gamma_sl(s2)))
         sl_checked += 1

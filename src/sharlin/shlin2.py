@@ -12,7 +12,9 @@ multiplicity domain, nonempty elements contain the empty group.
 
 An element is the ShLin^omega element with ceiling 2, normalized by
 ``antichain_max``, so ``project2``, ``rename2`` and ``union2`` are the
-ShLin^omega functions.
+ShLin^omega functions, as are most of the analyzer's operations of its
+domain record (``sharlin.domains``): the forward rule saturates at the
+ceiling, so ``clip`` has nothing left to do.
 
 Two matching operators are provided. ``match2_ref`` is the literal
 set-level definition, enumerating all candidate groups over the joint
@@ -33,9 +35,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from itertools import product
 
-from .multiset import EMPTY, Multiset, fold_subsets
+from . import shlin_omega
+from .multiset import EMPTY, Multiset, fold_subsets, random_groups
 from .shlin_omega import (
     ShLinOmegaElement,
+    amgu,
+    extend,
+    groups_of,
+    join_disjoint,
     omega_element,
     project_omega,
     rename_omega,
@@ -323,3 +330,24 @@ def parse_two(text: str) -> ShLin2Element:
     sc.expect("[")
     groups = sc.sequence(_read_two_group, "]")
     return two_element(groups, sc.interest())
+
+
+# --- the domain record (see ``sharlin.domains``) ------------------------------
+
+above = shlin_omega
+parse, leq, match, alpha = parse_two, leq2, match2, alpha2
+project, union, rename = project2, union2, rename2
+
+
+def gen(rng, variables, cap: int) -> ShLin2Element:
+    """A random element; its counts are 1 or 2 whatever ``cap``."""
+    groups = random_groups(rng, variables, lambda: 2 if rng.random() < 0.4 else 1)
+    return two_element(set(map(Multiset, groups)), variables)
+
+
+def bottom(interest) -> ShLin2Element:
+    return ShLin2Element(frozenset(), frozenset(interest))
+
+
+def clip(e, cap: int):
+    return e

@@ -19,6 +19,9 @@ is such a sum, and reads the summands off its back-pointers.
 
 Projection, renaming and union build through the element's own class, so
 they also serve ShLin^2, whose element is this one with a ceiling of 2.
+So do the analyzer's operations of the domain record (``sharlin.domains``)
+below, among them the forward binding rule ``amgu`` (folded by ``_bind``),
+which saturates at the element's ceiling, or else at the analysis cap.
 """
 from __future__ import annotations
 
@@ -26,9 +29,10 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Mapping
 
+from . import existential
 from .existential import ExistentialSubstitution
-from .multiset import EMPTY, Multiset, fold_subsets, format_group
-from .terms import Scanner, Var
+from .multiset import EMPTY, Multiset, fold_subsets, format_group, random_groups
+from .terms import Scanner, Var, is_linear_term, term_vars
 
 __all__ = [
     "ShLinOmegaElement",
@@ -259,3 +263,132 @@ def parse_omega(text: str) -> ShLinOmegaElement:
     sc.expect("[")
     groups = [Multiset(g) for g in sc.sequence(Scanner.group, "]")]
     return omega_element(groups, sc.interest())
+
+
+# --- the domain record (see ``sharlin.domains``) ------------------------------
+
+above = existential
+parse, leq, match, alpha = parse_omega, leq_omega, match_omega, alpha_omega
+project, union, rename = project_omega, union_omega, rename_omega
+
+
+def gen(rng, variables, cap: int) -> ShLinOmegaElement:
+    groups = random_groups(rng, variables, lambda: rng.randint(1, cap))
+    return omega_element(set(map(Multiset, groups)), variables)
+
+
+def bottom(interest) -> ShLinOmegaElement:
+    return ShLinOmegaElement(frozenset(), frozenset(interest))
+
+
+def extend(e, new_vars):
+    """``e`` with fresh independent linear variables ``new_vars``."""
+    groups = set(e.groups) | {Multiset({v: 1}) for v in new_vars}
+    return e.of(groups, e.interest | frozenset(new_vars))
+
+
+def join_disjoint(e1, e2):
+    """The union of two elements over disjoint interest sets."""
+    return e1.of(e1.groups | e2.groups, e1.interest | e2.interest)
+
+
+def amgu(e, var, term, cap: int, drop=frozenset()):
+    """Bind ``var`` to ``term``, projecting ``drop``, variables of the
+    binding, away; an element's own ceiling overrides the analysis cap."""
+    return e.of(_bind(e.groups, var, term, e.ceiling or cap, drop), e.interest - drop)
+
+
+def clip(e, cap: int):
+    """Saturate counts at the analysis cap: the library operators are exact."""
+    return e.of({g.clip(cap) for g in e.groups}, e.interest)
+
+
+def groups_of(e) -> set[str]:
+    """Canonical textual group set, for precision diffs."""
+    return {format_group(g, e.ceiling) for g in e.groups if g}
+
+
+def _bind(groups, var, term, ceiling, drop=frozenset()):
+    """The sharing groups after binding ``var`` to ``term``: the groups
+    that touch neither side, and the joins that replace the others, with
+    counts saturated at ``ceiling`` (at least 1) and the variables in
+    ``drop`` projected away. Only variables of the binding may be dropped:
+    no group that touches neither side holds one, so leaving them out of
+    the joins is the same as projecting afterwards.
+
+    The binding is linear when ``var`` is not in the term, the term is
+    linear, no group holds ``var`` or a term variable more than once, and
+    no group holds two term variables; then relevant groups are joined
+    pairwise. Otherwise the joins are the sums of relevant groups that meet
+    both sides (a shared group covers both), each group repeated up to
+    ``ceiling`` times, beyond which sums saturate. The rule is not sound
+    yet: the linear join reaches only chains of two groups, even when a
+    group holds both ``var`` and a term variable. In ``two``,
+    ``[vw, wy, y]`` bound by ``w/y`` answers ``[vw^*y, w^*y^*]``, but a
+    concrete instance abstracts to ``[vw^*y^*]``.
+
+    The sums are folded as packed count vectors: one field per relevant
+    variable in one ``int``, so a step adds two integers. Each field has a
+    guard bit above room for the ceiling, and the step sets every field
+    that went over to the ceiling (a SWAR saturating add), so only the
+    pairwise joins need clipping. Only the set of sums is read, so the
+    fold keeps no back-pointers: it adds each group to a whole frontier of
+    sums at a time, reaching exactly the states of ``fold_subsets``. Only
+    the sums that touch both sides are decoded into groups.
+    """
+    tvars = frozenset(term_vars(term))
+    rx = {g for g in groups if g.count(var)}
+    rt = {g for g in groups if g.support & tvars}
+    rest = {g for g in groups if g not in rx and g not in rt}
+    if not rt:  # a ground term, or one whose variables are all ground
+        return rest
+    linear = (
+        var not in tvars
+        and all(g.count(var) <= 1 for g in groups)
+        and is_linear_term(term)
+        and all(all(g.count(v) <= 1 for g in groups) for v in tvars)
+        and not any(len(g.support & tvars) > 1 for g in groups)
+    )
+    if linear:
+        # a group on both sides can also survive unchanged: the same
+        # existential variable may align with itself
+        cut = {g: g.restrict(g.support - drop) if g.support & drop else g for g in rx | rt}
+        joins = {cut[gx] + cut[gt] for gx in rx for gt in rt} | {cut[g] for g in rx & rt}
+        return rest | {g.clip(ceiling) for g in joins}
+    relevant = sorted(rx | rt, key=Multiset.sort_key)
+    names = sorted(set().union(*(g.support for g in relevant)))
+    # a field holds at most the ceiling and the sum of two fields fits
+    # below the field's guard bit; lifting a field by 2^w - 1 - ceiling
+    # sets that bit exactly when it is over
+    w = ceiling.bit_length()
+    width = w + 1
+    field = (1 << width) - 1
+    pos = {v: i * width for i, v in enumerate(names)}
+    ones = sum(1 << p for p in pos.values())
+    lift, guard = ones * ((1 << w) - 1 - ceiling), ones << w
+    # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
+    # the fields; groups that clip alike merge, which loses no sum, as
+    # ``ceiling`` repeats of a group already saturate each of its fields
+    packed = dict.fromkeys(sum(min(n, ceiling) << pos[v] for v, n in g.items())
+                           for g in relevant)
+    # repeating a group stops at sums from before it, whose own repeats
+    # cover the rest
+    sums = {0}
+    for g in packed:
+        frontier, new = sums, set()
+        for _ in range(ceiling):
+            frontier = {(x & ~(o * field)) | o * ceiling for s in frontier
+                        for x in (s + g,) for o in (((x + lift) & guard) >> w,)} - sums
+            if not frontier:
+                break
+            new |= frontier
+        sums |= new
+    tmask = sum(field << pos[v] for v in tvars if v in pos)
+    xmask = field << pos[var] if var in pos else 0
+    keep = [(v, p) for v, p in pos.items() if v not in drop]
+    joins = {
+        Multiset._from_clean({v: n for v, p in keep if (n := s >> p & field)})
+        for s in sums
+        if s & xmask and s & tmask
+    }
+    return rest | joins

@@ -17,13 +17,18 @@ linear variable is shared or the union's shared part fits under no
 first-argument group.
 
 Textual form: ``[{uv, ux}, lin={u,v}]_{u,v,x}``.
+
+As a domain record (``sharlin.domains``) it abstracts ShLin^2 and also
+supplies ``gamma``, the embedding back; its forward rule ``amgu`` embeds,
+runs ShLin^2's rule and forgets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .multiset import Multiset, fold_subsets
+from . import shlin2
+from .multiset import Multiset, fold_subsets, random_groups
 from .shlin_omega import injective_renaming, same_interest
 from .shlin2 import ShLin2Element, two_element
 from .terms import Scanner
@@ -202,3 +207,46 @@ def parse_sl(text: str) -> ShLinElement:
         sc.expect(tok)
     linear = sc.names()
     return sl_element(groups, linear, sc.interest())
+
+
+# --- the domain record (see ``sharlin.domains``) ------------------------------
+
+above = shlin2
+parse, leq, match, alpha, gamma = parse_sl, leq_sl, match_sl, alpha_sl, gamma_sl
+project, union, rename = project_sl, union_sl, rename_sl
+
+
+def gen(rng, variables, cap: int) -> ShLinElement:
+    """A random element; ``cap`` is unused, as it has no counts."""
+    groups = [frozenset(g) for g in random_groups(rng, variables, lambda: 1)]
+    covered = frozenset().union(*groups)
+    linear = {v for v in sorted(covered) if rng.random() < 0.6}
+    return sl_element(groups, linear, variables)
+
+
+def bottom(interest) -> ShLinElement:
+    u = frozenset(interest)
+    return sl_element((), u, u)
+
+
+def extend(e, new_vars):
+    new = frozenset(new_vars)
+    return sl_element(set(e.sharing) | {frozenset({v}) for v in new},
+                      e.linear | new, e.interest | new)
+
+
+def join_disjoint(e1, e2):
+    return sl_element(e1.sharing | e2.sharing, e1.linear | e2.linear,
+                      e1.interest | e2.interest)
+
+
+def amgu(e, var, term, cap: int, drop=frozenset()):
+    return alpha_sl(shlin2.amgu(gamma_sl(e), var, term, cap, drop))
+
+
+def clip(e, cap: int):
+    return e
+
+
+def groups_of(e) -> set[str]:
+    return {"".join(sorted(g)) for g in e.sharing if g}

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from sharlin import analyzer
+from sharlin import analyzer, existential, shlin_omega
 from sharlin.analyzer import (
     AnalysisRequest,
     Atom,
@@ -32,7 +32,7 @@ from sharlin.shlin2 import (
     project2,
     two_element,
 )
-from sharlin.shlin_sl import alpha_sl, gamma_sl, leq_sl, parse_sl
+from sharlin.shlin_sl import alpha_sl, parse_sl
 from sharlin.terms import (
     App,
     EPSILON,
@@ -163,9 +163,16 @@ def _copies_bind(groups, var, term, exp, add, copies, zero):
     return rest, {s for s in sums if exp(s, var) and any(exp(s, v) for v in tvars)}
 
 
+def _abstract(x, source, d):
+    """``x``, an element of the module ``source``, abstracted down the
+    ``above`` chain to the domain module ``d``."""
+    return x if d is source else d.alpha(_abstract(x, source, d.above))
+
+
 def _copies_amgu(e, var, term, domain, cap):
     if domain == "sl":
-        return alpha_sl(_copies_amgu(gamma_sl(e), var, term, "two", cap))
+        sl = DOMAINS["sl"]
+        return sl.alpha(_copies_amgu(sl.gamma(e), var, term, "two", cap))
     if domain == "two":
         rest, joins = _copies_bind(
             e.groups, var, term, Multiset.count, oplus,
@@ -394,10 +401,7 @@ def _random_backward_step(rng, domain):
         groups = [Multiset({v: rng.randint(1, 3) if rng.random() < 0.3 else 1
                             for v in variables if rng.random() < 0.5})
                   for _ in range(rng.randint(1, 3))]
-        e = omega_element(groups, variables)
-        if domain == "omega":
-            return e
-        return alpha2(e) if domain == "two" else alpha_sl(alpha2(e))
+        return _abstract(omega_element(groups, variables), shlin_omega, DOMAINS[domain])
 
     def term(variables, depth):
         if depth == 0 or rng.random() < 0.5:
@@ -429,6 +433,7 @@ def test_mgu_backward_step_drops_variables_exactly(domain, cap):
     # binding over the whole element and projecting at the end answers
     rng = random.Random(1500 + cap + len(domain))
     seen = dict.fromkeys(("shared", "dies early", "ground", "linear"), 0)
+    d = DOMAINS[domain]
     for _ in range(1000):
         call, exit_elem, theta, goal_vars = _random_backward_step(rng, domain)
         got = backward_unify(call, exit_elem, None, theta, "mgu", domain, goal_vars, cap)
@@ -440,7 +445,7 @@ def test_mgu_backward_step_drops_variables_exactly(domain, cap):
                                   if u not in goal_vars)
         seen["ground"] += any(not term_vars(t) for _, _, t in steps)
         for e, v, t in steps:
-            groups = gamma_sl(e).groups if domain == "sl" else e.groups
+            groups = (d.gamma(e) if hasattr(d, "gamma") else e).groups
             tvars = term_vars(t)
             seen["linear"] += bool(
                 any(g.support & tvars for g in groups)
@@ -542,7 +547,7 @@ def test_mgu_backward_step_folds_few_groups(monkeypatch):
     # aliased app call hands _bind at most 137 groups; folding every
     # variable to the end handed it up to 425
     sizes, inside = [], []
-    bind, backward = analyzer._bind, analyzer.backward_unify
+    bind, backward = shlin_omega._bind, analyzer.backward_unify
 
     def measured_bind(groups, *args):
         if inside:
@@ -556,7 +561,7 @@ def test_mgu_backward_step_folds_few_groups(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(analyzer, "_bind", measured_bind)
+    monkeypatch.setattr(shlin_omega, "_bind", measured_bind)
     monkeypatch.setattr(analyzer, "backward_unify", marked_backward)
     analyze(AnalysisRequest(program=parse_program(APP), goal=parse_goal("app(x, y, z)"),
                             call=parse_omega("[xy, z]_{x,y,z}"), domain="omega", mode="mgu"))
@@ -634,8 +639,9 @@ RENAMING = [
 @pytest.mark.parametrize("mode", ["matching", "mgu"])
 def test_clauses_are_not_renamed_onto_call_variables(program, goal, call, answer, domain,
                                                      mode):
-    as_domain = {"omega": parse_omega, "two": parse_two,
-                 "sl": lambda text: alpha_sl(parse_two(text))}[domain]
+    def as_domain(text):
+        return _abstract(parse_omega(text), shlin_omega, DOMAINS[domain])
+
     req = AnalysisRequest(program=parse_program(program), goal=parse_goal(goal),
                           call=as_domain(call), domain=domain, mode=mode)
     assert analyze(req).answer == as_domain(answer)
@@ -698,7 +704,6 @@ def test_matching_mode_never_less_precise_randomized():
         ["p(x, f(x,z), z)", "p(x, y, x)"],
         ["dup(x, y)", "dup(f(x,y), z)"],
     ]
-    leqs = {"omega": leq_omega, "two": leq2, "sl": leq_sl}
     for _ in range(40):
         pi = rng.randrange(len(progs))
         goal = parse_goal(rng.choice(goals[pi]))
@@ -710,7 +715,7 @@ def test_matching_mode_never_less_precise_randomized():
             g = analyze(AnalysisRequest(mode="mgu", **req)).answer
         except FixpointLimitExceeded:
             continue
-        assert leqs[domain](m, g), (domain, str(goal), str(call), str(m), str(g))
+        assert DOMAINS[domain].leq(m, g), (domain, str(goal), str(call), str(m), str(g))
 
 
 def _random_call(rng, domain, variables):
@@ -720,16 +725,12 @@ def _random_call(rng, domain, variables):
         g = [v for v in variables if rng.random() < 0.6]
         if g:
             groups.append(g)
-    if domain == "omega":
-        return parse_omega(
-            "[" + ", ".join("".join(g) for g in groups) + "]_{" + ",".join(variables) + "}"
-        )
-    if domain == "two":
-        return parse_two(
+    if domain != "sl":
+        return DOMAINS[domain].parse(
             "[" + ", ".join("".join(g) for g in groups) + "]_{" + ",".join(variables) + "}"
         )
     lin = [v for v in variables if rng.random() < 0.7]
-    return parse_sl(
+    return DOMAINS["sl"].parse(
         "[{" + ", ".join("".join(g) for g in groups) + "}, lin={" + ",".join(lin) + "}]_{"
         + ",".join(variables) + "}"
     )
@@ -775,20 +776,14 @@ def test_abstract_answers_cover_concrete_resolution():
         ("member(x, w)", Substitution({"w": parse_term("[a, b]")})),
         ("member(x, [y])", Substitution({"x": parse_term("g(k, k)")})),
     ]
-    alphas = {
-        "omega": lambda c: alpha_omega(c),
-        "two": lambda c: alpha2(alpha_omega(c)),
-        "sl": lambda c: alpha_sl(alpha2(alpha_omega(c))),
-    }
-    leqs = {"omega": leq_omega, "two": leq2, "sl": leq_sl}
     for text, theta in cases:
         goal = parse_goal(text)
         u = goal.variables
         call_class = canonicalize(theta, u)
         answers = list(_sld_answers(prog, (goal,), theta, depth=6))
         assert answers
-        for domain in ("omega", "two", "sl"):
-            call = alphas[domain](call_class)
+        for domain, d in DOMAINS.items():
+            call = _abstract(call_class, existential, d)
             for mode in ("matching", "mgu"):
                 res = analyze(
                     AnalysisRequest(
@@ -796,8 +791,8 @@ def test_abstract_answers_cover_concrete_resolution():
                     )
                 )
                 for sigma in answers:
-                    concrete = alphas[domain](canonicalize(sigma, u))
-                    assert leqs[domain](concrete, res.answer), (
+                    concrete = _abstract(canonicalize(sigma, u), existential, d)
+                    assert d.leq(concrete, res.answer), (
                         domain, mode, str(sigma), str(res.answer),
                     )
 
@@ -813,6 +808,24 @@ def test_injection_rejects_unknown_variables():
                 program=prog, goal=goal, call=call, domain="two", injection=injection
             )
         )
+
+
+@pytest.mark.parametrize("idx", [7, 2, -1], ids=["past-the-end", "other-predicate", "negative"])
+def test_injection_must_name_a_clause_of_the_goal(idx):
+    # member/2 has clauses 0 and 1; clause 2 belongs to other/1
+    prog = parse_program(MEMBER + "other(a).\n")
+    req = AnalysisRequest(program=prog, goal=parse_goal("member(x, [y])"),
+                          call=parse_two("[xy, xz]_{x,y,z}"), domain="two",
+                          injection=parse_injection(f"{idx} 1 [u^*]_{{u,v}}", "two"))
+    with pytest.raises(ValueError, match=f"^injected clause index {idx} names no clause "
+                                         "of member/2$"):
+        analyze(req)
+
+
+@pytest.mark.parametrize("line", ["x 0 [u]_{u}", "0 1.5 [u]_{u}", "0 1", "0"])
+def test_injection_entries_need_two_integer_indices(line):
+    with pytest.raises(ValueError, match="^bad injection entry on line 2: "):
+        parse_injection("# clause step element\n" + line, "two")
 
 
 def test_call_interest_must_cover_goal():

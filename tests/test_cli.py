@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sharlin.cli
 import sharlin.oracle
+import sharlin.shlin_omega
 from sharlin.cli import main
 from sharlin.shlin_omega import omega_element
 from sharlin.shlin2 import parse_two
@@ -273,6 +274,25 @@ def test_analyze_injection(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[x^*y^*]_{x, y, z}"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("7 0 [u]_{u}", "injected clause index 7 names no clause of member/2"),
+    ("2 0 [u]_{u}", "injected clause index 2 names no clause of member/2"),
+    ("-1 0 [u]_{u}", "injected clause index -1 names no clause of member/2"),
+    ("x 0 [u]_{u}", "bad injection entry on line 1: 'x 0 [u]_{u}'"),
+], ids=["past-the-end", "other-predicate", "negative", "not-an-integer"])
+def test_analyze_rejects_a_bad_injection(tmp_path, capsys, entry, message):
+    prog = tmp_path / "member.pl"
+    prog.write_text(PROGRAM_62 + "other(a).\n")
+    inj = tmp_path / "inject.txt"
+    inj.write_text(entry + "\n")
+    rc = main(["analyze", "--program", str(prog), "--goal", "member(x, [y])",
+               "--call", "[xy, xz]_{x,y,z}", "--domain", "two", "--inject", str(inj)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"sharlin: {message}\n"
+
+
 def test_verify_correctness_json_deterministic(capsys):
     argv = [
         "verify", "correctness",
@@ -305,7 +325,7 @@ def test_verify_detects_injected_bug(capsys, monkeypatch):
     def broken(e1, e2):
         return omega_element((), e1.interest | e2.interest)
 
-    monkeypatch.setattr(sharlin.oracle, "match_omega", broken)
+    monkeypatch.setattr(sharlin.shlin_omega, "match", broken)
     rc = main(
         ["verify", "correctness", "--domain", "omega", "--trials", "100", "--seed", "42"]
     )

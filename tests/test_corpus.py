@@ -13,12 +13,10 @@ import io
 import os
 import sys
 
+from sharlin import existential
 from sharlin.analyzer import DOMAINS, AnalysisRequest, analyze, parse_goal, parse_program
 from sharlin.cli import main
 from sharlin.existential import canonicalize
-from sharlin.shlin_omega import alpha_omega
-from sharlin.shlin2 import alpha2
-from sharlin.shlin_sl import alpha_sl
 from sharlin.terms import parse_substitution
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,8 +38,11 @@ def _items():
         if not raw.strip() or raw.startswith("#"):
             continue
         name, program, goal, call, _ = (f.strip() for f in raw.split("|"))
-        omega = alpha_omega(canonicalize(parse_substitution(call), parse_goal(goal).variables))
-        calls = {"omega": omega, "two": alpha2(omega), "sl": alpha_sl(alpha2(omega))}
+        abstracted = {existential: canonicalize(parse_substitution(call),
+                                                parse_goal(goal).variables)}
+        for d in DOMAINS.values():  # each comes after the domain above it
+            abstracted[d] = d.alpha(abstracted[d.above])
+        calls = {domain: abstracted[d] for domain, d in DOMAINS.items()}
         yield name, os.path.join(PROGRAMS, program), goal, calls
 
 
