@@ -10,9 +10,13 @@ A 2-sharing group is a multiset whose counts are saturated at 2 (see
 Counts are plain Python integers, so sums are exact and never wrap.
 
 ``fold_subsets`` is the one enumeration of sums of groups, each repeated
-up to a bound, with back-pointers and pruning, behind all three matchers.
-The analyzer's forward abstract unification needs neither and folds the
-same states a frontier at a time over packed integers.
+up to a bound, with back-pointers and pruning. ``match2`` reads the
+provenance and ``star_decompose`` the witnesses off its back-pointers.
+Callers that read only the set of states use ``fold_frontier``, which
+reaches the same states a frontier at a time: the analyzer's forward
+abstract unification and ``match_sl``, whose states are packed integers.
+``match_omega`` folds packed states too, grouped by what is left of its
+target (``shlin_omega._sums``).
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ __all__ = [
     "mrestrict",
     "msupport",
     "fold_subsets",
+    "fold_frontier",
     "random_groups",
     "parse_group",
     "format_group",
@@ -109,10 +114,9 @@ class Multiset:
         return Multiset._from_clean({v: min(n, cap) for v, n in self._counts.items()})
 
     def restrict(self, variables) -> "Multiset":
-        keep = {v: n for v, n in self._counts.items() if v in variables}
-        if len(keep) == len(self._counts):
+        if self.support.issubset(variables):
             return self
-        return Multiset._from_clean(keep)
+        return Multiset._from_clean({v: n for v, n in self._counts.items() if v in variables})
 
     def leq(self, other: "Multiset") -> bool:
         """Pointwise order: every count bounded by other's count."""
@@ -176,6 +180,26 @@ def fold_subsets(start, generators, step) -> dict:
                     break
                 states.setdefault(t, (s, g))
                 s = t
+    return states
+
+
+def fold_frontier(start, generators, advance) -> set:
+    """The states of ``fold_subsets`` without back-pointers.
+
+    ``advance(frontier, g)`` returns the set of states one ``g`` past the
+    states of ``frontier``, leaving out pruned ones; a whole frontier moves
+    per call, so no call is made per state. Repeating ``g`` up to its bound
+    stops at states that existed before ``g``, as in ``fold_subsets``.
+    """
+    states = {start}
+    for g, bound in generators.items():
+        frontier, new = states, set()
+        for _ in range(bound):
+            frontier = advance(frontier, g) - states
+            if not frontier:
+                break
+            new |= frontier
+        states |= new
     return states
 
 

@@ -13,9 +13,11 @@ second argument that do not touch the first interest set pass through
 unchanged. The search over summand multisets is bounded: every usable
 summand contributes at least one occurrence on the shared variables, so it
 may repeat as often as it fits into the target. ``_sums`` folds these
-bounded repetitions with ``multiset.fold_subsets``, keeping each distinct
-partial sum once; ``star_decompose`` asks the same fold whether one group
-is such a sum, and reads the summands off its back-pointers.
+bounded repetitions over packed integers, keeping the distinct sums off
+the shared variables grouped by what is left of the target, so each
+summand is tested once per such vector. ``star_decompose`` asks
+``multiset.fold_subsets`` whether one group is such a sum, and reads the
+summands off its back-pointers.
 
 Projection, renaming and union build through the element's own class, so
 they also serve ShLin^2, whose element is this one with a ceiling of 2.
@@ -31,7 +33,7 @@ from typing import Iterable, Mapping
 
 from . import existential
 from .existential import ExistentialSubstitution
-from .multiset import EMPTY, Multiset, fold_subsets, format_group, random_groups
+from .multiset import EMPTY, Multiset, fold_frontier, fold_subsets, format_group, random_groups
 from .terms import Scanner, Var, is_linear_term, term_vars
 
 __all__ = [
@@ -164,27 +166,9 @@ def approx_omega(e: ShLinOmegaElement, c: ExistentialSubstitution) -> bool:
     return leq_omega(alpha_omega(c), e)
 
 
-def _step(state, part):
-    left = tuple(map(sub, state[0], part[0]))
-    return (left, state[1] + part[1]) if min(left) >= 0 else None
-
-
-def _sums(target: Multiset, parts) -> dict:
-    """``fold_subsets`` over the sums of ``parts`` that stay within ``target``.
-
-    A part is an (on-target, off-target) pair of multisets; it may repeat as
-    often as it fits into ``target``, and a step that overshoots is pruned.
-    A state is (what is left of each target variable's count, in sorted
-    order; the sum of the off-target halves). A back-pointer names a part
-    by (its on-target count vector, its off-target half).
-    """
-    names = [v for v, _ in target.items()]
-    fits = {}
-    for on, off in parts:
-        k = min(target.count(v) // n for v, n in on.items())
-        if k:  # a part that fits has no variable outside the target
-            fits[tuple(on.count(v) for v in names), off] = k
-    return fold_subsets((tuple(n for _, n in target.items()), EMPTY), fits, _step)
+def _less(left, part):
+    left = tuple(map(sub, left, part))
+    return left if min(left) >= 0 else None
 
 
 def star_decompose(
@@ -194,47 +178,122 @@ def star_decompose(
 
     The witness lists (group, repetition) pairs summing to ``x``, distinct
     groups in ``Multiset.sort_key`` order, so it does not depend on the
-    order of ``s``. Empty groups add nothing and are ignored.
+    order of ``s``. Empty groups add nothing and are ignored. The groups
+    within ``x`` are folded by ``fold_subsets`` over what is left of each
+    count of ``x``, each repeated as often as it fits; the summands are
+    read off the back-pointers.
     """
     names = [v for v, _ in x.items()]
-    groups = sorted({g for g in s if g and g.support <= x.support}, key=Multiset.sort_key)
-    states = _sums(x, [(g, EMPTY) for g in groups])
-    goal = ((0,) * len(names), EMPTY)
+    fits = {}
+    for g in sorted({g for g in s if g and g.support <= x.support}, key=Multiset.sort_key):
+        k = min(x.count(v) // n for v, n in g.items())
+        if k:
+            fits[tuple(g.count(v) for v in names)] = k
+    states = fold_subsets(tuple(n for _, n in x.items()), fits, _less)
+    goal = (0,) * len(names)
     if goal not in states:
         return False, None
     # the back-pointers from the goal take the parts in reverse fold order
     counts: dict[Multiset, int] = {}
     link = states[goal]
     while link:
-        state, (vector, _) = link
+        state, vector = link
         g = Multiset(zip(names, vector))
         counts[g] = counts.get(g, 0) + 1
         link = states[state]
     return True, tuple(reversed(counts.items()))
 
 
+def _sums(targets, groups, common):
+    """Each nonempty target (a group over ``common``) that some multiset of
+    ``groups``, which all meet ``common``, sums to on ``common``, with the
+    distinct sums of those multisets off ``common`` (the tails).
+
+    One packed layout serves every target. Each variable of a target gets a
+    field wide enough for the largest target count, plus a guard bit; each
+    other variable of ``groups`` gets a field wide enough for any tail,
+    since every summand adds at least one to the target's mass. A state is
+    what is left of the target, guards set, and the tails that reach it;
+    states are grouped by what is left, as whether a group fits depends on
+    nothing else. Taking ``on`` from ``left`` leaves ``r = left - on``, and
+    the group fits exactly when ``r`` keeps every guard. A group may repeat
+    as often as it fits, and groups with equal ``on`` move together, each
+    step adding any one of their tails. ``r`` is below ``left``, so walking
+    the states from the top down, each tail set has received everything
+    from above before it moves. Only the tails that use up a target are
+    decoded.
+    """
+    targets = [t for t in targets if t]
+    if not targets or not groups:
+        return
+    top = max(n for t in targets for _, n in t.items())
+    w = top.bit_length()
+    pos = {v: i * (w + 1) for i, v in enumerate(sorted(set().union(*(t.support for t in targets))))}
+    guards = sum(1 << (p + w) for p in pos.values())
+    off_names = sorted({v for g in groups for v in g.support} - common)
+    most = max((n for g in groups for v, n in g.items() if v not in common), default=0)
+    width = (most * max(t.mass() for t in targets)).bit_length()
+    off_pos = {v: i * width for i, v in enumerate(off_names)}
+    parts: dict[int, set[int]] = {}
+    for g in groups:
+        on = [(v, n) for v, n in g.items() if v in common]
+        if all(v in pos and n <= top for v, n in on):  # else it fits no target
+            parts.setdefault(sum(n << pos[v] for v, n in on), set()).add(
+                sum(n << off_pos[v] for v, n in g.items() if v not in common))
+    field = (1 << width) - 1
+    for target in targets:
+        start = guards | sum(n << pos[v] for v, n in target.items())
+        fitting = [(on, offs) for on, offs in parts.items() if (start - on) & guards == guards]
+        if not fitting:
+            continue
+        states = {start: {0}}
+        for on, offs in fitting:
+            for left in sorted(states, reverse=True):
+                r = left - on
+                if r & guards != guards:
+                    continue
+                tails = states[left]
+                while True:
+                    moved = {t + off for t in tails for off in offs}
+                    have = states.get(r)
+                    if have is not None:  # it moves later in this walk
+                        have |= moved
+                        break
+                    states[r] = tails = moved
+                    r -= on
+                    if r & guards != guards:
+                        break
+        if guards in states:
+            yield target, [
+                Multiset._from_clean({v: n for v, p in off_pos.items() if (n := t >> p & field)})
+                for t in states[guards]
+            ]
+
+
 def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
     """Abstract matching: exact enumeration of the joinable group sums.
 
-    Second-argument groups touching the first interest set are split once
-    into (shared part, rest) pairs. For each distinct shared part ``target``
-    of a first-argument group, ``_sums`` folds the multisets of those pairs
-    whose shared parts stay within the target; each sum that uses up the
-    target joins the rests' sum onto every first-argument group over it.
+    Second-argument groups that do not touch the first interest set pass
+    through. For each distinct shared part ``target`` of a first-argument
+    group, ``_sums`` finds the multisets of the touching groups whose
+    shared parts sum to the target; each such sum joins its part off the
+    shared variables onto every first-argument group over the target. An
+    empty target takes only the empty sum.
     """
     u1, u2 = e1.interest, e2.interest
     common = u1 & u2
-    out = {b for b in e2.groups if not (b.support & u1)}
-    rest = sorted((b for b in e2.groups if b.support & u1), key=Multiset.sort_key)
-    parts = [(g.restrict(common), g.restrict(g.support - common)) for g in rest]
-
+    out, touching = set(), []
+    for b in e2.groups:
+        if b.support & u1:
+            touching.append(b)
+        else:
+            out.add(b)
     by_target: dict[Multiset, list[Multiset]] = {}
     for b in e1.groups:
         by_target.setdefault(b.restrict(common), []).append(b)
-    for target, firsts in by_target.items():
-        for left, tail in _sums(target, parts):
-            if not any(left):
-                out.update(b + tail for b in firsts)
+    out.update(by_target.get(EMPTY, ()))
+    for target, tails in _sums(by_target, touching, common):
+        out.update(b + tail for b in by_target[target] for tail in tails)
     return omega_element(out, u1 | u2)
 
 
@@ -331,10 +390,9 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
     variable in one ``int``, so a step adds two integers. Each field has a
     guard bit above room for the ceiling, and the step sets every field
     that went over to the ceiling (a SWAR saturating add), so only the
-    pairwise joins need clipping. Only the set of sums is read, so the
-    fold keeps no back-pointers: it adds each group to a whole frontier of
-    sums at a time, reaching exactly the states of ``fold_subsets``. Only
-    the sums that touch both sides are decoded into groups.
+    pairwise joins need clipping. Only the set of sums is read, so
+    ``fold_frontier`` adds each group to a whole frontier of sums at a
+    time. Only the sums that touch both sides are decoded into groups.
     """
     tvars = frozenset(term_vars(term))
     rx = {g for g in groups if g.count(var)}
@@ -369,20 +427,14 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
     # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
     # the fields; groups that clip alike merge, which loses no sum, as
     # ``ceiling`` repeats of a group already saturate each of its fields
-    packed = dict.fromkeys(sum(min(n, ceiling) << pos[v] for v, n in g.items())
-                           for g in relevant)
-    # repeating a group stops at sums from before it, whose own repeats
-    # cover the rest
-    sums = {0}
-    for g in packed:
-        frontier, new = sums, set()
-        for _ in range(ceiling):
-            frontier = {(x & ~(o * field)) | o * ceiling for s in frontier
-                        for x in (s + g,) for o in (((x + lift) & guard) >> w,)} - sums
-            if not frontier:
-                break
-            new |= frontier
-        sums |= new
+    packed = dict.fromkeys((sum(min(n, ceiling) << pos[v] for v, n in g.items())
+                            for g in relevant), ceiling)
+
+    def saturated(frontier, g):
+        return {(x & ~(o * field)) | o * ceiling for s in frontier
+                for x in (s + g,) for o in (((x + lift) & guard) >> w,)}
+
+    sums = fold_frontier(0, packed, saturated)
     tmask = sum(field << pos[v] for v in tvars if v in pos)
     xmask = field << pos[var] if var in pos else 0
     keep = [(v, p) for v, p in pos.items() if v not in drop]

@@ -11,10 +11,10 @@ variable would be used twice; groups whose variables are all possibly
 non-linear may be counted twice, which wipes the linearity of their
 variables. This computes exactly the abstraction of the maximal-antichain
 matching run on the embedding into 2-sharing groups. The subsets are folded
-with ``multiset.fold_subsets`` over distinct (union, variables shared by two
-chosen groups, variables of doubled groups) states, cutting a branch once a
-linear variable is shared or the union's shared part fits under no
-first-argument group.
+with ``multiset.fold_frontier`` over distinct (union, variables shared by
+two chosen groups, variables of doubled groups) states, packed as bitmasks
+into one integer, cutting a branch once a linear variable is shared or the
+union's shared part fits under no first-argument group.
 
 Textual form: ``[{uv, ux}, lin={u,v}]_{u,v,x}``.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import shlin2
-from .multiset import Multiset, fold_subsets, random_groups
+from .multiset import Multiset, fold_frontier, random_groups
 from .shlin_omega import injective_renaming, same_interest
 from .shlin2 import ShLin2Element, two_element
 from .terms import Scanner
@@ -128,45 +128,71 @@ def leq_sl(e1: ShLinElement, e2: ShLinElement) -> bool:
 
 
 def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
-    s1, l1, u1 = e1.sharing, e1.linear, e1.interest
-    s2, l2, u2 = e2.sharing, e2.linear, e2.interest
-    u = u1 | u2
-    s2_pass = {b for b in s2 if not b & u1}
-    s2_rest = dict.fromkeys(sorted(s2 - s2_pass, key=sorted), 1)  # each at most once
-    s_bar = {b for b in s2_rest if not b & l1}
+    """Abstract matching, over bitmasks of the joint interest set.
 
-    pairs: set[tuple[frozenset[str], frozenset[str]]] = {
-        (b, l2) for b in s2_pass
-    }
+    A state packs one chosen subset X of the touching second-argument
+    groups into one int: the union of X, the variables shared by two groups
+    of X (``nl``) shifted by the number of variables n, and the variables of
+    X's doubled groups shifted by 2n. Only the states are read, so
+    ``fold_frontier`` folds them. Which unions fit under a first-argument
+    group's shared part is decided once per union and kept.
+    """
+    s1, u1 = e1.sharing, e1.interest
+    s2, u2 = e2.sharing, e2.interest
+    u = u1 | u2
+    if not (s1 and any(b & u1 for b in s2)):
+        # nothing to fold: the groups off u1 pass through, and the
+        # first-argument groups off u2 match the empty subset
+        return sl_element({b for b in s2 if not b & u1} | {b for b in s1 if not b & u2},
+                          e1.linear | e2.linear, u)
+    bit = {v: 1 << i for i, v in enumerate(sorted(u))}
+    mask = bit.__getitem__
+    n = len(bit)
+    full = (1 << n) - 1
+    m1, m2, l1, l2 = (sum(map(mask, vs)) for vs in (u1, u2, e1.linear, e2.linear))
     # What a subset X contributes does not depend on the group of e1 it is
     # matched against, only its shared part does.
-    by_shared: dict[frozenset[str], list[frozenset[str]]] = {}
+    by_shared: dict[int, list[int]] = {}
     for b in s1:
-        by_shared.setdefault(b & u2, []).append(b)
+        bm = sum(map(mask, b))
+        by_shared.setdefault(bm & m2, []).append(bm)
+    pairs = set()
+    rest = {}  # each at most once; a group with no linear variable of e1 doubles
+    for b in s2:
+        bm = sum(map(mask, b))
+        if not bm & m1:
+            pairs.add((bm, l2))
+        else:
+            rest[bm, 0 if bm & l1 else bm << 2 * n] = 1
+    fit = {}
 
-    def step(state, g):
-        union_x, nlx, doubled = state
-        nlx |= union_x & g
-        union_x |= g
-        # both tests only fail more as X grows, so pruning is exact
-        if l1 & nlx or not any(union_x & u1 <= shared for shared in by_shared):
-            return None
-        return union_x, nlx, (doubled | g if g in s_bar else doubled)
+    def advance(frontier, g):
+        gm, doubled = g
+        out = set()
+        for s in frontier:
+            twice = s & gm
+            # both tests only fail more as X grows, so pruning is exact
+            if twice & l1:
+                continue
+            shared = (s | gm) & m1
+            ok = fit.get(shared)
+            if ok is None:
+                ok = fit[shared] = any(shared & ~key == 0 for key in by_shared)
+            if ok:
+                out.add(s | gm | twice << n | doubled)
+        return out
 
-    empty = frozenset()
-    for union_x, nlx, doubled in fold_subsets((empty, empty, empty), s2_rest, step):
-        lin = l2 - nlx - doubled
-        for b in by_shared.get(union_x & u1, ()):
-            pairs.add((b | union_x, lin))
+    for s in fold_frontier(0, rest, advance):
+        union = s & full
+        lin = l2 & ~(s >> n | s >> 2 * n)
+        for bm in by_shared.get(union & m1, ()):
+            pairs.add((bm | union, lin))
 
-    sharing = {b for b, _ in pairs}
-    if pairs:
-        linear = frozenset(u)
-        for b, l in pairs:
-            linear &= l1 | l | (u - b)
-    else:
-        linear = frozenset(u)
-    return sl_element(sharing, linear, u)
+    linear = full
+    for bu, lin in pairs:
+        linear &= l1 | lin | (full & ~bu)
+    return sl_element({frozenset(v for v, b in bit.items() if bu & b) for bu, _ in pairs},
+                      [v for v, b in bit.items() if linear & b], u)
 
 
 def project_sl(e: ShLinElement, variables: Iterable[str]) -> ShLinElement:

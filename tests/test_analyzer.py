@@ -1,7 +1,9 @@
 import gc
 import itertools
 import random
+import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -795,6 +797,27 @@ def test_abstract_answers_cover_concrete_resolution():
                     assert d.leq(concrete, res.answer), (
                         domain, mode, str(sigma), str(res.answer),
                     )
+
+
+def test_omega_matching_on_aliased_append_answers_in_time():
+    # the matching fold once gave no answer within 60 s on this call: its
+    # tails reach counts of 9 at cap 3, since the exact matcher runs before
+    # the clip
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "programs" / "app.pl"
+    prog = parse_program(source.read_text())
+    goal = parse_goal("app([x|y], z, z)")
+    theta = parse_substitution("{x/a, y/w1, z/w1}")
+    u = goal.variables
+    call = alpha_omega(canonicalize(theta, u))
+    assert call == parse_omega("[yz]_{x,y,z}")
+    start = time.perf_counter()
+    answer = analyze(AnalysisRequest(program=prog, goal=goal, call=call, domain="omega")).answer
+    assert time.perf_counter() - start < 60.0
+    assert answer == parse_omega("[yz, y^2z^2, y^3z^3]_{x,y,z}")
+    # appending a nonempty list to z never gives z, so depth-bounded
+    # resolution finds no answer for the answer to cover
+    for sigma in _sld_answers(prog, (goal,), theta, depth=6):
+        assert leq_omega(alpha_omega(canonicalize(sigma, u)), answer), str(sigma)
 
 
 def test_injection_rejects_unknown_variables():

@@ -6,6 +6,7 @@ import pytest
 from sharlin.multiset import (
     EMPTY,
     Multiset,
+    fold_frontier,
     fold_subsets,
     format_group,
     mrestrict,
@@ -35,6 +36,14 @@ def test_sum_of_preimage_groups():
 def test_restrict_full_support():
     g = parse_group("uvxz^2")
     assert mrestrict(g, {"u", "v", "x", "z"}) == g
+
+
+def test_restrict_returns_itself_when_nothing_is_dropped():
+    g = parse_group("uvxz^2")
+    assert g.restrict({"u", "v", "w", "x", "z"}) is g
+    assert g.restrict(frozenset("uvxz")) is g
+    assert EMPTY.restrict(set()) is EMPTY
+    assert g.restrict({"u", "v", "x"}) == parse_group("uvx")
 
 
 def test_restrict_empty():
@@ -123,7 +132,7 @@ def test_fold_subsets_repeats_each_generator_up_to_its_bound():
     # a state is a pair of sums over generators taken up to their bounds:
     # the first pruned above a limit, the second saturating at a cap, so
     # that repeats can meet states of other chains; the reference walks
-    # every count vector
+    # every count vector. ``fold_frontier`` reaches the same states
     rng = random.Random(53)
     for _ in range(300):
         gens = {
@@ -142,6 +151,10 @@ def test_fold_subsets_repeats_each_generator_up_to_its_bound():
             if total <= limit:
                 expected.add((total, min(sum(n * g[2] for n, g in zip(counts, gens)), cap)))
         assert set(states) == expected
+        frontier_states = fold_frontier(
+            (0, 0), gens, lambda f, g: {t for s in f if (t := step(s, g)) is not None}
+        )
+        assert frontier_states == expected
         for state in states:
             while states[state] is not None:
                 prev, g = states[state]

@@ -255,3 +255,44 @@ def _omega_pairs(draw):
 def test_match_omega_equals_the_definition(pair):
     e1, e2 = pair
     assert match_omega(e1, e2) == _match_omega_by_definition(e1, e2)
+
+
+@pytest.mark.parametrize("top", [4, 8, 9])
+def test_match_omega_equals_the_definition_across_field_widths(top):
+    # first-argument counts reach ``top``: 4 and 8 need a wider shared field
+    # than 3 and 7, and 9 fills the 4-bit field. Second-argument groups
+    # carry counts up to 3 off the shared variables, so a tail can reach
+    # the target's mass times 3, beyond any target count
+    rng = random.Random(top)
+    shared, joined = frozenset("wx"), 0
+    for trial in range(60):
+        u1, u2 = frozenset("vwx"), frozenset("wxyz")
+        touching = [
+            Multiset({v: rng.randint(1, 3) for v in sorted(u2) if rng.random() < 0.5}
+                     | {rng.choice("wx"): rng.randint(1, 2)})
+            for _ in range(rng.randint(1, 3))
+        ]
+        firsts = set()
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                # a sum of touching groups' shared parts, kept within ``top``
+                total = EMPTY
+                for g in touching:
+                    step = g.restrict(shared).scale(rng.randint(0, 3))
+                    if all(n <= top for _, n in (total + step).items()):
+                        total = total + step
+            else:
+                total = Multiset({v: rng.randint(0, top) for v in sorted(shared)})
+            firsts.add(total + Multiset({"v": rng.randint(0, 2)}))
+        firsts.add(Multiset({rng.choice("wx"): top}))
+        if trial % 10 == 0:
+            firsts.add(Multiset({"v": 1}))  # an empty shared part
+        e1 = omega_element(firsts, u1)
+        e2 = omega_element(touching + [Multiset({"y": 2})], u2)
+        got = match_omega(e1, e2)
+        assert got == _match_omega_by_definition(e1, e2), (str(e1), str(e2))
+        joined += any(g.support & u1 and g.support & {"y", "z"} for g in got.groups)
+        # a bottom first argument passes the groups off its interest set
+        bottom = omega_element((), u1)
+        assert match_omega(bottom, e2) == _match_omega_by_definition(bottom, e2)
+    assert joined > 15

@@ -83,10 +83,9 @@ def test_match_sl_singleton_empty_first_argument():
     assert r.sharing == frozenset({frozenset(), frozenset("uv")})
 
 
-def test_match_sl_equals_composition():
-    rng = random.Random(7)
-    for _ in range(300):
-        names = rng.sample("uvwxy", rng.randint(2, 5))
+def _check_match_sl_against_composition(rng, alphabet, sizes, trials):
+    for _ in range(trials):
+        names = rng.sample(alphabet, rng.randint(*sizes))
         cut = rng.randint(1, len(names))
         u1 = frozenset(names[:cut])
         u2 = frozenset(names[rng.randint(0, len(names) - 1):])
@@ -94,6 +93,24 @@ def test_match_sl_equals_composition():
         direct = match_sl(e1, e2)
         composed = alpha_sl(match2(gamma_sl(e1), gamma_sl(e2)))
         assert direct == composed, (str(e1), str(e2))
+
+
+def test_match_sl_equals_composition():
+    _check_match_sl_against_composition(random.Random(7), "uvwxy", (2, 5), 300)
+
+
+def test_match_sl_equals_composition_over_six_and_seven_variables():
+    rng = random.Random(17)
+    _check_match_sl_against_composition(rng, "stuvwxy", (6, 7), 200)
+    # an empty shared part, a first argument off u2, and a bottom one
+    u1, u2 = frozenset("stuv"), frozenset("uvwxy")
+    e2 = parse_sl("[{uw, vx, uvy, wy}, lin={u,w,y}]_{u,v,w,x,y}")
+    for e1 in (
+        parse_sl("[{s, tu, suv}, lin={s,u}]_{s,t,u,v}"),
+        parse_sl("[{s, st}, lin={s}]_{s,t,u,v}"),
+        sl_element((), u1, u1),
+    ):
+        assert match_sl(e1, e2) == alpha_sl(match2(gamma_sl(e1), gamma_sl(e2))), str(e1)
 
 
 def test_match_sl_monotone():
