@@ -34,7 +34,7 @@ print("second-side witness for two copies of ux:", theta2)
 
 e1 = parse_omega("[x^2, xz]_{x,y,z}")
 e2 = parse_omega("[uv, ux, vx^2, x]_{u,v,x}")
-reports = check_optimality(e1, e2, "omega", cfg_small)
+reports = check_optimality(e1, e2, "omega")
 print(f"\nwitnessed groups for match({e1}, {e2}):")
 for r in reports:
     if r.group:

@@ -9,12 +9,11 @@ A 2-sharing group is a multiset whose counts are saturated at 2 (see
 
 Counts are plain Python integers, so sums are exact and never wrap.
 
-``fold_subsets`` is the one enumeration of sums of groups, each repeated
-up to a bound, with back-pointers and pruning. ``match2`` reads the
-provenance and ``star_decompose`` the witnesses off its back-pointers.
-Callers that read only the set of states use ``fold_frontier``, which
-reaches the same states a frontier at a time: the analyzer's forward
-abstract unification and ``match_sl``, whose states are packed integers.
+``fold_frontier`` is the one fold over sums of groups, each repeated up to
+a bound: the analyzer's forward abstract unification, ``star_decompose``
+and the ShLin^2 and Sharing x Lin matchers fold packed integers with it.
+A caller that needs to know how a state was reached records, inside its
+own ``advance``, the first ``(state, group)`` that produced each new state.
 ``match_omega`` folds packed states too, grouped by what is left of its
 target (``shlin_omega._sums``).
 """
@@ -28,7 +27,6 @@ __all__ = [
     "msum",
     "mrestrict",
     "msupport",
-    "fold_subsets",
     "fold_frontier",
     "random_groups",
     "parse_group",
@@ -156,40 +154,20 @@ def msupport(a: Multiset) -> frozenset[str]:
     return a.support
 
 
-def fold_subsets(start, generators, step) -> dict:
-    """Every state that folding ``step`` over a sub-multiset of
-    ``generators`` reaches from ``start``.
+def fold_frontier(start, generators, advance) -> set:
+    """Every state that adding a sub-multiset of ``generators`` reaches
+    from ``start``.
 
     ``generators`` maps each generator, in the order taken, to the most
-    times it may be taken; ``step(state, g)`` returns the next state, or
-    ``None`` to prune. States are deduplicated, so the work grows with the
-    number of distinct states, and a state must determine everything later
-    steps and the caller read from it. Repeating ``g`` stops at a state
-    that existed before ``g``, whose own repeats cover the rest. Each state
-    maps, in discovery order, to the ``(state, generator)`` it was first
-    reached from (``None`` for ``start``); when every bound is 1, these
-    back-pointers give the subsequence of smallest bitmask reaching it.
-    """
-    states = {start: None}
-    for g, bound in generators.items():
-        before = states.copy()
-        for s in before:
-            for _ in range(bound):
-                t = step(s, g)
-                if t is None or t in before:
-                    break
-                states.setdefault(t, (s, g))
-                s = t
-    return states
-
-
-def fold_frontier(start, generators, advance) -> set:
-    """The states of ``fold_subsets`` without back-pointers.
-
-    ``advance(frontier, g)`` returns the set of states one ``g`` past the
-    states of ``frontier``, leaving out pruned ones; a whole frontier moves
-    per call, so no call is made per state. Repeating ``g`` up to its bound
-    stops at states that existed before ``g``, as in ``fold_subsets``.
+    times it may be taken; ``advance(frontier, g)`` returns the set of
+    states one ``g`` past the states of ``frontier``, leaving out pruned
+    ones, so no call is made per state. States are deduplicated: a state
+    must determine everything later steps and the caller read from it.
+    Repeating ``g`` stops at states that existed before ``g``, whose own
+    repeats cover the rest. To read how a state was reached, ``advance``
+    records ``links.setdefault(t, (s, g))`` in a dict ``links = {start:
+    None}``: walking them from any state ends at ``start``, and ``links``
+    lists the states in the order first reached.
     """
     states = {start}
     for g, bound in generators.items():

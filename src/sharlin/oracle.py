@@ -417,7 +417,7 @@ def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element) -> list[WitnessRe
 _WITNESSES = {shlin_omega: _omega_witness_reports, shlin2: _two_witness_reports}
 
 
-def check_optimality(e1, second, domain: str, cfg: TrialConfig) -> list[WitnessReport]:
+def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
     """Constructive optimality check: one report per group of the abstract
     matching result, each carrying the realizing substitution pair. The
     second argument may be an abstract element or, for the exact domain, a
@@ -484,7 +484,7 @@ def run_optimality(cfg: TrialConfig, domain: str, lo: int = 0, hi: int | None = 
         u1, u2 = _split_universe(rng, 5)
         e1 = d.gen(rng, u1, cfg.multiplicity_cap)
         e2 = d.gen(rng, u2, cfg.multiplicity_cap)
-        reports = check_optimality(e1, e2, domain, cfg)
+        reports = check_optimality(e1, e2, domain)
         groups_checked += len(reports)
         for r in reports:
             if not r.verified:

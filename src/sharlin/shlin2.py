@@ -24,8 +24,8 @@ antichains, choosing subsets of the second argument's groups and repeating
 the ones whose shared variables are all non-linear; it is the production
 operator and provably computes the same downward-closed set. Its subsets
 are not enumerated one by one: for each first-argument group they are
-folded with ``multiset.fold_subsets`` over distinct partial sums, cutting
-a branch as soon as a variable linear in that group would be hit twice.
+folded with ``multiset.fold_frontier`` over bitmask states, cutting a
+branch as soon as a variable linear in that group would be hit twice.
 
 The textual form writes the count 2 as ``^*`` (``^inf`` and any written
 count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
@@ -36,7 +36,7 @@ from collections.abc import Iterable, Mapping
 from itertools import product
 
 from . import shlin_omega
-from .multiset import EMPTY, Multiset, fold_subsets, random_groups
+from .multiset import EMPTY, Multiset, fold_frontier, random_groups
 from .shlin_omega import (
     ShLinOmegaElement,
     amgu,
@@ -201,20 +201,6 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Ele
     return two_element(out, u)
 
 
-def _wedge(o: Multiset, osum: Multiset, u1, u2) -> Multiset:
-    exps: dict[str, int] = {}
-    for v in o.support | osum.support:
-        if v in u1 and v not in u2:
-            e = o.count(v)
-        elif v in u1 and v in u2:
-            e = min(o.count(v), osum.count(v))
-        else:
-            e = osum.count(v)
-        if e:
-            exps[v] = e
-    return Multiset._from_clean(exps)
-
-
 def match2_opt_generators(t1, u1, t2, u2):
     """Maximal-antichain matching, keeping one generator per produced group.
 
@@ -225,47 +211,73 @@ def match2_opt_generators(t1, u1, t2, u2):
     witness builders; ``match2_opt`` keeps only the groups.
 
     For each o1 the subsets X of the second-argument groups that fit inside
-    o1's support are folded by ``fold_subsets`` over the states (sum of X,
-    sum of Xbar). A group of X whose shared part meets a variable linear in
-    o1 that X already covers would make the linearized sum ``^*`` there;
-    that only grows with X, so the branch is pruned. Of the subsets giving
-    a group, the provenance names the smallest bitmask over the sorted
-    second-argument groups.
+    o1's support are folded by ``fold_frontier`` over bitmasks of the n
+    joint interest variables: the union of X, its ``^*`` variables << n
+    and the union of Xbar << 2n (the group produced is ``^*`` on all of
+    Xbar). A group of X whose shared part meets a variable linear in o1
+    that X already covers would make the linearized sum ``^*`` there; that
+    only grows with X, so the branch is pruned. The provenance names the
+    subset that first reached a state giving the group.
     """
     u1, u2 = frozenset(u1), frozenset(u2)
-    t2 = set(t2)
-    t2_pass = {o for o in t2 if not o.support & u1}
-    t2_rest = sorted(t2 - t2_pass, key=Multiset.sort_key)
-    out: dict[Multiset, tuple] = {}
-    for o in sorted(t2_pass, key=Multiset.sort_key):
-        out.setdefault(o, ("pass", o))
-    for o1 in sorted(t1, key=Multiset.sort_key):
-        ones = frozenset(v for v, e in o1.items() if e == 1)
-        cover = o1.support & u2
+    t2 = sorted(set(t2), key=Multiset.sort_key)
+    out: dict[Multiset, tuple] = {o: ("pass", o) for o in t2 if not o.support & u1}
+    t2_rest = [o for o in t2 if o.support & u1]
+    t1 = sorted(t1, key=Multiset.sort_key)
+    if not t2_rest:  # only the empty subset: the groups of t1 off u2 stay
+        return out | {o1: ("gen", o1, (), ())
+                      for o1 in t1 if not o1.support & u2 and o1 not in out}
+    bit = {v: 1 << i for i, v in enumerate(sorted(u1 | u2))}
+    n = len(bit)
+    full = (1 << n) - 1
+    m1, m2 = (sum(bit[v] for v in vs) for vs in (u1, u2))
 
-        def step(state, op):
-            xsum, xbar = state
-            if op.support & ones & xsum.support:
-                return None
-            # X-bar holds the groups whose shared variables are all
-            # non-linear in o1
-            return oplus(xsum, op), (xbar if op.support & ones else oplus(xbar, op))
+    def masks(o):
+        return sum(bit[v] for v in o.support), sum(bit[v] for v, e in o.items() if e == 2)
 
-        fits = {op: 1 for op in t2_rest if op.support & u1 <= o1.support}
-        states = fold_subsets((EMPTY, EMPTY), fits, step)
-        for state in states:
-            xsum, xbar = state
-            if xsum.support & u1 != cover:
+    seen = {b | st << n for b, st in map(masks, out)}
+    rest = [(o, *masks(o)) for o in t2_rest]
+    for o1 in t1:
+        b1, s1 = masks(o1)
+        ones = b1 & ~s1
+        links = {0: None}  # each state's first link, in the order reached
+
+        def advance(frontier, g):
+            _, gm, gs, xbar = g
+            reached = set()
+            for s in frontier:
+                twice = s & gm
+                if twice & ones:
+                    continue
+                t = s | gm | (twice | gs) << n | xbar
+                reached.add(t)
+                links.setdefault(t, (s, g))
+            return reached
+
+        # X-bar holds the groups whose shared variables are all
+        # non-linear in o1
+        fits = {(o, gm, gs, 0 if gm & ones else gm << 2 * n): 1
+                for o, gm, gs in rest if not gm & m1 & ~b1}
+        cover, own = b1 & m2, s1 & ~m2
+        fold_frontier(0, fits, advance)
+        for state in links:
+            union = state & full
+            if union & m1 != cover:
                 continue
-            value = oplus(_wedge(o1, xsum, u1, u2), xbar)
-            if value in out:
+            starred = state >> n & full
+            # the stars: o1's off u2, the sum's off u1, both's on shared
+            # variables, and all of Xbar
+            value = b1 | union | (own | starred & (s1 | ~m1) | state >> 2 * n) << n
+            if value in seen:
                 continue
+            seen.add(value)
             x = []
-            while states[state] is not None:
-                state, op = states[state]
-                x.append(op)
-            x.reverse()
-            out[value] = ("gen", o1, tuple(x), tuple(op for op in x if not op.support & ones))
+            while links[state]:
+                state, g = links[state]
+                x.insert(0, g)
+            group = Multiset._from_clean(
+                {v: 2 if value >> n & b else 1 for v, b in bit.items() if value & b})
+            out[group] = ("gen", o1, tuple(g[0] for g in x), tuple(g[0] for g in x if g[3]))
     return out
 
 

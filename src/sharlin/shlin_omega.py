@@ -15,9 +15,10 @@ summand contributes at least one occurrence on the shared variables, so it
 may repeat as often as it fits into the target. ``_sums`` folds these
 bounded repetitions over packed integers, keeping the distinct sums off
 the shared variables grouped by what is left of the target, so each
-summand is tested once per such vector. ``star_decompose`` asks
-``multiset.fold_subsets`` whether one group is such a sum, and reads the
-summands off its back-pointers.
+summand is tested once per such vector (a ``multiset.fold_frontier`` over
+(left, tail) states moves each tail alone, and measured slower).
+``star_decompose`` folds what is left of one group with ``fold_frontier``,
+and reads the summands off the links back from nothing left.
 
 Projection, renaming and union build through the element's own class, so
 they also serve ShLin^2, whose element is this one with a ceiling of 2.
@@ -28,12 +29,11 @@ which saturates at the element's ceiling, or else at the analysis cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterable, Mapping
 
 from . import existential
 from .existential import ExistentialSubstitution
-from .multiset import EMPTY, Multiset, fold_frontier, fold_subsets, format_group, random_groups
+from .multiset import EMPTY, Multiset, fold_frontier, format_group, random_groups
 from .terms import Scanner, Var, is_linear_term, term_vars
 
 __all__ = [
@@ -166,11 +166,6 @@ def approx_omega(e: ShLinOmegaElement, c: ExistentialSubstitution) -> bool:
     return leq_omega(alpha_omega(c), e)
 
 
-def _less(left, part):
-    left = tuple(map(sub, left, part))
-    return left if min(left) >= 0 else None
-
-
 def star_decompose(
     x: Multiset, s: Iterable[Multiset]
 ) -> tuple[bool, tuple[tuple[Multiset, int], ...] | None]:
@@ -178,29 +173,39 @@ def star_decompose(
 
     The witness lists (group, repetition) pairs summing to ``x``, distinct
     groups in ``Multiset.sort_key`` order, so it does not depend on the
-    order of ``s``. Empty groups add nothing and are ignored. The groups
-    within ``x`` are folded by ``fold_subsets`` over what is left of each
-    count of ``x``, each repeated as often as it fits; the summands are
-    read off the back-pointers.
+    order of ``s``. Empty groups add nothing and are ignored. A state is
+    what is left of ``x``, packed as in ``_sums`` (a field per variable of
+    ``x``, a guard bit above each): taking a group away is a subtraction,
+    and it fits when every guard survives. ``fold_frontier`` takes each
+    group within ``x`` as often as it fits; the summands are read off the
+    links back from nothing left.
     """
-    names = [v for v, _ in x.items()]
-    fits = {}
-    for g in sorted({g for g in s if g and g.support <= x.support}, key=Multiset.sort_key):
-        k = min(x.count(v) // n for v, n in g.items())
-        if k:
-            fits[tuple(g.count(v) for v in names)] = k
-    states = fold_subsets(tuple(n for _, n in x.items()), fits, _less)
-    goal = (0,) * len(names)
-    if goal not in states:
+    w = max((n for _, n in x.items()), default=0).bit_length()
+    pos = {v: i * (w + 1) for i, (v, _) in enumerate(x.items())}
+    guards = sum(1 << (p + w) for p in pos.values())
+    fits = {(sum(n << pos[v] for v, n in g.items()), g): k
+            for g in sorted({g for g in s if g and g.support <= x.support}, key=Multiset.sort_key)
+            if (k := min(x.count(v) // n for v, n in g.items()))}
+    start = guards | sum(n << pos[v] for v, n in x.items())
+    links = {start: None}
+
+    def advance(frontier, part):
+        reached = set()
+        for left in frontier:
+            r = left - part[0]
+            if r & guards == guards:
+                reached.add(r)
+                links.setdefault(r, (left, part))
+        return reached
+
+    if guards not in fold_frontier(start, fits, advance):
         return False, None
-    # the back-pointers from the goal take the parts in reverse fold order
+    # the links from the goal take the parts in reverse fold order
     counts: dict[Multiset, int] = {}
-    link = states[goal]
-    while link:
-        state, vector = link
-        g = Multiset(zip(names, vector))
+    state = guards
+    while links[state]:
+        state, (_, g) = links[state]
         counts[g] = counts.get(g, 0) + 1
-        link = states[state]
     return True, tuple(reversed(counts.items()))
 
 
@@ -390,9 +395,9 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
     variable in one ``int``, so a step adds two integers. Each field has a
     guard bit above room for the ceiling, and the step sets every field
     that went over to the ceiling (a SWAR saturating add), so only the
-    pairwise joins need clipping. Only the set of sums is read, so
-    ``fold_frontier`` adds each group to a whole frontier of sums at a
-    time. Only the sums that touch both sides are decoded into groups.
+    pairwise joins need clipping. ``fold_frontier`` adds each group to a
+    whole frontier of sums at a time, and only the sums that touch both
+    sides are decoded into groups.
     """
     tvars = frozenset(term_vars(term))
     rx = {g for g in groups if g.count(var)}

@@ -133,9 +133,9 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     A state packs one chosen subset X of the touching second-argument
     groups into one int: the union of X, the variables shared by two groups
     of X (``nl``) shifted by the number of variables n, and the variables of
-    X's doubled groups shifted by 2n. Only the states are read, so
-    ``fold_frontier`` folds them. Which unions fit under a first-argument
-    group's shared part is decided once per union and kept.
+    X's doubled groups shifted by 2n, folded by ``fold_frontier``. Which
+    unions fit under a first-argument group's shared part is decided once
+    per union and kept.
     """
     s1, u1 = e1.sharing, e1.interest
     s2, u2 = e2.sharing, e2.interest

@@ -24,7 +24,7 @@ from sharlin.analyzer import (
     DOMAINS,
 )
 from sharlin.existential import canonicalize, emgu_subst, parse_existential
-from sharlin.multiset import EMPTY, Multiset, fold_subsets
+from sharlin.multiset import EMPTY, Multiset, fold_frontier
 from sharlin.shlin_omega import alpha_omega, leq_omega, omega_element, parse_omega
 from sharlin.shlin2 import (
     alpha2,
@@ -161,7 +161,8 @@ def _copies_bind(groups, var, term, exp, add, copies, zero):
     if linear:
         return rest, {add(gx, gt) for gx in rx for gt in rt} | (rx & rt)
     relevant = sorted(rx | rt, key=lambda g: g.sort_key())
-    sums = fold_subsets(zero, dict.fromkeys(relevant + copies(relevant), 1), add)
+    sums = fold_frontier(zero, dict.fromkeys(relevant + copies(relevant), 1),
+                         lambda frontier, g: {add(s, g) for s in frontier})
     return rest, {s for s in sums if exp(s, var) and any(exp(s, v) for v in tvars)}
 
 
@@ -256,7 +257,8 @@ def _tuple_bind(groups, var, term, ceiling):
 
         counts = {tuple(map(g.count, names)): ceiling for g in relevant}
         sums = (Multiset({v: n for v, n in zip(names, s) if n})
-                for s in fold_subsets((0,) * len(names), counts, step))
+                for s in fold_frontier((0,) * len(names), counts,
+                                       lambda frontier, g: {step(s, g) for s in frontier}))
         joins = {s for s in sums if s.count(var) and any(s.count(v) for v in tvars)}
     return rest | {g.clip(ceiling) for g in joins}
 

@@ -7,7 +7,6 @@ from sharlin.multiset import (
     EMPTY,
     Multiset,
     fold_frontier,
-    fold_subsets,
     format_group,
     mrestrict,
     msum,
@@ -104,35 +103,31 @@ def test_mass_and_scale():
     assert msum(big, big).count("x") == 2**41  # arbitrary precision, no wrap
 
 
-def test_fold_subsets_reaches_every_subset_sum_from_its_smallest_mask():
+def test_fold_frontier_reaches_every_subset_sum():
     # a state is the sum of a subset, pruned above a limit; the reference
-    # walks every bitmask in increasing order and keeps the first per sum
+    # walks every bitmask
     rng = random.Random(47)
     for _ in range(200):
         gens = list(enumerate(rng.randint(1, 5) for _ in range(rng.randint(0, 7))))
         limit = rng.randint(0, 15)
-        states = fold_subsets(
-            0, dict.fromkeys(gens, 1), lambda s, g: s + g[1] if s + g[1] <= limit else None
+        states = fold_frontier(
+            0, dict.fromkeys(gens, 1),
+            lambda f, g: {s + g[1] for s in f if s + g[1] <= limit},
         )
-        first_mask = {}
+        expected = set()
         for mask in range(1 << len(gens)):
             total = sum(n for i, n in gens if mask >> i & 1)
             if total <= limit:
-                first_mask.setdefault(total, mask)
-        assert list(states) == sorted(first_mask, key=first_mask.get)
-        for state, mask in first_mask.items():
-            path = 0
-            while states[state] is not None:
-                state, (i, _) = states[state]
-                path |= 1 << i
-            assert path == mask
+                expected.add(total)
+        assert states == expected
 
 
-def test_fold_subsets_repeats_each_generator_up_to_its_bound():
+def test_fold_frontier_repeats_each_generator_up_to_its_bound():
     # a state is a pair of sums over generators taken up to their bounds:
     # the first pruned above a limit, the second saturating at a cap, so
     # that repeats can meet states of other chains; the reference walks
-    # every count vector. ``fold_frontier`` reaches the same states
+    # every count vector. The links ``advance`` records walk back to the
+    # start through real steps, each generator within its bound
     rng = random.Random(53)
     for _ in range(300):
         gens = {
@@ -144,20 +139,33 @@ def test_fold_subsets_repeats_each_generator_up_to_its_bound():
         def step(s, g):
             return (s[0] + g[1], min(s[1] + g[2], cap)) if s[0] + g[1] <= limit else None
 
-        states = fold_subsets((0, 0), gens, step)
+        links = {(0, 0): None}
+
+        def advance(frontier, g):
+            reached = set()
+            for s in frontier:
+                t = step(s, g)
+                if t is not None:
+                    reached.add(t)
+                    links.setdefault(t, (s, g))
+            return reached
+
+        states = fold_frontier((0, 0), gens, advance)
         expected = set()
         for counts in itertools.product(*(range(bound + 1) for bound in gens.values())):
             total = sum(n * g[1] for n, g in zip(counts, gens))
             if total <= limit:
                 expected.add((total, min(sum(n * g[2] for n, g in zip(counts, gens)), cap)))
-        assert set(states) == expected
-        frontier_states = fold_frontier(
-            (0, 0), gens, lambda f, g: {t for s in f if (t := step(s, g)) is not None}
-        )
-        assert frontier_states == expected
+        assert states == expected
+        assert set(links) == states
+        order = list(links)
         for state in states:
-            while states[state] is not None:
-                prev, g = states[state]
+            taken = dict.fromkeys(gens, 0)
+            while links[state] is not None:
+                prev, g = links[state]
                 assert step(prev, g) == state
+                assert order.index(prev) < order.index(state)
+                taken[g] += 1
                 state = prev
             assert state == (0, 0)
+            assert all(taken[g] <= bound for g, bound in gens.items())

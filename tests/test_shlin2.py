@@ -335,3 +335,81 @@ def test_one_element_body_serves_both_domains():
         two_element({Multiset({"x": 1, "y": 3})}, {"x", "y"})
     assert str(err.value) == "group xy^3 has a count above 2"
     assert omega_element({Multiset({"y": 3})}, {"y"}).groups == {EMPTY, Multiset({"y": 3})}
+
+
+def _random_wide_pair(rng, i):
+    """A pair over six or seven variables (states up to 21 bits); every
+    fourth pair is an edge: a bottom first argument, a first argument off
+    u2, only ``^*`` counts, or no second-argument group touching u1."""
+    names = rng.sample("tuvwxyz", rng.randint(6, 7))
+    u1 = frozenset(names[: rng.randint(2, 5)])
+    u2 = frozenset(names[rng.randint(1, len(u1)):])
+    e1 = union2(_random_two(rng, u1), _random_two(rng, u1))
+    e2 = union2(union2(_random_two(rng, u2), _random_two(rng, u2)), _random_two(rng, u2))
+    edge = i % 16
+    if edge == 0:
+        e1 = two_element((), u1)
+    elif edge == 4:
+        e1 = two_element(project2(e1, u1 - u2).groups, u1)
+    elif edge == 8:
+        e1, e2 = (two_element({Multiset({v: 2 for v, _ in g.items()}) for g in e.groups},
+                              e.interest) for e in (e1, e2))
+    elif edge == 12:
+        e2 = two_element(project2(e2, u2 - u1).groups, u2)
+    return e1, e2
+
+
+def test_match2_equals_reference_over_six_and_seven_variables():
+    rng = random.Random(59)
+    touched = untouched = 0
+    for i in range(96):
+        e1, e2 = _random_wide_pair(rng, i)
+        assert match2(e1, e2) == match2_ref(e1, e2), (str(e1), str(e2))
+        if any(g.support & e1.interest for g in e2.groups):
+            touched += 1
+        else:
+            untouched += 1
+    assert touched > 40 and untouched >= 4
+
+
+def _match2_raw_by_subsets(t1, u1, t2, u2):
+    """The raw groups of ``match2_opt_generators``, one subset X of the
+    touching groups at a time: X fits inside o1 on u1, covers o1's shared
+    part, and covers no variable linear in o1 twice; the part of X off
+    o1's linear variables is taken twice."""
+    out = {o for o in t2 if not o.support & u1}
+    rest = [o for o in t2 if o.support & u1]
+    for o1 in t1:
+        ones = {v for v, e in o1.items() if e == 1}
+        fits = [o for o in rest if o.support & u1 <= o1.support]
+        for mask in range(1 << len(fits)):
+            x = [o for i, o in enumerate(fits) if mask >> i & 1]
+            if any(sum(1 for o in x if v in o.support) > 1 for v in ones):
+                continue
+            xsum = xbar = EMPTY
+            for o in x:
+                xsum = oplus(xsum, o)
+                if not o.support & ones:
+                    xbar = oplus(xbar, o)
+            if xsum.support & u1 == o1.support & u2:
+                out.add(oplus(_wedge_by_definition(o1, xsum, u1, u2), xbar))
+    return out
+
+
+def test_match2_raw_groups_equal_the_subset_enumeration():
+    rng = random.Random(61)
+    for i in range(150):
+        names = rng.sample("uvwxyz", rng.randint(4, 6))
+        u1 = frozenset(names[: rng.randint(2, len(names))])
+        u2 = frozenset(names[rng.randint(1, min(len(u1) - 1, len(names) - 3)):])
+        e1 = union2(_random_two(rng, u1), _random_two(rng, u1))
+        shared = sorted(u1 & u2)
+        t2 = {EMPTY}
+        while sum(1 for g in t2 if g.support & u1) < i % 9:  # 0 to 8 touching
+            exps = {v: rng.choice((1, 2)) for v in sorted(u2) if rng.random() < 0.4}
+            exps[rng.choice(shared)] = rng.choice((1, 2))
+            t2.add(Multiset(exps))
+        for _ in range(rng.randint(0, 2)):
+            t2.add(Multiset({v: rng.choice((1, 2)) for v in sorted(u2 - u1) if rng.random() < 0.6}))
+        raw = match2_opt_generators(e1.groups, u1, t2, u2)
+        assert set(raw) == _match2_raw_by_subsets(e1.groups, u1, t2, u2), (str(e1), t2)
