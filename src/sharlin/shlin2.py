@@ -23,9 +23,11 @@ small-input reference and oracle. ``match2_opt`` works directly on maximal
 antichains, choosing subsets of the second argument's groups and repeating
 the ones whose shared variables are all non-linear; it is the production
 operator and provably computes the same downward-closed set. Its subsets
-are not enumerated one by one: for each first-argument group they are
-folded with ``multiset.fold_frontier`` over bitmask states, cutting a
-branch as soon as a variable linear in that group would be hit twice.
+are not enumerated one by one: ``linear_subsets`` folds them with
+``multiset.fold_frontier`` over bitmask states, once per distinct shared
+part of a first-argument group and its linear variables there, cutting a
+branch as soon as a linear variable would be hit twice. ``shlin_sl``'s
+matcher runs the same fold on the embedding of its sets.
 
 The textual form writes the count 2 as ``^*`` (``^inf`` and any written
 count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
@@ -64,6 +66,7 @@ __all__ = [
     "el2_contains",
     "leq2",
     "match2_ref",
+    "linear_subsets",
     "match2_opt",
     "match2",
     "project2",
@@ -201,6 +204,37 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Ele
     return two_element(out, u)
 
 
+def linear_subsets(rest, n, m1, cover, linear) -> dict:
+    """Every subset X of the groups ``rest`` that fits under ``cover``,
+    folded by ``fold_frontier``: ``{state: (previous state, group)}`` from
+    ``{0: None}``, in the order reached.
+
+    Groups are ``(key, support, stars)`` bitmasks over n variables; one
+    fits when its part on ``m1`` lies under ``cover``, and each is taken
+    at most once. A state packs X's union, its ``^*`` variables (stars,
+    and variables two groups share) << n, and the union of its doubled
+    groups, those meeting no variable of ``linear``, << 2n. A state that
+    takes a variable of ``linear`` twice stays so as X grows, so it is
+    pruned.
+    """
+    links = {0: None}
+
+    def advance(frontier, g):
+        _, gm, gs = g
+        doubled = 0 if gm & linear else gm << 2 * n
+        reached = set()
+        for s in frontier:
+            twice = s & gm
+            if not twice & linear:
+                t = s | gm | (twice | gs) << n | doubled
+                reached.add(t)
+                links.setdefault(t, (s, g))
+        return reached
+
+    fold_frontier(0, {g: 1 for g in rest if not g[1] & m1 & ~cover}, advance)
+    return links
+
+
 def match2_opt_generators(t1, u1, t2, u2):
     """Maximal-antichain matching, keeping one generator per produced group.
 
@@ -210,13 +244,11 @@ def match2_opt_generators(t1, u1, t2, u2):
     (Xbar being the part of X repeated twice). Used by the optimality
     witness builders; ``match2_opt`` keeps only the groups.
 
-    For each o1 the subsets X of the second-argument groups that fit inside
-    o1's support are folded by ``fold_frontier`` over bitmasks of the n
-    joint interest variables: the union of X, its ``^*`` variables << n
-    and the union of Xbar << 2n (the group produced is ``^*`` on all of
-    Xbar). A group of X whose shared part meets a variable linear in o1
-    that X already covers would make the linearized sum ``^*`` there; that
-    only grows with X, so the branch is pruned. The provenance names the
+    The subsets X that fit inside o1 of t1 depend on o1 only through its
+    shared part and its linear variables there, so ``linear_subsets`` runs
+    once per distinct such pair: a variable linear in o1 is covered at
+    most once, and the groups of X off them form Xbar, taken twice (the
+    group produced is ``^*`` on all of Xbar). The provenance names the
     subset that first reached a state giving the group.
     """
     u1, u2 = frozenset(u1), frozenset(u2)
@@ -237,29 +269,14 @@ def match2_opt_generators(t1, u1, t2, u2):
 
     seen = {b | st << n for b, st in map(masks, out)}
     rest = [(o, *masks(o)) for o in t2_rest]
+    # (shared part, its linear variables) -> links; no group of rest fits under 0
+    folds = {(0, 0): {0: None}}
     for o1 in t1:
         b1, s1 = masks(o1)
-        ones = b1 & ~s1
-        links = {0: None}  # each state's first link, in the order reached
-
-        def advance(frontier, g):
-            _, gm, gs, xbar = g
-            reached = set()
-            for s in frontier:
-                twice = s & gm
-                if twice & ones:
-                    continue
-                t = s | gm | (twice | gs) << n | xbar
-                reached.add(t)
-                links.setdefault(t, (s, g))
-            return reached
-
-        # X-bar holds the groups whose shared variables are all
-        # non-linear in o1
-        fits = {(o, gm, gs, 0 if gm & ones else gm << 2 * n): 1
-                for o, gm, gs in rest if not gm & m1 & ~b1}
-        cover, own = b1 & m2, s1 & ~m2
-        fold_frontier(0, fits, advance)
+        key = cover, linear = b1 & m2, b1 & ~s1 & m2
+        links = folds.get(key)
+        if links is None:
+            links = folds[key] = linear_subsets(rest, n, m1, cover, linear)
         for state in links:
             union = state & full
             if union & m1 != cover:
@@ -267,7 +284,7 @@ def match2_opt_generators(t1, u1, t2, u2):
             starred = state >> n & full
             # the stars: o1's off u2, the sum's off u1, both's on shared
             # variables, and all of Xbar
-            value = b1 | union | (own | starred & (s1 | ~m1) | state >> 2 * n) << n
+            value = b1 | union | (s1 & ~m2 | starred & (s1 | ~m1) | state >> 2 * n) << n
             if value in seen:
                 continue
             seen.add(value)
@@ -277,7 +294,8 @@ def match2_opt_generators(t1, u1, t2, u2):
                 x.insert(0, g)
             group = Multiset._from_clean(
                 {v: 2 if value >> n & b else 1 for v, b in bit.items() if value & b})
-            out[group] = ("gen", o1, tuple(g[0] for g in x), tuple(g[0] for g in x if g[3]))
+            out[group] = ("gen", o1, tuple(g[0] for g in x),
+                          tuple(g[0] for g in x if not g[1] & linear))
     return out
 
 

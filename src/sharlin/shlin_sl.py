@@ -10,11 +10,9 @@ groups agreeing on the shared variables, provided no first-argument linear
 variable would be used twice; groups whose variables are all possibly
 non-linear may be counted twice, which wipes the linearity of their
 variables. This computes exactly the abstraction of the maximal-antichain
-matching run on the embedding into 2-sharing groups. The subsets are folded
-with ``multiset.fold_frontier`` over distinct (union, variables shared by
-two chosen groups, variables of doubled groups) states, packed as bitmasks
-into one integer, cutting a branch once a linear variable is shared or the
-union's shared part fits under no first-argument group.
+matching run on the embedding into 2-sharing groups, and it runs that
+matcher's fold, ``shlin2.linear_subsets``, once per distinct nonempty
+shared part of a first-argument group, then decodes its states to sets.
 
 Textual form: ``[{uv, ux}, lin={u,v}]_{u,v,x}``.
 
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import shlin2
-from .multiset import Multiset, fold_frontier, random_groups
+from .multiset import Multiset, random_groups
 from .shlin_omega import injective_renaming, same_interest
 from .shlin2 import ShLin2Element, two_element
 from .terms import Scanner
@@ -128,14 +126,11 @@ def leq_sl(e1: ShLinElement, e2: ShLinElement) -> bool:
 
 
 def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
-    """Abstract matching, over bitmasks of the joint interest set.
-
-    A state packs one chosen subset X of the touching second-argument
-    groups into one int: the union of X, the variables shared by two groups
-    of X (``nl``) shifted by the number of variables n, and the variables of
-    X's doubled groups shifted by 2n, folded by ``fold_frontier``. Which
-    unions fit under a first-argument group's shared part is decided once
-    per union and kept.
+    """Abstract matching: ShLin^2's fold, ``shlin2.linear_subsets``, run
+    once per distinct nonempty shared part of e1's groups on the
+    embedding, then decoded to sets. Its groups carry no stars, so a state
+    holds a union, the variables two of its groups share (``nl``) and
+    those of doubled groups; the last two lose their linearity in e2.
     """
     s1, u1 = e1.sharing, e1.interest
     s2, u2 = e2.sharing, e2.interest
@@ -156,37 +151,22 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     for b in s1:
         bm = sum(map(mask, b))
         by_shared.setdefault(bm & m2, []).append(bm)
-    pairs = set()
-    rest = {}  # each at most once; a group with no linear variable of e1 doubles
+    # e1's groups off u2 match the empty subset, and e2's groups off u1 pass
+    pairs = {(bm, l2) for bm in by_shared.pop(0, ())}
+    rest = []
     for b in s2:
         bm = sum(map(mask, b))
-        if not bm & m1:
-            pairs.add((bm, l2))
+        if bm & m1:
+            rest.append((bm, bm, 0))
         else:
-            rest[bm, 0 if bm & l1 else bm << 2 * n] = 1
-    fit = {}
-
-    def advance(frontier, g):
-        gm, doubled = g
-        out = set()
-        for s in frontier:
-            twice = s & gm
-            # both tests only fail more as X grows, so pruning is exact
-            if twice & l1:
-                continue
-            shared = (s | gm) & m1
-            ok = fit.get(shared)
-            if ok is None:
-                ok = fit[shared] = any(shared & ~key == 0 for key in by_shared)
-            if ok:
-                out.add(s | gm | twice << n | doubled)
-        return out
-
-    for s in fold_frontier(0, rest, advance):
-        union = s & full
-        lin = l2 & ~(s >> n | s >> 2 * n)
-        for bm in by_shared.get(union & m1, ()):
-            pairs.add((bm | union, lin))
+            pairs.add((bm, l2))
+    for cover, bms in by_shared.items():
+        for s in shlin2.linear_subsets(rest, n, m1, cover, l1 & cover):
+            union = s & full
+            if union & m1 == cover:
+                lin = l2 & ~(s >> n | s >> 2 * n)
+                for bm in bms:
+                    pairs.add((bm | union, lin))
 
     linear = full
     for bu, lin in pairs:

@@ -15,6 +15,7 @@ from sharlin.shlin2 import (
     embed_cap2,
     gamma2_contains,
     leq2,
+    linear_subsets,
     match2,
     match2_opt,
     match2_opt_generators,
@@ -359,6 +360,41 @@ def _random_wide_pair(rng, i):
     return e1, e2
 
 
+def _with_siblings(rng, e1, u2, same_linear):
+    """``e1`` plus, for each group touching u2, a group with the same part
+    on u2 and the other variables off it; its counts on u2 are the same,
+    or one of them is flipped between 1 and ``^*``."""
+    off = sorted(e1.interest - u2)
+    groups = set(e1.groups)
+    for o in sorted(e1.groups, key=Multiset.sort_key):
+        shared = sorted(o.support & u2)
+        if shared:
+            exps = {v: o.count(v) for v in shared}
+            if not same_linear:
+                v = rng.choice(shared)
+                exps[v] = 3 - exps[v]
+            exps.update({v: rng.choice((1, 2)) for v in off if v not in o.support})
+            groups.add(Multiset(exps))
+    return two_element(groups, e1.interest)
+
+
+def _sibling_kinds(e1, u2):
+    """Which kinds of groups sharing their part on u2 ``e1`` holds: with
+    the same linear variables there, or with different ones."""
+    parts = {}
+    for o in e1.groups:
+        if o.support & u2:
+            ones = frozenset(v for v in o.support & u2 if o.count(v) == 1)
+            parts.setdefault(o.support & u2, []).append(ones)
+    kinds = set()
+    for ones in parts.values():
+        if len(set(ones)) < len(ones):
+            kinds.add("same")
+        if len(set(ones)) > 1:
+            kinds.add("different")
+    return kinds
+
+
 def test_match2_equals_reference_over_six_and_seven_variables():
     rng = random.Random(59)
     touched = untouched = 0
@@ -370,6 +406,15 @@ def test_match2_equals_reference_over_six_and_seven_variables():
         else:
             untouched += 1
     assert touched > 40 and untouched >= 4
+    # first arguments whose groups share their part on u2, with the same
+    # linear variables there or not: one fold serves each such pair
+    kinds = []
+    for i in range(64):
+        e1, e2 = _random_wide_pair(rng, 1 + 2 * i)
+        e1 = _with_siblings(rng, e1, e2.interest, same_linear=i % 2 == 0)
+        assert match2(e1, e2) == match2_ref(e1, e2), (str(e1), str(e2))
+        kinds += _sibling_kinds(e1, e2.interest)
+    assert kinds.count("same") >= 8 and kinds.count("different") >= 8
 
 
 def _match2_raw_by_subsets(t1, u1, t2, u2):
@@ -413,3 +458,57 @@ def test_match2_raw_groups_equal_the_subset_enumeration():
             t2.add(Multiset({v: rng.choice((1, 2)) for v in sorted(u2 - u1) if rng.random() < 0.6}))
         raw = match2_opt_generators(e1.groups, u1, t2, u2)
         assert set(raw) == _match2_raw_by_subsets(e1.groups, u1, t2, u2), (str(e1), t2)
+
+
+def _linear_subsets_by_subsets(rest, n, m1, cover, linear):
+    """The states of ``linear_subsets``, one subset X of the fitting groups
+    at a time, dropping X when two of its groups meet on ``linear``."""
+    fits = [g for g in rest if not g[1] & m1 & ~cover]
+    states = set()
+    for mask in range(1 << len(fits)):
+        x = [g for i, g in enumerate(fits) if mask >> i & 1]
+        union = stars = doubled = 0
+        for _, gm, gs in x:
+            stars |= union & gm | gs
+            union |= gm
+            if not gm & linear:
+                doubled |= gm
+        if not any(a[1] & b[1] & linear for i, a in enumerate(x) for b in x[:i]):
+            states.add(union | stars << n | doubled << 2 * n)
+    return states
+
+
+def test_linear_subsets_equal_the_subset_enumeration_and_link_back():
+    rng = random.Random(67)
+    edges = set()
+    for i in range(240):
+        n = rng.randint(2, 7)
+        full = (1 << n) - 1
+        m1 = rng.randint(1, full)
+        cover = (0, m1, rng.randint(0, full) & m1)[i % 3]
+        linear = (0, cover, rng.randint(0, full) & cover)[i // 3 % 3]
+        rest = []
+        for key in range(i % 9):  # 0 to 8 groups, some off the cover
+            gm = rng.randint(1, full)
+            if rng.random() < 0.7:
+                gm &= ~m1 | cover
+            rest.append((key, gm or 1 << rng.randrange(n), rng.randint(0, full) & gm))
+        edges |= {cover == 0 and "no cover", linear == cover and "all linear",
+                  linear == 0 and "none linear", any(g[1] & m1 & ~cover for g in rest) and "off"}
+        links = linear_subsets(rest, n, m1, cover, linear)
+        assert set(links) == _linear_subsets_by_subsets(rest, n, m1, cover, linear), i
+        order = {s: k for k, s in enumerate(links)}
+        assert links[0] is None
+        for state in links:
+            taken = set()
+            while links[state]:
+                s, g = links[state]
+                _, gm, gs = g
+                doubled = 0 if gm & linear else gm << 2 * n
+                assert g in rest and not gm & m1 & ~cover and g[0] not in taken
+                assert not s & gm & linear and order[s] < order[state]
+                assert state == s | gm | (s & gm | gs) << n | doubled
+                taken.add(g[0])
+                state = s
+            assert state == 0
+    assert {"no cover", "all linear", "none linear", "off"} <= edges

@@ -4,7 +4,7 @@ import pytest
 
 from sharlin.existential import canonicalize
 from sharlin.shlin_omega import InterestMismatch, alpha_omega
-from sharlin.shlin2 import INF, alpha2, match2, parse_two, two_group
+from sharlin.shlin2 import INF, alpha2, match2, match2_ref, parse_two, two_group
 from sharlin.shlin_sl import (
     alpha_sl,
     gamma_sl,
@@ -84,15 +84,26 @@ def test_match_sl_singleton_empty_first_argument():
 
 
 def _check_match_sl_against_composition(rng, alphabet, sizes, trials):
+    """``match_sl`` against the composition through ``match2`` and through
+    ``match2_ref``, which shares no code with it. Each pair is also checked
+    with siblings added to e1: groups with the same shared part as one of
+    e1's and another part off u2."""
+    siblings = 0
     for _ in range(trials):
         names = rng.sample(alphabet, rng.randint(*sizes))
         cut = rng.randint(1, len(names))
         u1 = frozenset(names[:cut])
         u2 = frozenset(names[rng.randint(0, len(names) - 1):])
         e1, e2 = _random_sl(rng, u1), _random_sl(rng, u2)
-        direct = match_sl(e1, e2)
-        composed = alpha_sl(match2(gamma_sl(e1), gamma_sl(e2)))
-        assert direct == composed, (str(e1), str(e2))
+        off = sorted(u1 - u2)
+        wider = sl_element(e1.sharing | {b | {v} for b in e1.sharing if b & u2 for v in off},
+                           e1.linear, u1)
+        for e in {e1, wider}:
+            direct = match_sl(e, e2)
+            assert direct == alpha_sl(match2(gamma_sl(e), gamma_sl(e2))), (str(e), str(e2))
+            assert direct == alpha_sl(match2_ref(gamma_sl(e), gamma_sl(e2))), (str(e), str(e2))
+        siblings += wider != e1
+    assert siblings >= trials // 15
 
 
 def test_match_sl_equals_composition():
