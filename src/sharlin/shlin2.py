@@ -248,8 +248,10 @@ def match2_opt_generators(t1, u1, t2, u2):
     shared part and its linear variables there, so ``linear_subsets`` runs
     once per distinct such pair: a variable linear in o1 is covered at
     most once, and the groups of X off them form Xbar, taken twice (the
-    group produced is ``^*`` on all of Xbar). The provenance names the
-    subset that first reached a state giving the group.
+    group produced is ``^*`` on all of Xbar). Each group is packed once,
+    its support and its ``^*`` variables in one pass over its counts. The
+    provenance names the subset that first reached a state giving the
+    group, read off the links back from that state and then reversed.
     """
     u1, u2 = frozenset(u1), frozenset(u2)
     t2 = sorted(set(t2), key=Multiset.sort_key)
@@ -265,7 +267,12 @@ def match2_opt_generators(t1, u1, t2, u2):
     m1, m2 = (sum(bit[v] for v in vs) for vs in (u1, u2))
 
     def masks(o):
-        return sum(bit[v] for v in o.support), sum(bit[v] for v, e in o.items() if e == 2)
+        support = stars = 0
+        for v, e in o.items():
+            support |= bit[v]
+            if e == 2:
+                stars |= bit[v]
+        return support, stars
 
     seen = {b | st << n for b, st in map(masks, out)}
     rest = [(o, *masks(o)) for o in t2_rest]
@@ -291,7 +298,8 @@ def match2_opt_generators(t1, u1, t2, u2):
             x = []
             while links[state]:
                 state, g = links[state]
-                x.insert(0, g)
+                x.append(g)
+            x.reverse()
             group = Multiset._from_clean(
                 {v: 2 if value >> n & b else 1 for v, b in bit.items() if value & b})
             out[group] = ("gen", o1, tuple(g[0] for g in x),

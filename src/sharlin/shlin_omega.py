@@ -12,11 +12,15 @@ argument's groups can sum up to it on the shared variables; groups of the
 second argument that do not touch the first interest set pass through
 unchanged. The search over summand multisets is bounded: every usable
 summand contributes at least one occurrence on the shared variables, so it
-may repeat as often as it fits into the target. ``_sums`` folds these
-bounded repetitions over packed integers, keeping the distinct sums off
-the shared variables grouped by what is left of the target, so each
-summand is tested once per such vector (a ``multiset.fold_frontier`` over
-(left, tail) states moves each tail alone, and measured slower).
+may repeat as often as it fits into the target. ``_sums`` packs each
+summand in one pass over its counts and folds these bounded repetitions
+over packed integers, keeping the distinct sums off the shared variables
+grouped by what is left of the target, so each summand is tested once per
+such vector (a ``multiset.fold_frontier`` over (left, tail) states moves
+each tail alone, and measured slower). Each tail that uses up a target is
+decoded once, into counts that are merged straight into the
+first-argument groups over that target: their supports are disjoint, so
+the merge is the multiset sum.
 ``star_decompose`` folds what is left of one group with ``fold_frontier``,
 and reads the summands off the links back from nothing left.
 
@@ -217,16 +221,20 @@ def _sums(targets, groups, common):
     One packed layout serves every target. Each variable of a target gets a
     field wide enough for the largest target count, plus a guard bit; each
     other variable of ``groups`` gets a field wide enough for any tail,
-    since every summand adds at least one to the target's mass. A state is
-    what is left of the target, guards set, and the tails that reach it;
-    states are grouped by what is left, as whether a group fits depends on
-    nothing else. Taking ``on`` from ``left`` leaves ``r = left - on``, and
-    the group fits exactly when ``r`` keeps every guard. A group may repeat
-    as often as it fits, and groups with equal ``on`` move together, each
-    step adding any one of their tails. ``r`` is below ``left``, so walking
-    the states from the top down, each tail set has received everything
-    from above before it moves. Only the tails that use up a target are
-    decoded.
+    since every summand adds at least one to the target's mass. Each group
+    is packed in one pass over its counts, into its part on ``common`` and
+    its part off it; the pass drops the group at a count on ``common``
+    above every target's, or on a variable no target holds, as then it
+    fits no target. A state is what is left of the target, guards set, and
+    the tails that reach it; states are grouped by what is left, as whether
+    a group fits depends on nothing else. Taking ``on`` from ``left``
+    leaves ``r = left - on``, and the group fits exactly when ``r`` keeps
+    every guard. A group may repeat as often as it fits, and groups with
+    equal ``on`` move together, each step adding any one of their tails.
+    ``r`` is below ``left``, so walking the states from the top down, each
+    tail set has received everything from above before it moves. Only the
+    tails that use up a target are decoded, each once, into a dict of
+    counts off ``common``.
     """
     targets = [t for t in targets if t]
     if not targets or not groups:
@@ -235,16 +243,27 @@ def _sums(targets, groups, common):
     w = top.bit_length()
     pos = {v: i * (w + 1) for i, v in enumerate(sorted(set().union(*(t.support for t in targets))))}
     guards = sum(1 << (p + w) for p in pos.values())
-    off_names = sorted({v for g in groups for v in g.support} - common)
-    most = max((n for g in groups for v, n in g.items() if v not in common), default=0)
+    off_names, most = set(), 0
+    for g in groups:
+        for v, n in g.items():
+            if v not in common:
+                off_names.add(v)
+                if n > most:
+                    most = n
     width = (most * max(t.mass() for t in targets)).bit_length()
-    off_pos = {v: i * width for i, v in enumerate(off_names)}
+    off_pos = {v: i * width for i, v in enumerate(sorted(off_names))}
     parts: dict[int, set[int]] = {}
     for g in groups:
-        on = [(v, n) for v, n in g.items() if v in common]
-        if all(v in pos and n <= top for v, n in on):  # else it fits no target
-            parts.setdefault(sum(n << pos[v] for v, n in on), set()).add(
-                sum(n << off_pos[v] for v, n in g.items() if v not in common))
+        on = off = 0
+        for v, n in g.items():
+            if (p := off_pos.get(v)) is not None:
+                off += n << p
+            elif n <= top and (p := pos.get(v)) is not None:
+                on += n << p
+            else:  # a shared count above ``top``, or on no target's variable
+                break
+        else:
+            parts.setdefault(on, set()).add(off)
     field = (1 << width) - 1
     for target in targets:
         start = guards | sum(n << pos[v] for v, n in target.items())
@@ -269,10 +288,8 @@ def _sums(targets, groups, common):
                     if r & guards != guards:
                         break
         if guards in states:
-            yield target, [
-                Multiset._from_clean({v: n for v, p in off_pos.items() if (n := t >> p & field)})
-                for t in states[guards]
-            ]
+            yield target, [{v: n for v, p in off_pos.items() if (n := t >> p & field)}
+                           for t in states[guards]]
 
 
 def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
@@ -282,8 +299,9 @@ def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
     through. For each distinct shared part ``target`` of a first-argument
     group, ``_sums`` finds the multisets of the touching groups whose
     shared parts sum to the target; each such sum joins its part off the
-    shared variables onto every first-argument group over the target. An
-    empty target takes only the empty sum.
+    shared variables (its tail) onto every first-argument group over the
+    target. The group lies over u1 and the tail off it, so merging their
+    count dicts gives their sum. An empty target takes only the empty sum.
     """
     u1, u2 = e1.interest, e2.interest
     common = u1 & u2
@@ -298,7 +316,8 @@ def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaEleme
         by_target.setdefault(b.restrict(common), []).append(b)
     out.update(by_target.get(EMPTY, ()))
     for target, tails in _sums(by_target, touching, common):
-        out.update(b + tail for b in by_target[target] for tail in tails)
+        out.update(Multiset._from_clean(b._counts | tail)
+                   for b in by_target[target] for tail in tails)
     return omega_element(out, u1 | u2)
 
 

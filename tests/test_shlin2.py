@@ -161,7 +161,7 @@ def _random_two(rng, variables):
     groups = set()
     for _ in range(rng.randint(0, 3)):
         exps = {}
-        for v in variables:
+        for v in sorted(variables):
             if rng.random() < 0.5:
                 exps[v] = INF if rng.random() < 0.4 else 1
         groups.add(two_group(exps))

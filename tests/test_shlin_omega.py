@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sharlin.existential import canonicalize, ematch
 from sharlin.multiset import EMPTY, Multiset, parse_group
+from sharlin.shlin2 import alpha2, match2, match2_ref
 from sharlin.shlin_omega import (
     InterestMismatch,
     alpha_omega,
@@ -296,3 +297,41 @@ def test_match_omega_equals_the_definition_across_field_widths(top):
         bottom = omega_element((), u1)
         assert match_omega(bottom, e2) == _match_omega_by_definition(bottom, e2)
     assert joined > 15
+
+
+def test_ladder_shaped_pairs_equal_the_references():
+    # pairs shaped like the benchmark ladder's: a first argument over
+    # {u,v,w,x,y}, and up to 5 second-argument groups over
+    # {w,x,y,z,z1,z2}, each touching the shared {w,x,y}. They hold the
+    # cases where packing drops a group (a shared count above every
+    # target count, a shared variable no target holds), groups with
+    # nothing off the shared variables, and first-argument groups with
+    # an empty shared part
+    rng = random.Random(71)
+    u1, u2 = frozenset("uvwxy"), frozenset(("w", "x", "y", "z", "z1", "z2"))
+    shared, edges = ("w", "x", "y"), set()
+    for trial in range(48):
+        held = shared if trial % 3 else shared[:2]  # the targets' variables
+        firsts = [Multiset({v: 1 for v in "uv" if rng.random() < 0.5}
+                           | {v: rng.choice((1, 1, 2)) for v in rng.sample(held, rng.randint(1, 2))})
+                  for _ in range(rng.randint(1, 3))]
+        if trial % 4 == 0:
+            firsts.append(Multiset({rng.choice("uv"): rng.randint(1, 2)}))
+        seconds = [Multiset({v: rng.choice((1, 1, 2, 3, 4))
+                             for v in rng.sample(shared, rng.randint(1, 2))}
+                            | {v: rng.randint(1, 2) for v in ("z", "z1", "z2") if rng.random() < 0.4})
+                   for _ in range(rng.randint(1, 5))]
+        e1, e2 = omega_element(firsts, u1), omega_element(seconds, u2)
+        assert match_omega(e1, e2) == _match_omega_by_definition(e1, e2), (str(e1), str(e2))
+        t1, t2 = alpha2(e1), alpha2(e2)
+        assert match2(t1, t2) == match2_ref(t1, t2), (str(t1), str(t2))
+        targets = [b.restrict(shared) for b in firsts]
+        top = max(n for t in targets for _, n in t.items())
+        covered = frozenset().union(*(t.support for t in targets))
+        edges |= {
+            any(n > top for g in seconds for v, n in g.items() if v in shared) and "above top",
+            any(g.support & set(shared) - covered for g in seconds) and "no target",
+            any(g.support <= set(shared) for g in seconds) and "shared only",
+            not all(targets) and "empty shared part",
+        }
+    assert {"above top", "no target", "shared only", "empty shared part"} <= edges

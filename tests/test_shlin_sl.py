@@ -176,7 +176,7 @@ def test_parse_print_round_trip():
 
 def _random_sl(rng, variables):
     k = rng.randint(0, 3)
-    groups = [frozenset(v for v in variables if rng.random() < 0.5) for _ in range(k)]
+    groups = [frozenset(v for v in sorted(variables) if rng.random() < 0.5) for _ in range(k)]
     covered = frozenset().union(*groups) if groups else frozenset()
-    linear = {v for v in covered if rng.random() < 0.6}
+    linear = {v for v in sorted(covered) if rng.random() < 0.6}
     return sl_element(groups, linear, variables)
