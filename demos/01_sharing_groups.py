@@ -7,8 +7,6 @@ many times it occurs in each binding: that multiset is its sharing group.
 from sharlin import (
     alpha_omega,
     canonicalize,
-    msum,
-    mrestrict,
     parse_group,
     parse_substitution,
     preimage_group,
@@ -36,12 +34,12 @@ print()
 
 # restriction keeps only the variables of interest
 g = preimage_var(theta, "u")
-print("restricted to {w,x,y,z}:", mrestrict(g, {"w", "x", "y", "z"}))
+print("restricted to {w,x,y,z}:", g.restrict({"w", "x", "y", "z"}))
 print()
 
 # sums are pointwise
 a, b = parse_group("a^3c^5"), parse_group("ab^2")
-print(f"{a} + {b} = {msum(a, b)}")
+print(f"{a} + {b} = {a + b}")
 print()
 
 # the whole abstraction of a substitution class

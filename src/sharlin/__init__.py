@@ -10,7 +10,7 @@ and a goal-dependent analyzer for a mini logic language comparing
 matching-based backward unification against plain re-unification.
 """
 
-from .multiset import EMPTY, Multiset, format_group, mrestrict, msum, msupport, parse_group
+from .multiset import EMPTY, Multiset, format_group, parse_group
 from .terms import (
     App,
     Clash,

@@ -311,7 +311,8 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
             raise ValueError(f"bad injection entry on line {ln}: {raw!r}") from None
         if step_idx not in (0, 1):
             raise ValueError(f"step index must be 0 or 1 on line {ln}")
-        out[(clause_idx, step_idx)] = ops.parse(elem)
+        # padded to its place in the file, so a syntax error names its line and column
+        out[(clause_idx, step_idx)] = ops.parse("\n" * (ln - 1) + " " * raw.rindex(elem) + elem)
     return out
 
 

@@ -14,7 +14,7 @@ memory. Reports are byte-deterministic for fixed seeds, at
 any ``--jobs``; timing is never part of a report. A config file of
 ``key=value`` lines can supply defaults for optional long flags, not for
 the required ``--program``, ``--goal``, ``--call``, ``--domain`` and
-``--op``; explicit flags win.
+``--op``; explicit flags win, and a key no subcommand knows is an error.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def _operand(text: str) -> str:
     return text
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, known) -> dict:
     out = {}
     for ln, raw in enumerate(_read_file(path).splitlines(), 1):
         line = raw.strip()
@@ -82,8 +82,10 @@ def _load_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line {ln}: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key.replace("-", "_") not in known:
+            raise ValueError(f"unknown config key {key!r} on line {ln}")
+        out[key.replace("-", "_")] = value
     return out
 
 
@@ -333,11 +335,13 @@ def _main(argv) -> int:
     parser = _build_parser()
     args, _ = parser.parse_known_args(argv)
     if args.config:
-        defaults = _load_config(args.config)
-        for sub_action in parser._subparsers._group_actions:  # noqa: SLF001
-            for sub in sub_action.choices.values():
-                known = {a.dest for a in sub._actions}  # noqa: SLF001
-                sub.set_defaults(**{k: _coerce(v) for k, v in defaults.items() if k in known})
+        # one file serves every subcommand, so each takes the keys it knows
+        known = {sub: {a.dest for a in sub._actions}  # noqa: SLF001
+                 for group in parser._subparsers._group_actions  # noqa: SLF001
+                 for sub in group.choices.values()}
+        defaults = _load_config(args.config, set().union(*known.values()))
+        for sub, dests in known.items():
+            sub.set_defaults(**{k: _coerce(v) for k, v in defaults.items() if k in dests})
     args = parser.parse_args(argv)
     handlers = {
         "eval": _cmd_eval,

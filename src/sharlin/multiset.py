@@ -9,24 +9,23 @@ A 2-sharing group is a multiset whose counts are saturated at 2 (see
 
 Counts are plain Python integers, so sums are exact and never wrap.
 
-``fold_frontier`` is the one fold over sums of groups, each repeated up to
-a bound: the analyzer's forward abstract unification, ``star_decompose``
-and the ShLin^2 and Sharing x Lin matchers fold packed integers with it.
-A caller that needs to know how a state was reached records, inside its
-own ``advance``, the first ``(state, group)`` that produced each new state.
-``match_omega`` folds packed states too, grouped by what is left of its
-target (``shlin_omega._sums``).
+``Layout`` is the one packed format for count vectors, ``fold_frontier``
+the one fold over sums of groups, each up to a bound: the forward abstract
+unification, ``star_decompose`` and the ShLin^2 and Sharing x Lin
+matchers fold packed vectors with it. A caller that needs to know how a
+state was reached records, inside its own ``advance``, the first
+``(state, group)`` that produced each new state. ``match_omega`` folds
+packed states too, in ``shlin_omega._sums``, grouped by what is left.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 
 __all__ = [
     "Multiset",
     "EMPTY",
-    "msum",
-    "mrestrict",
-    "msupport",
+    "Layout",
     "fold_frontier",
     "random_groups",
     "parse_group",
@@ -37,7 +36,7 @@ __all__ = [
 class Multiset:
     """Immutable multiset of variable names with finite support."""
 
-    __slots__ = ("_counts", "_items", "_hash", "_support")
+    __slots__ = ("_counts", "_items", "_hash", "_support", "_key")
 
     def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         pairs = counts.items() if isinstance(counts, Mapping) else counts
@@ -52,7 +51,7 @@ class Multiset:
         self._counts = clean
         self._items = tuple(sorted(clean.items()))
         self._hash = hash(self._items)
-        self._support = None
+        self._support = self._key = None
 
     @classmethod
     def _from_clean(cls, counts: dict[str, int]) -> "Multiset":
@@ -61,7 +60,7 @@ class Multiset:
         self._counts = counts
         self._items = tuple(sorted(counts.items()))
         self._hash = hash(self._items)
-        self._support = None
+        self._support = self._key = None
         return self
 
     def count(self, var: str) -> int:
@@ -121,7 +120,9 @@ class Multiset:
         return all(n <= other.count(v) for v, n in self._counts.items())
 
     def sort_key(self):
-        return (tuple(sorted(self._counts)), self._items)
+        if self._key is None:
+            self._key = (tuple(v for v, _ in self._items), self._items)
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Multiset) and self._items == other._items
@@ -139,19 +140,33 @@ class Multiset:
 EMPTY = Multiset()
 
 
-def msum(a: Multiset, b: Multiset) -> Multiset:
-    """Multiset sum: pointwise addition of counts."""
-    return a + b
+class Layout:
+    """Count vectors packed in one ``int`` (Knuth, TAOCP 4A, 7.1.3): a field
+    of ``width`` bits per variable, in sorted-name order from bit 0, with
+    a guard bit above each if ``guard``. ``offsets`` and ``fields`` map a
+    variable to its field's lowest bit and mask; ``ones`` sets every lowest
+    bit, ``guards`` every guard bit. ``of`` builds each once, to be shared."""
 
+    of = staticmethod(lru_cache(maxsize=4096)(lambda *key: Layout(*key)))
 
-def mrestrict(a: Multiset, variables) -> Multiset:
-    """Restriction of ``a`` to the given variables; others get count 0."""
-    return a.restrict(variables)
+    def __init__(self, variables, width: int, guard: bool = False):
+        self.offsets = {v: i * (width + guard) for i, v in enumerate(sorted(variables))}
+        self.fields = {v: (1 << width) - 1 << p for v, p in self.offsets.items()}
+        self._spans = tuple((v, p, self.fields[v]) for v, p in self.offsets.items())
+        self.ones = sum(1 << p for p in self.offsets.values())
+        self.guards = self.ones << width if guard else 0
 
+    def pack(self, pairs) -> int:
+        """The vector of ``(variable, count)`` pairs, each count within its field."""
+        return sum(n << self.offsets[v] for v, n in pairs)
 
-def msupport(a: Multiset) -> frozenset[str]:
-    """The set of variables with nonzero count."""
-    return a.support
+    def mask(self, names) -> int:
+        """The fields of those of ``names`` that are variables of the layout."""
+        return sum(map(self.fields.__getitem__, self.fields.keys() & names))
+
+    def unpack(self, x: int) -> dict[str, int]:
+        """The nonzero counts of ``x``'s fields, in sorted-name order."""
+        return {v: (x & m) >> p for v, p, m in self._spans if x & m}
 
 
 def fold_frontier(start, generators, advance) -> set:

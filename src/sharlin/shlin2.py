@@ -38,7 +38,7 @@ from collections.abc import Iterable, Mapping
 from itertools import product
 
 from . import shlin_omega
-from .multiset import EMPTY, Multiset, fold_frontier, random_groups
+from .multiset import EMPTY, Layout, Multiset, fold_frontier, random_groups
 from .shlin_omega import (
     ShLinOmegaElement,
     amgu,
@@ -249,7 +249,7 @@ def match2_opt_generators(t1, u1, t2, u2):
     once per distinct such pair: a variable linear in o1 is covered at
     most once, and the groups of X off them form Xbar, taken twice (the
     group produced is ``^*`` on all of Xbar). Each group is packed once,
-    its support and its ``^*`` variables in one pass over its counts. The
+    its support and its ``^*`` variables, in one-bit ``Layout`` fields. The
     provenance names the subset that first reached a state giving the
     group, read off the links back from that state and then reversed.
     """
@@ -261,17 +261,15 @@ def match2_opt_generators(t1, u1, t2, u2):
     if not t2_rest:  # only the empty subset: the groups of t1 off u2 stay
         return out | {o1: ("gen", o1, (), ())
                       for o1 in t1 if not o1.support & u2 and o1 not in out}
-    bit = {v: 1 << i for i, v in enumerate(sorted(u1 | u2))}
-    n = len(bit)
-    full = (1 << n) - 1
-    m1, m2 = (sum(bit[v] for v in vs) for vs in (u1, u2))
+    lay = Layout.of(u1 | u2, 1)
+    n, full, m1, m2, bits = len(lay.offsets), lay.ones, lay.mask(u1), lay.mask(u2), lay.fields
 
     def masks(o):
         support = stars = 0
         for v, e in o.items():
-            support |= bit[v]
+            support |= bits[v]
             if e == 2:
-                stars |= bit[v]
+                stars |= bits[v]
         return support, stars
 
     seen = {b | st << n for b, st in map(masks, out)}
@@ -301,7 +299,7 @@ def match2_opt_generators(t1, u1, t2, u2):
                 x.append(g)
             x.reverse()
             group = Multiset._from_clean(
-                {v: 2 if value >> n & b else 1 for v, b in bit.items() if value & b})
+                {v: 2 if value >> n & b else 1 for v, b in bits.items() if value & b})
             out[group] = ("gen", o1, tuple(g[0] for g in x),
                           tuple(g[0] for g in x if not g[1] & linear))
     return out

@@ -14,13 +14,13 @@ unchanged. The search over summand multisets is bounded: every usable
 summand contributes at least one occurrence on the shared variables, so it
 may repeat as often as it fits into the target. ``_sums`` packs each
 summand in one pass over its counts and folds these bounded repetitions
-over packed integers, keeping the distinct sums off the shared variables
-grouped by what is left of the target, so each summand is tested once per
-such vector (a ``multiset.fold_frontier`` over (left, tail) states moves
-each tail alone, and measured slower). Each tail that uses up a target is
-decoded once, into counts that are merged straight into the
-first-argument groups over that target: their supports are disjoint, so
-the merge is the multiset sum.
+over integers packed by a ``multiset.Layout``, keeping the distinct sums
+off the shared variables grouped by what is left of the target, so each
+summand is tested once per such vector (a ``multiset.fold_frontier`` over
+(left, tail) states moves each tail alone, and measured slower). Each tail
+that uses up a target is decoded once, into counts that are merged
+straight into the first-argument groups over that target: their supports
+are disjoint, so the merge is the multiset sum.
 ``star_decompose`` folds what is left of one group with ``fold_frontier``,
 and reads the summands off the links back from nothing left.
 
@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 from . import existential
 from .existential import ExistentialSubstitution
-from .multiset import EMPTY, Multiset, fold_frontier, format_group, random_groups
+from .multiset import EMPTY, Layout, Multiset, fold_frontier, format_group, random_groups
 from .terms import Scanner, Var, is_linear_term, term_vars
 
 __all__ = [
@@ -178,19 +178,16 @@ def star_decompose(
     The witness lists (group, repetition) pairs summing to ``x``, distinct
     groups in ``Multiset.sort_key`` order, so it does not depend on the
     order of ``s``. Empty groups add nothing and are ignored. A state is
-    what is left of ``x``, packed as in ``_sums`` (a field per variable of
-    ``x``, a guard bit above each): taking a group away is a subtraction,
-    and it fits when every guard survives. ``fold_frontier`` takes each
-    group within ``x`` as often as it fits; the summands are read off the
-    links back from nothing left.
+    what is left of ``x``, packed by a guarded ``Layout`` of its variables:
+    taking a group away is a subtraction, and it fits when every guard
+    survives. ``fold_frontier`` takes each group within ``x`` as often as
+    it fits; the summands are read off the links back from nothing left.
     """
-    w = max((n for _, n in x.items()), default=0).bit_length()
-    pos = {v: i * (w + 1) for i, (v, _) in enumerate(x.items())}
-    guards = sum(1 << (p + w) for p in pos.values())
-    fits = {(sum(n << pos[v] for v, n in g.items()), g): k
+    lay = Layout.of(x.support, max((n for _, n in x.items()), default=0).bit_length(), True)
+    guards, start = lay.guards, lay.guards | lay.pack(x.items())
+    fits = {(lay.pack(g.items()), g): k
             for g in sorted({g for g in s if g and g.support <= x.support}, key=Multiset.sort_key)
             if (k := min(x.count(v) // n for v, n in g.items()))}
-    start = guards | sum(n << pos[v] for v, n in x.items())
     links = {start: None}
 
     def advance(frontier, part):
@@ -218,31 +215,29 @@ def _sums(targets, groups, common):
     ``groups``, which all meet ``common``, sums to on ``common``, with the
     distinct sums of those multisets off ``common`` (the tails).
 
-    One packed layout serves every target. Each variable of a target gets a
-    field wide enough for the largest target count, plus a guard bit; each
-    other variable of ``groups`` gets a field wide enough for any tail,
-    since every summand adds at least one to the target's mass. Each group
-    is packed in one pass over its counts, into its part on ``common`` and
-    its part off it; the pass drops the group at a count on ``common``
-    above every target's, or on a variable no target holds, as then it
-    fits no target. A state is what is left of the target, guards set, and
-    the tails that reach it; states are grouped by what is left, as whether
-    a group fits depends on nothing else. Taking ``on`` from ``left``
-    leaves ``r = left - on``, and the group fits exactly when ``r`` keeps
-    every guard. A group may repeat as often as it fits, and groups with
-    equal ``on`` move together, each step adding any one of their tails.
-    ``r`` is below ``left``, so walking the states from the top down, each
-    tail set has received everything from above before it moves. Only the
-    tails that use up a target are decoded, each once, into a dict of
-    counts off ``common``.
+    A guarded ``Layout`` of the targets' variables, its fields as wide as
+    the largest target count, serves every target; an unguarded one of the
+    other variables of ``groups`` packs the tails, wide enough for any
+    tail, since every summand adds at least one to the target's mass. Each
+    group is packed in one pass over its counts, into its part on
+    ``common`` and its part off it; the pass drops the group at a count on
+    ``common`` above every target's, or on a variable no target holds, as
+    then it fits no target. A state is what is left of the target, guards
+    set, and the tails that reach it; states are grouped by what is left,
+    as whether a group fits depends on nothing else. Taking ``on`` from
+    ``left`` leaves ``r = left - on``, and the group fits exactly when
+    ``r`` keeps every guard. A group may repeat as often as it fits, and
+    groups with equal ``on`` move together, each step adding any one of
+    their tails. ``r`` is below ``left``, so walking the states from the
+    top down, each tail set has received everything from above before it
+    moves. Only the tails that use up a target are unpacked, each once,
+    into a dict of counts off ``common``.
     """
     targets = [t for t in targets if t]
     if not targets or not groups:
         return
     top = max(n for t in targets for _, n in t.items())
-    w = top.bit_length()
-    pos = {v: i * (w + 1) for i, v in enumerate(sorted(set().union(*(t.support for t in targets))))}
-    guards = sum(1 << (p + w) for p in pos.values())
+    lay = Layout.of(frozenset().union(*(t.support for t in targets)), top.bit_length(), True)
     off_names, most = set(), 0
     for g in groups:
         for v, n in g.items():
@@ -250,8 +245,8 @@ def _sums(targets, groups, common):
                 off_names.add(v)
                 if n > most:
                     most = n
-    width = (most * max(t.mass() for t in targets)).bit_length()
-    off_pos = {v: i * width for i, v in enumerate(sorted(off_names))}
+    tail = Layout.of(frozenset(off_names), (most * max(t.mass() for t in targets)).bit_length())
+    pos, guards, off_pos = lay.offsets, lay.guards, tail.offsets
     parts: dict[int, set[int]] = {}
     for g in groups:
         on = off = 0
@@ -264,9 +259,8 @@ def _sums(targets, groups, common):
                 break
         else:
             parts.setdefault(on, set()).add(off)
-    field = (1 << width) - 1
     for target in targets:
-        start = guards | sum(n << pos[v] for v, n in target.items())
+        start = guards | lay.pack(target.items())
         fitting = [(on, offs) for on, offs in parts.items() if (start - on) & guards == guards]
         if not fitting:
             continue
@@ -288,8 +282,7 @@ def _sums(targets, groups, common):
                     if r & guards != guards:
                         break
         if guards in states:
-            yield target, [{v: n for v, p in off_pos.items() if (n := t >> p & field)}
-                           for t in states[guards]]
+            yield target, list(map(tail.unpack, states[guards]))
 
 
 def match_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
@@ -410,13 +403,12 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
     ``[vw, wy, y]`` bound by ``w/y`` answers ``[vw^*y, w^*y^*]``, but a
     concrete instance abstracts to ``[vw^*y^*]``.
 
-    The sums are folded as packed count vectors: one field per relevant
-    variable in one ``int``, so a step adds two integers. Each field has a
-    guard bit above room for the ceiling, and the step sets every field
-    that went over to the ceiling (a SWAR saturating add), so only the
-    pairwise joins need clipping. ``fold_frontier`` adds each group to a
-    whole frontier of sums at a time, and only the sums that touch both
-    sides are decoded into groups.
+    The sums are folded as count vectors packed by a guarded ``Layout`` of
+    the relevant variables, so a step adds two integers; it sets every
+    field that went over to the ceiling (a SWAR saturating add), so only
+    the pairwise joins need clipping. ``fold_frontier`` adds each group to
+    a whole frontier of sums at a time, and only the sums that touch both
+    sides are unpacked into groups.
     """
     tvars = frozenset(term_vars(term))
     rx = {g for g in groups if g.count(var)}
@@ -438,20 +430,16 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
         joins = {cut[gx] + cut[gt] for gx in rx for gt in rt} | {cut[g] for g in rx & rt}
         return rest | {g.clip(ceiling) for g in joins}
     relevant = sorted(rx | rt, key=Multiset.sort_key)
-    names = sorted(set().union(*(g.support for g in relevant)))
-    # a field holds at most the ceiling and the sum of two fields fits
-    # below the field's guard bit; lifting a field by 2^w - 1 - ceiling
-    # sets that bit exactly when it is over
+    # a field holds at most the ceiling and the sum of two fits up to its
+    # guard bit; lifting a field by 2^w - 1 - ceiling sets that bit exactly
+    # when it is over, and then the field, guard bit too, is set to ceiling
     w = ceiling.bit_length()
-    width = w + 1
-    field = (1 << width) - 1
-    pos = {v: i * width for i, v in enumerate(names)}
-    ones = sum(1 << p for p in pos.values())
-    lift, guard = ones * ((1 << w) - 1 - ceiling), ones << w
+    lay = Layout.of(frozenset().union(*(g.support for g in relevant)), w, True)
+    lift, guard, field = lay.ones * ((1 << w) - 1 - ceiling), lay.guards, (2 << w) - 1
     # min(s + g, c) = min(s + min(g, c), c), so counts are clipped to fit
     # the fields; groups that clip alike merge, which loses no sum, as
     # ``ceiling`` repeats of a group already saturate each of its fields
-    packed = dict.fromkeys((sum(min(n, ceiling) << pos[v] for v, n in g.items())
+    packed = dict.fromkeys((lay.pack((v, min(n, ceiling)) for v, n in g.items())
                             for g in relevant), ceiling)
 
     def saturated(frontier, g):
@@ -459,12 +447,6 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
                 for x in (s + g,) for o in (((x + lift) & guard) >> w,)}
 
     sums = fold_frontier(0, packed, saturated)
-    tmask = sum(field << pos[v] for v in tvars if v in pos)
-    xmask = field << pos[var] if var in pos else 0
-    keep = [(v, p) for v, p in pos.items() if v not in drop]
-    joins = {
-        Multiset._from_clean({v: n for v, p in keep if (n := s >> p & field)})
-        for s in sums
-        if s & xmask and s & tmask
-    }
-    return rest | joins
+    tmask, xmask, keep = lay.mask(tvars), lay.mask((var,)), ~lay.mask(drop)
+    return rest | {Multiset._from_clean(lay.unpack(s & keep))
+                   for s in sums if s & xmask and s & tmask}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import shlin2
-from .multiset import Multiset, random_groups
+from .multiset import Layout, Multiset, random_groups
 from .shlin_omega import injective_renaming, same_interest
 from .shlin2 import ShLin2Element, two_element
 from .terms import Scanner
@@ -127,10 +127,10 @@ def leq_sl(e1: ShLinElement, e2: ShLinElement) -> bool:
 
 def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     """Abstract matching: ShLin^2's fold, ``shlin2.linear_subsets``, run
-    once per distinct nonempty shared part of e1's groups on the
-    embedding, then decoded to sets. Its groups carry no stars, so a state
-    holds a union, the variables two of its groups share (``nl``) and
-    those of doubled groups; the last two lose their linearity in e2.
+    once per distinct nonempty shared part of e1's groups on the embedding
+    in one-bit ``Layout`` fields, then unpacked to sets. Its groups carry
+    no stars, so a state holds a union, the variables two of its groups
+    share (``nl``) and those of doubled groups; both lose linearity in e2.
     """
     s1, u1 = e1.sharing, e1.interest
     s2, u2 = e2.sharing, e2.interest
@@ -140,11 +140,9 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
         # first-argument groups off u2 match the empty subset
         return sl_element({b for b in s2 if not b & u1} | {b for b in s1 if not b & u2},
                           e1.linear | e2.linear, u)
-    bit = {v: 1 << i for i, v in enumerate(sorted(u))}
-    mask = bit.__getitem__
-    n = len(bit)
-    full = (1 << n) - 1
-    m1, m2, l1, l2 = (sum(map(mask, vs)) for vs in (u1, u2, e1.linear, e2.linear))
+    lay = Layout.of(u, 1)
+    n, full, mask = len(lay.offsets), lay.ones, lay.fields.__getitem__
+    m1, m2, l1, l2 = map(lay.mask, (u1, u2, e1.linear, e2.linear))
     # What a subset X contributes does not depend on the group of e1 it is
     # matched against, only its shared part does.
     by_shared: dict[int, list[int]] = {}
@@ -171,8 +169,7 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     linear = full
     for bu, lin in pairs:
         linear &= l1 | lin | (full & ~bu)
-    return sl_element({frozenset(v for v, b in bit.items() if bu & b) for bu, _ in pairs},
-                      [v for v, b in bit.items() if linear & b], u)
+    return sl_element({frozenset(lay.unpack(bu)) for bu, _ in pairs}, lay.unpack(linear), u)
 
 
 def project_sl(e: ShLinElement, variables: Iterable[str]) -> ShLinElement:

@@ -279,7 +279,9 @@ def test_analyze_injection(tmp_path, capsys):
     ("2 0 [u]_{u}", "injected clause index 2 names no clause of member/2"),
     ("-1 0 [u]_{u}", "injected clause index -1 names no clause of member/2"),
     ("x 0 [u]_{u}", "bad injection entry on line 1: 'x 0 [u]_{u}'"),
-], ids=["past-the-end", "other-predicate", "negative", "not-an-integer"])
+    ("# a syntax error names its place in the file\n\n0 1 [x^]_{x}",
+     "unexpected character '^' (line 3, column 7)"),
+], ids=["past-the-end", "other-predicate", "negative", "not-an-integer", "bad-element"])
 def test_analyze_rejects_a_bad_injection(tmp_path, capsys, entry, message):
     prog = tmp_path / "member.pl"
     prog.write_text(PROGRAM_62 + "other(a).\n")
@@ -439,6 +441,20 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert main(["--config", str(cfg), "equiv", "--trials", "60", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["trials"] == 60
+
+
+def test_config_file_rejects_a_key_no_subcommand_knows(tmp_path, capsys):
+    # one file serves every subcommand: ``mode`` is analyze's, so equiv
+    # leaves it alone, but ``trails`` is nobody's
+    cfg = tmp_path / "sharlin.cfg"
+    cfg.write_text("mode=mgu\ntrials=60\n")
+    assert main(["--config", str(cfg), "equiv", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 60
+    cfg.write_text("mode=mgu\n  trails = 5\n")
+    assert main(["--config", str(cfg), "verify", "correctness", "--trials", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sharlin: unknown config key 'trails' on line 2\n"
 
 
 def test_usage_error_exits_1(capsys):

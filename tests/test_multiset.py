@@ -5,22 +5,20 @@ import pytest
 
 from sharlin.multiset import (
     EMPTY,
+    Layout,
     Multiset,
     fold_frontier,
     format_group,
-    mrestrict,
-    msum,
-    msupport,
     parse_group,
 )
 
 
 def test_sum_pointwise():
-    assert msum(parse_group("a^3c^5"), parse_group("ab^2")) == parse_group("a^4b^2c^5")
+    assert parse_group("a^3c^5") + parse_group("ab^2") == parse_group("a^4b^2c^5")
 
 
 def test_sum_identity():
-    assert msum(EMPTY, parse_group("x^2")) == parse_group("x^2")
+    assert EMPTY + parse_group("x^2") == parse_group("x^2")
 
 
 def test_sum_of_preimage_groups():
@@ -28,13 +26,13 @@ def test_sum_of_preimage_groups():
     parts = [parse_group("u"), EMPTY, parse_group("xw^2"), parse_group("z"), parse_group("z")]
     total = EMPTY
     for p in parts:
-        total = msum(total, p)
+        total = total + p
     assert total == parse_group("uw^2xz^2")
 
 
 def test_restrict_full_support():
     g = parse_group("uvxz^2")
-    assert mrestrict(g, {"u", "v", "x", "z"}) == g
+    assert g.restrict({"u", "v", "x", "z"}) == g
 
 
 def test_restrict_returns_itself_when_nothing_is_dropped():
@@ -46,17 +44,17 @@ def test_restrict_returns_itself_when_nothing_is_dropped():
 
 
 def test_restrict_empty():
-    assert mrestrict(parse_group("x^2y"), set()) == EMPTY
+    assert parse_group("x^2y").restrict(set()) == EMPTY
 
 
 def test_restrict_drops_variables():
-    assert mrestrict(parse_group("uvxz^2"), {"w", "x", "y", "z"}) == parse_group("xz^2")
+    assert parse_group("uvxz^2").restrict({"w", "x", "y", "z"}) == parse_group("xz^2")
 
 
 def test_support():
-    assert msupport(parse_group("a^3b^2c")) == {"a", "b", "c"}
-    assert msupport(EMPTY) == frozenset()
-    assert msupport(parse_group("x^2y")) == {"x", "y"}
+    assert parse_group("a^3b^2c").support == {"a", "b", "c"}
+    assert EMPTY.support == frozenset()
+    assert parse_group("x^2y").support == {"x", "y"}
 
 
 def test_zero_counts_never_stored():
@@ -87,11 +85,11 @@ def test_algebraic_properties():
     for _ in range(500):
         a, b, c = (_random_multiset(rng) for _ in range(3))
         xs = set(rng.sample("uvwxyz", rng.randint(0, 5)))
-        assert msum(a, b) == msum(b, a)
-        assert msum(msum(a, b), c) == msum(a, msum(b, c))
-        assert msum(a, EMPTY) == a
-        assert mrestrict(msum(a, b), xs) == msum(mrestrict(a, xs), mrestrict(b, xs))
-        assert msupport(msum(a, b)) == msupport(a) | msupport(b)
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a + EMPTY == a
+        assert (a + b).restrict(xs) == a.restrict(xs) + b.restrict(xs)
+        assert (a + b).support == a.support | b.support
 
 
 def test_mass_and_scale():
@@ -100,7 +98,64 @@ def test_mass_and_scale():
     assert g.scale(3) == parse_group("x^6y^3")
     assert g.scale(0) == EMPTY
     big = Multiset({"x": 2**40})
-    assert msum(big, big).count("x") == 2**41  # arbitrary precision, no wrap
+    assert (big + big).count("x") == 2**41  # arbitrary precision, no wrap
+
+
+def _random_layouts(seed):
+    # the variables, field width and guard of a layout, and counts that fit
+    rng = random.Random(seed)
+    for _ in range(300):
+        names = rng.sample("uvwxyz", rng.randint(0, 6))
+        width, guard = rng.randint(1, 4), rng.random() < 0.5
+        yield rng, names, width, guard, {v: rng.randint(0, (1 << width) - 1) for v in names}
+
+
+def test_layout_pack_then_unpack_round_trips():
+    for _, names, width, guard, counts in _random_layouts(59):
+        lay = Layout(names, width, guard)
+        assert lay.unpack(lay.pack(counts.items())) == {
+            v: n for v, n in sorted(counts.items()) if n}
+        assert list(lay.unpack(lay.pack(counts.items()))) == sorted(v for v in names if counts[v])
+        assert lay.ones == lay.pack((v, 1) for v in names)
+
+
+def test_layout_mask_covers_exactly_the_named_fields():
+    # names outside the layout have no field to cover
+    for rng, names, width, guard, counts in _random_layouts(61):
+        lay = Layout(names, width, guard)
+        named = rng.sample(names, rng.randint(0, len(names)))
+        top = (1 << width) - 1
+        assert lay.mask(named + ["q"]) == lay.pack((v, top) for v in named)
+        assert lay.unpack(lay.pack(counts.items()) & lay.mask(named)) == {
+            v: n for v, n in sorted(counts.items()) if n and v in named}
+
+
+def test_layout_guards_sit_above_each_field():
+    # a guarded vector minus one that it covers keeps every guard, and
+    # minus one that it does not cover loses one
+    for rng, names, width, guard, counts in _random_layouts(67):
+        lay = Layout(names, width, guard)
+        if not guard:
+            assert lay.guards == 0
+            continue
+        assert lay.guards == lay.pack((v, 1 << width) for v in names)
+        assert lay.guards & lay.mask(names) == 0
+        taken = {v: rng.randint(0, (1 << width) - 1) for v in names}
+        left = (lay.guards | lay.pack(counts.items())) - lay.pack(taken.items())
+        covers = all(taken[v] <= counts[v] for v in names)
+        assert (left & lay.guards == lay.guards) == covers
+        if covers:
+            assert lay.unpack(left) == {
+                v: n - taken[v] for v, n in sorted(counts.items()) if n > taken[v]}
+
+
+def test_layouts_of_the_same_variables_pack_alike():
+    for rng, names, width, guard, counts in _random_layouts(71):
+        lay, other = Layout(names, width, guard), Layout(set(names), width, guard)
+        assert list(other.offsets) == sorted(names)
+        assert other.offsets == lay.offsets and other.fields == lay.fields
+        pairs = list(counts.items())
+        assert other.pack(rng.sample(pairs, len(pairs))) == lay.pack(pairs)
 
 
 def test_fold_frontier_reaches_every_subset_sum():
