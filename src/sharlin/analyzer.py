@@ -37,9 +37,13 @@ The fixpoint engine tabulates answers per (predicate, call pattern) with
 call patterns normalized up to variable renaming, and iterates whole-goal
 evaluation until the table is stable. Clauses are renamed apart from the
 goal, the source clauses and the call's variables. Every pass renames
-clauses alike, so later passes mostly repeat the pure steps of the first:
-each forward and backward step runs once per distinct arguments, in a
-table of the two steps that lives only as long as its analysis.
+clauses alike, so later passes mostly repeat the pure pieces of the
+first: the forward and backward steps, call patterns, renamed clauses,
+and the renamings, projections, unions and bottoms between them. Each
+runs once per distinct arguments, in a table that lives only as long as
+its analysis, so a pass pays only for its new steps. Body atoms are
+solved from an explicit stack, one generator per call pattern, so a
+chain of calls of any length needs no Python recursion.
 The omega analysis clips multiplicities at a configurable cap of at
 least 1 during analysis only; the library operators stay exact. There is
 no uncapped analysis: ``[x, xy, y]`` bound by ``x/y`` needs ``x^n y^n``
@@ -47,8 +51,8 @@ for every n, so no finite exact answer covers it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .domains import DOMAINS
@@ -100,7 +104,7 @@ class Atom:
     pred: str
     args: tuple[Term, ...]
 
-    @property
+    @cached_property
     def variables(self) -> frozenset[str]:
         return frozenset().union(*map(term_vars, self.args))
 
@@ -115,7 +119,7 @@ class Clause:
     head: Atom
     body: tuple[Atom, ...] = ()
 
-    @property
+    @cached_property
     def variables(self) -> frozenset[str]:
         return self.head.variables.union(*(a.variables for a in self.body))
 
@@ -128,13 +132,6 @@ class Clause:
 @dataclass(frozen=True)
 class Program:
     clauses: tuple[Clause, ...]
-
-    def matching(self, pred: str, arity: int) -> list[tuple[int, Clause]]:
-        return [
-            (i, c)
-            for i, c in enumerate(self.clauses)
-            if c.head.pred == pred and len(c.head.args) == arity
-        ]
 
     def __str__(self) -> str:
         return "\n".join(map(str, self.clauses))
@@ -295,8 +292,9 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
 
     Step 0 is the full pre-projection element of the forward step, step 1
     the entry element; comments start with ``#``. Elements use the clause's
-    source variable names. ``analyze`` checks that each clause index names
-    a clause of the root goal's predicate.
+    source variable names, and every error names its line. ``analyze``
+    checks that each clause index names a clause of the root goal's
+    predicate.
     """
     ops = DOMAINS[domain]
     out: dict[tuple[int, int], object] = {}
@@ -312,78 +310,88 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
         if step_idx not in (0, 1):
             raise ValueError(f"step index must be 0 or 1 on line {ln}")
         # padded to its place in the file, so a syntax error names its line and column
-        out[(clause_idx, step_idx)] = ops.parse("\n" * (ln - 1) + " " * raw.rindex(elem) + elem)
+        try:
+            out[(clause_idx, step_idx)] = ops.parse(
+                "\n" * (ln - 1) + " " * raw.rindex(elem) + elem)
+        except ParseError:
+            raise
+        except ValueError as exc:  # well formed, but not an element
+            raise ValueError(f"{exc} on line {ln}") from None
     return out
 
 
+def _pattern(atom: Atom, call, rename):
+    """The call pattern of ``atom`` under ``call``, up to variable renaming:
+    (key, rho, back). Atom and element variables are renamed positionally
+    by ``rho``, and ``back`` undoes it; both are tuples of pairs, so that
+    they can key a table."""
+    order: list[str] = []
+    seen: set[str] = set()
+
+    def walk(t: Term):
+        if isinstance(t, Var):
+            if t.name not in seen:
+                seen.add(t.name)
+                order.append(t.name)
+        else:
+            for a in t.args:
+                walk(a)
+
+    for a in atom.args:
+        walk(a)
+    for v in sorted(call.interest - seen):
+        order.append(v)
+    rho = {v: f"_p{i}" for i, v in enumerate(order)}
+    sub = Substitution({v: Var(n) for v, n in rho.items()})
+    args = tuple(sub.apply(a) for a in atom.args)
+    key = (atom.pred, args, rename(call, rho))
+    return key, tuple(rho.items()), tuple((n, v) for v, n in rho.items())
+
+
+def _rename(rename, e, pairs):
+    """``rename(e, dict(pairs))``: a renaming given as pairs keys a table."""
+    return rename(e, dict(pairs))
+
+
+def _rename_apart(clause: Clause, n: int, avoid: frozenset[str], reserved: frozenset[str]):
+    """(the counter's next value, a copy of ``clause``, its renaming as
+    pairs): each variable ``v`` becomes ``v<n>`` for the first counter
+    value ``n`` from the given one at which no new name is in ``reserved``
+    or ``avoid``."""
+    cvars = sorted(clause.variables)
+    while True:
+        rho = {v: f"{v}{n}" for v in cvars}
+        n += 1
+        if reserved.isdisjoint(rho.values()) and avoid.isdisjoint(rho.values()):
+            break
+    sub = Substitution({v: Var(w) for v, w in rho.items()})
+    head = Atom(clause.head.pred, tuple(sub.apply(a) for a in clause.head.args))
+    body = tuple(Atom(a.pred, tuple(sub.apply(t) for t in a.args)) for a in clause.body)
+    return n, Clause(head, body), tuple(rho.items())
+
+
 class _Engine:
+    """One analysis: the answer table ``memo``, and the table ``steps`` of
+    its pure pieces, each computed once per analysis (see ``_step``)."""
+
     def __init__(self, req: AnalysisRequest):
         self.req = req
         self.ops = DOMAINS[req.domain]
         self.memo: dict = {}
         self.steps: dict = {}
         self.trace: list[TraceStep] = []
-        self.counter = itertools.count(1)
+        self.counter = 1
         self.changed = False
         self.reserved = req.goal.variables.union(*(c.variables for c in req.program.clauses))
-
-    # call patterns are memoized up to variable renaming: atom and element
-    # variables are renamed positionally
-    def _key(self, atom: Atom, call):
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def walk(t: Term):
-            if isinstance(t, Var):
-                if t.name not in seen:
-                    seen.add(t.name)
-                    order.append(t.name)
-            else:
-                for a in t.args:
-                    walk(a)
-
-        for a in atom.args:
-            walk(a)
-        for v in sorted(call.interest - seen):
-            order.append(v)
-        rho = {v: f"_p{i}" for i, v in enumerate(order)}
-        sub = Substitution({v: Var(n) for v, n in rho.items()})
-        args = tuple(sub.apply(a) for a in atom.args)
-        return (atom.pred, args, self.ops.rename(call, rho)), rho
-
-    def _rename_clause(self, clause: Clause, avoid: frozenset[str]):
-        """A copy of ``clause`` whose variables are new to the goal, the
-        source clauses and ``avoid``, the call's variables."""
-        cvars = sorted(clause.variables)
-        while True:
-            n = next(self.counter)
-            rho = {v: f"{v}{n}" for v in cvars}
-            if self.reserved.isdisjoint(rho.values()) and avoid.isdisjoint(rho.values()):
-                break
-        sub = Substitution({v: Var(w) for v, w in rho.items()})
-        head = Atom(clause.head.pred, tuple(sub.apply(a) for a in clause.head.args))
-        body = tuple(
-            Atom(a.pred, tuple(sub.apply(t) for t in a.args)) for a in clause.body
-        )
-        return Clause(head, body), rho
-
-    def _inject(self, idx: int, step: int, rho, fallback):
-        inj = self.req.injection or {}
-        elem = inj.get((idx, step))
-        if elem is None:
-            return fallback
-        known = set(rho) | self.req.call.interest
-        missing = elem.interest - known
-        if missing:
-            raise ValueError(
-                f"injected element mentions unknown variables {sorted(missing)}"
-            )
-        return self.ops.rename(elem, rho)
+        self.clauses: dict[tuple[str, int], list[tuple[int, Clause]]] = {}
+        for i, c in enumerate(req.program.clauses):
+            self.clauses.setdefault((c.head.pred, len(c.head.args)), []).append((i, c))
 
     def _step(self, f, *args):
-        """``f(*args)`` for a pure pipeline step, ``forward_unify`` or
-        ``backward_unify``, computed once per analysis: each pass renames
-        clauses alike, so later passes repeat most steps.
+        """``f(*args)`` for a pure piece, computed once per analysis: the
+        forward and backward steps, call patterns, renamed clauses, and the
+        renamings, projections, unions and bottoms between them. Each pass
+        renames clauses alike, so later passes repeat most of them.
         Keys hold module functions, never the engine, so the table makes no
         reference cycle and goes with the engine as soon as it is dropped."""
         key = (f, args)
@@ -392,49 +400,93 @@ class _Engine:
             out = self.steps[key] = f(*args)
         return out
 
-    def solve(self, atom: Atom, call, depth: int, visited: set) -> object:
-        ops, req = self.ops, self.req
+    def _rename_clause(self, clause: Clause, avoid: frozenset[str]):
+        """A copy of ``clause`` whose variables are new to the goal, the
+        source clauses and ``avoid``, the call's variables, and its renaming
+        as pairs; the counter moves past every value tried."""
+        self.counter, rclause, crho = self._step(_rename_apart, clause, self.counter, avoid,
+                                                 self.reserved)
+        return rclause, crho
+
+    def _inject(self, idx: int, step: int, crho, fallback):
+        """The element injected at ``(idx, step)``, in the renamed clause's
+        variables, or else ``fallback``."""
+        elem = self.req.injection.get((idx, step))
+        if elem is None:
+            return fallback
+        missing = elem.interest - {v for v, _ in crho} - self.req.call.interest
+        if missing:
+            raise ValueError(
+                f"injected element mentions unknown variables {sorted(missing)}"
+            )
+        return self._step(_rename, self.ops.rename, elem, crho)
+
+    def solve(self, goal: Atom, call) -> object:
+        """One pass: the answer to ``goal`` under ``call``. Each call
+        pattern is a generator that yields ``(atom, call, depth)`` per body
+        atom and receives its answer; one loop drives them from a stack, so
+        a deep chain of calls needs no deep Python recursion."""
+        self.changed, self.trace, self.counter = False, [], 1
+        visited: set = set()
+        stack, reply = [self._solve(goal, call, 0, visited)], None
+        while stack:
+            try:
+                atom, bcall, depth = stack[-1].send(reply)
+            except StopIteration as done:
+                stack.pop()
+                reply = done.value
+            else:
+                stack.append(self._solve(atom, bcall, depth, visited))
+                reply = None
+        return reply
+
+    def _solve(self, atom: Atom, call, depth: int, visited: set):
+        """The answer to ``atom`` under ``call``, as a generator that asks
+        ``solve``'s loop for the answer to each body atom it reaches."""
+        ops, req, step = self.ops, self.req, self._step
         # answers range over the caller's variables of interest, which may
         # strictly contain the atom's own variables at the root
         gv = call.interest
         if call.is_bottom():
-            return ops.bottom(gv)
-        key, rho = self._key(atom, call)
-        back = {n: v for v, n in rho.items()}
+            return step(ops.bottom, gv)
+        key, rho, back = step(_pattern, atom, call, ops.rename)
         if key in visited:
             cached = self.memo.get(key)
-            return ops.bottom(gv) if cached is None else ops.rename(cached, back)
+            if cached is None:
+                return step(ops.bottom, gv)
+            return step(_rename, ops.rename, cached, back)
         visited.add(key)
-        total = ops.bottom(gv)
-        for idx, clause in req.program.matching(atom.pred, len(atom.args)):
+        total = step(ops.bottom, gv)
+        for idx, clause in self.clauses.get((atom.pred, len(atom.args)), ()):
             rclause, crho = self._rename_clause(clause, gv)
             cvars = rclause.variables
-            full, entry, theta = self._step(
+            full, entry, theta = step(
                 forward_unify, call, atom, rclause.head, req.domain, req.cap, cvars
             )
-            if depth == 0:
-                full = self._inject(idx, 0, crho, full)
-                entry = self._inject(idx, 1, crho, ops.project(full, cvars))
+            if depth == 0 and req.injection:
+                injected = self._inject(idx, 0, crho, None)
+                if injected is not None:
+                    full, entry = injected, step(ops.project, injected, cvars)
+                entry = self._inject(idx, 1, crho, entry)
             exit_elem = entry
             for batom in rclause.body:
                 if exit_elem.is_bottom():
                     break
-                bcall = ops.project(exit_elem, batom.variables)
-                bans = self.solve(batom, bcall, depth + 1, visited)
-                exit_elem = self._step(backward_unify, exit_elem, bans, exit_elem, EPSILON,
-                                       req.mode, req.domain, exit_elem.interest, req.cap)
-            answer = self._step(backward_unify, call, exit_elem, full, theta, req.mode,
-                                req.domain, gv, req.cap)
-            total = ops.union(total, answer)
+                bans = yield batom, step(ops.project, exit_elem, batom.variables), depth + 1
+                exit_elem = step(backward_unify, exit_elem, bans, exit_elem, EPSILON,
+                                 req.mode, req.domain, exit_elem.interest, req.cap)
+            answer = step(backward_unify, call, exit_elem, full, theta, req.mode,
+                          req.domain, gv, req.cap)
+            total = step(ops.union, total, answer)
             self.trace.append(TraceStep(depth, idx, atom, call, full, entry, exit_elem, answer))
-        stored = ops.rename(total, rho)
+        stored = step(_rename, ops.rename, total, rho)
         old = self.memo.get(key)
         if old is not None:
-            stored = ops.union(stored, old)
+            stored = step(ops.union, stored, old)
         if old != stored:
             self.memo[key] = stored
             self.changed = True
-        return ops.rename(stored, back)
+        return step(_rename, ops.rename, stored, back)
 
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:
@@ -449,18 +501,14 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
             f"call interest set {sorted(req.call.interest)} must cover "
             f"the goal variables {sorted(goal_vars)}"
         )
+    engine = _Engine(req)
     pred, arity = req.goal.pred, len(req.goal.args)
-    clauses = {i for i, _ in req.program.matching(pred, arity)}
+    clauses = {i for i, _ in engine.clauses.get((pred, arity), ())}
     stray = sorted({i for i, _ in req.injection or ()} - clauses)
     if stray:
         raise ValueError(f"injected clause index {stray[0]} names no clause of {pred}/{arity}")
-    engine = _Engine(req)
-    answer = None
     for passno in range(1, req.max_passes + 1):
-        engine.changed = False
-        engine.trace = []
-        engine.counter = itertools.count(1)
-        answer = engine.solve(req.goal, req.call, 0, set())
+        answer = engine.solve(req.goal, req.call)
         if not engine.changed:
             return AnalysisResult(answer, tuple(engine.trace), passno, len(engine.memo))
     raise FixpointLimitExceeded(f"no fixpoint after {req.max_passes} passes")

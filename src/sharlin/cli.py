@@ -8,10 +8,11 @@ and ``diff`` (matching vs re-unification precision report).
 Exit codes: 0 ok, 1 usage, syntax or other input error (library errors
 print one ``sharlin: ...`` line, never a traceback), 2 I/O error in
 reading input or writing output, 3 verification counterexample. A term
-nested too deeply for the library's recursion is an input error too, as
-is a chain of calls too deep for the analyzer's, and so is running out of
-memory. Reports are byte-deterministic for fixed seeds, at
-any ``--jobs``; timing is never part of a report. A config file of
+nested too deeply for the library's recursion is an input error too, and
+so is running out of memory; the analyzer solves body atoms from an
+explicit stack, so no chain of calls is too deep for it. Reports are
+byte-deterministic for fixed seeds, at any ``--jobs``; timing is never
+part of a report. A config file of
 ``key=value`` lines can supply defaults for optional long flags, not for
 the required ``--program``, ``--goal``, ``--call``, ``--domain`` and
 ``--op``; explicit flags win, and a key no subcommand knows is an error.
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
         print(f"sharlin: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("sharlin: a term or a chain of calls is nested too deeply", file=sys.stderr)
+        print("sharlin: a term is nested too deeply", file=sys.stderr)
         return 1
     except MemoryError:
         print("sharlin: out of memory", file=sys.stderr)

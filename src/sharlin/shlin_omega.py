@@ -403,6 +403,10 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
     ``[vw, wy, y]`` bound by ``w/y`` answers ``[vw^*y, w^*y^*]``, but a
     concrete instance abstracts to ``[vw^*y^*]``.
 
+    One walk over the groups and their counts sorts them into those that
+    hold ``var``, those that hold a term variable and the rest, and makes
+    the group half of the linearity test.
+
     The sums are folded as count vectors packed by a guarded ``Layout`` of
     the relevant variables, so a step adds two integers; it sets every
     field that went over to the ceiling (a SWAR saturating add), so only
@@ -411,18 +415,25 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
     sides are unpacked into groups.
     """
     tvars = frozenset(term_vars(term))
-    rx = {g for g in groups if g.count(var)}
-    rt = {g for g in groups if g.support & tvars}
-    rest = {g for g in groups if g not in rx and g not in rt}
+    linear = var not in tvars and is_linear_term(term)
+    rx, rt, rest = set(), set(), set()
+    for g in groups:
+        nx, nt, ts = 0, 0, 0  # the count of var, the count and number of term variables
+        for v, n in g.items():
+            if v == var:
+                nx = n
+            if v in tvars:
+                nt, ts = n, ts + 1
+        if nx:
+            rx.add(g)
+        if ts:
+            rt.add(g)
+        elif not nx:
+            rest.add(g)
+        if nx > 1 or nt > 1 or ts > 1:
+            linear = False
     if not rt:  # a ground term, or one whose variables are all ground
         return rest
-    linear = (
-        var not in tvars
-        and all(g.count(var) <= 1 for g in groups)
-        and is_linear_term(term)
-        and all(all(g.count(v) <= 1 for g in groups) for v in tvars)
-        and not any(len(g.support & tvars) > 1 for g in groups)
-    )
     if linear:
         # a group on both sides can also survive unchanged: the same
         # existential variable may align with itself

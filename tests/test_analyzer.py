@@ -1,13 +1,14 @@
 import gc
 import itertools
 import random
+import sys
 import time
 import weakref
 from pathlib import Path
 
 import pytest
 
-from sharlin import analyzer, existential, shlin_omega
+from sharlin import analyzer, existential, shlin2, shlin_omega
 from sharlin.analyzer import (
     AnalysisRequest,
     Atom,
@@ -589,9 +590,11 @@ nrev([u|v], w) :- nrev(v, x), app(x, [u], w).
 
 
 def test_step_table_is_live_and_per_analysis(monkeypatch):
-    forward, clauses, engines = [], [], []
+    forward, clauses, pieces, engines = [], [], [], []
     unify, rename = analyzer.forward_unify, analyzer._Engine._rename_clause
     init = analyzer._Engine.__init__
+    # the engine's own code: a piece it computes is called from one of these
+    engine_code = {f.__code__ for f in vars(analyzer._Engine).values() if callable(f)}
 
     def tracked_init(self, req):
         init(self, req)
@@ -605,9 +608,22 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
         clauses.append(clause)
         return rename(self, clause, avoid)
 
+    def counted_piece(name, f):
+        def piece(*args):
+            if sys._getframe(1).f_code in engine_code:
+                pieces.append((name, args))
+            return f(*args)
+        return piece
+
     monkeypatch.setattr(analyzer, "forward_unify", counted_unify)
     monkeypatch.setattr(analyzer._Engine, "_rename_clause", counted_rename)
     monkeypatch.setattr(analyzer._Engine, "__init__", tracked_init)
+    # call patterns, renamed clauses and renamings, and the domain's
+    # projections, unions and bottoms between the steps (``two`` is shlin2)
+    for module, names in ((analyzer, ("_pattern", "_rename_apart", "_rename")),
+                          (shlin2, ("project", "union", "bottom"))):
+        for name in names:
+            monkeypatch.setattr(module, name, counted_piece(name, getattr(module, name)))
     req = AnalysisRequest(program=parse_program(NREV), goal=parse_goal("nrev(x, y)"),
                           call=parse_two("[x, y]_{x,y}"), domain="two", mode="mgu")
     result = analyze(req)
@@ -615,11 +631,16 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
     # every clause evaluation of every pass needs a forward step, but only
     # the distinct ones run: later passes repeat the first one's arguments
     assert len(forward) == len(set(forward)) < len(clauses)
-    # the table belongs to its analysis: the same request runs them again
-    first = len(forward)
+    # so does every other piece of the engine: each runs once per analysis
+    assert {name for name, _ in pieces} == {"_pattern", "_rename_apart", "_rename", "project",
+                                            "union", "bottom"}
+    assert len(pieces) == len(set(pieces))
+    # the tables belong to their analysis: the same request runs them again
+    first, first_pieces = len(forward), len(pieces)
     assert analyze(req) == result
     assert forward[first:] == forward[:first]
-    # and goes when the analysis returns, not at the next cyclic collection
+    assert pieces[first_pieces:] == pieces[:first_pieces]
+    # and go when the analysis returns, not at the next cyclic collection
     gc.disable()
     try:
         analyze(req)
