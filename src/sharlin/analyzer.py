@@ -66,6 +66,7 @@ from .terms import (
     Var,
     format_term,
     mgu_terms,
+    occurrences,
     read_term,
     term_vars,
 )
@@ -91,11 +92,11 @@ __all__ = [
 ]
 
 
-class PredicateMismatch(Exception):
+class PredicateMismatch(ValueError):
     """Goal and head disagree on predicate name or arity."""
 
 
-class FixpointLimitExceeded(Exception):
+class FixpointLimitExceeded(ValueError):
     """The tabulation did not stabilize within the configured pass limit."""
 
 
@@ -325,22 +326,8 @@ def _pattern(atom: Atom, call, rename):
     (key, rho, back). Atom and element variables are renamed positionally
     by ``rho``, and ``back`` undoes it; both are tuples of pairs, so that
     they can key a table."""
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def walk(t: Term):
-        if isinstance(t, Var):
-            if t.name not in seen:
-                seen.add(t.name)
-                order.append(t.name)
-        else:
-            for a in t.args:
-                walk(a)
-
-    for a in atom.args:
-        walk(a)
-    for v in sorted(call.interest - seen):
-        order.append(v)
+    order = list(dict.fromkeys(v for a in atom.args for v in occurrences(a)))
+    order += sorted(call.interest.difference(order))
     rho = {v: f"_p{i}" for i, v in enumerate(order)}
     sub = Substitution({v: Var(n) for v, n in rho.items()})
     args = tuple(sub.apply(a) for a in atom.args)

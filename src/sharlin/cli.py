@@ -16,6 +16,8 @@ part of a report. A config file of
 ``key=value`` lines can supply defaults for optional long flags, not for
 the required ``--program``, ``--goal``, ``--call``, ``--domain`` and
 ``--op``; explicit flags win, and a key no subcommand knows is an error.
+Each value is converted by its flag's own type, and a switch takes only
+``true`` or ``false``.
 """
 from __future__ import annotations
 
@@ -29,8 +31,6 @@ from functools import partial
 
 from .analyzer import (
     AnalysisRequest,
-    FixpointLimitExceeded,
-    PredicateMismatch,
     analyze,
     parse_goal,
     parse_injection,
@@ -46,8 +46,6 @@ from .oracle import (
     run_correctness,
     run_optimality,
 )
-from .shlin_omega import InterestMismatch
-from .shlin2 import TooLarge
 from .terms import Scanner
 
 __all__ = ["main"]
@@ -75,7 +73,7 @@ def _operand(text: str) -> str:
     return text
 
 
-def _load_config(path: str, known) -> dict:
+def _load_config(path: str, known, switches) -> dict:
     out = {}
     for ln, raw in enumerate(_read_file(path).splitlines(), 1):
         line = raw.strip()
@@ -84,9 +82,15 @@ def _load_config(path: str, known) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line {ln}: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.replace("-", "_") not in known:
+        dest = key.replace("-", "_")
+        if dest not in known:
             raise ValueError(f"unknown config key {key!r} on line {ln}")
-        out[key.replace("-", "_")] = value
+        if dest in switches:
+            if value not in ("true", "false"):
+                raise ValueError(f"config key {key!r} on line {ln} takes true or false, "
+                                 f"not {value!r}")
+            value = value == "true"
+        out[dest] = value
     return out
 
 
@@ -299,16 +303,6 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-# library errors that a bad argument or input can cause: all exit 1
-_INPUT_ERRORS = (
-    ValueError,
-    InterestMismatch,
-    FixpointLimitExceeded,
-    PredicateMismatch,
-    TooLarge,
-)
-
-
 def main(argv=None) -> int:
     try:
         code = _main(argv)
@@ -321,7 +315,7 @@ def main(argv=None) -> int:
         except OSError:  # stdout is gone: the flush at exit must not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except _INPUT_ERRORS as exc:
+    except ValueError as exc:  # every library error a bad argument or input can cause
         print(f"sharlin: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
@@ -337,12 +331,15 @@ def _main(argv) -> int:
     args, _ = parser.parse_known_args(argv)
     if args.config:
         # one file serves every subcommand, so each takes the keys it knows
-        known = {sub: {a.dest for a in sub._actions}  # noqa: SLF001
-                 for group in parser._subparsers._group_actions  # noqa: SLF001
-                 for sub in group.choices.values()}
-        defaults = _load_config(args.config, set().union(*known.values()))
+        actions = {sub: sub._actions  # noqa: SLF001
+                   for group in parser._subparsers._group_actions  # noqa: SLF001
+                   for sub in group.choices.values()}
+        known = {sub: {a.dest for a in acts} for sub, acts in actions.items()}
+        # a store_true flag is the only kind whose default is False
+        switches = {a.dest for acts in actions.values() for a in acts if a.default is False}
+        defaults = _load_config(args.config, set().union(*known.values()), switches)
         for sub, dests in known.items():
-            sub.set_defaults(**{k: _coerce(v) for k, v in defaults.items() if k in dests})
+            sub.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     args = parser.parse_args(argv)
     handlers = {
         "eval": _cmd_eval,
@@ -352,14 +349,6 @@ def _main(argv) -> int:
         "diff": _cmd_diff,
     }
     return handlers[args.command](args)
-
-
-def _coerce(value: str):
-    if value.isdigit() or (value.startswith("-") and value[1:].isdigit()):
-        return int(value)
-    if value in ("true", "false"):
-        return value == "true"
-    return value
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from .terms import (
     Var,
     is_variable_name,
     mgu_terms,
+    occurrences,
     read_substitution,
 )
 
@@ -117,13 +118,8 @@ def canonicalize(theta: Substitution, interest: Iterable[str]) -> ExistentialSub
 
     counts: dict[str, int] = {}
     for t in tuple_terms:
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, Var):
-                counts[cur.name] = counts.get(cur.name, 0) + 1
-            else:
-                stack.extend(cur.args)
+        for name in occurrences(t):
+            counts[name] = counts.get(name, 0) + 1
 
     renaming: dict[str, Var] = {}
 

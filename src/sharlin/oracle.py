@@ -61,7 +61,7 @@ from .shlin2 import (
     two_element,
 )
 from .shlin_sl import alpha_sl, gamma_sl, match_sl
-from .terms import App, Substitution, Term, Var, preimage_var, term_vars
+from .terms import App, Substitution, Term, Var, preimages, term_vars
 
 __all__ = [
     "TrialConfig",
@@ -264,9 +264,9 @@ def _rep_with_full_domain(c: ExistentialSubstitution) -> Substitution:
     return Substitution(bindings)
 
 
-def _find_group_var(rep2: Substitution, group: Multiset, u2) -> str:
-    for v in sorted(rep2.range_vars()):
-        if preimage_var(rep2, v).restrict(u2) == group:
+def _find_group_var(pre: Mapping[str, dict[str, int]], group: Multiset, u2) -> str:
+    for v in sorted(pre):
+        if Multiset(pre[v]).restrict(u2) == group:
             return v
     raise NotInMatch(f"no variable realizes group {group}")
 
@@ -310,8 +310,9 @@ def witness_theta1(
 
     fresh = _fresh_names(1, reach | set(u1) | set(u2) | rep2.all_vars(), "v_s")[0]
     delta_bindings: dict[str, Term] = {}
+    pre = preimages(rep2)
     for group, count in witness:
-        v_h = _find_group_var(rep2, group, u2)
+        v_h = _find_group_var(pre, group, u2)
         delta_bindings[v_h] = App("t", tuple([Var(fresh)] * count))
     for y in sorted(reach):
         if y not in delta_bindings:

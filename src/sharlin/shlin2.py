@@ -81,7 +81,7 @@ __all__ = [
 INF = float("inf")
 
 
-class TooLarge(Exception):
+class TooLarge(ValueError):
     """Joint interest set exceeds the reference matcher's enumeration cap."""
 
 

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 from . import existential
 from .existential import ExistentialSubstitution
 from .multiset import EMPTY, Layout, Multiset, fold_frontier, format_group, random_groups
-from .terms import Scanner, Var, is_linear_term, term_vars
+from .terms import Scanner, occurrences, preimages
 
 __all__ = [
     "ShLinOmegaElement",
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-class InterestMismatch(Exception):
+class InterestMismatch(ValueError):
     """Operation requires equal interest sets."""
 
 
@@ -135,30 +135,12 @@ def alpha_omega(c: ExistentialSubstitution) -> ShLinOmegaElement:
 
     Only variables occurring in the representative or in the interest set can
     yield a nonempty group; any other variable contributes the empty group,
-    which the element carries anyway. Occurrence counts for all variables
-    are collected in one pass over the bindings.
+    which the element carries anyway. The groups are ``terms.preimages``, one
+    pass; the representative binds only interest variables, so none is cut.
     """
-    u = c.interest
-    rep = c.rep
-    dom = rep.domain
-    per_var: dict[str, dict[str, int]] = {}
-    for w, t in rep.bindings():
-        if w not in u:
-            continue
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, Var):
-                got = per_var.setdefault(cur.name, {})
-                got[w] = got.get(w, 0) + 1
-            else:
-                stack.extend(cur.args)
-    for v in u - dom:
-        got = per_var.setdefault(v, {})
-        got[v] = got.get(v, 0) + 1
-    groups = {Multiset._from_clean(counts) for counts in per_var.values()}
+    groups = {Multiset._from_clean(counts) for counts in preimages(c.rep, c.interest).values()}
     groups.add(EMPTY)
-    return ShLinOmegaElement(frozenset(groups), u)
+    return ShLinOmegaElement(frozenset(groups), c.interest)
 
 
 def leq_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> bool:
@@ -414,8 +396,9 @@ def _bind(groups, var, term, ceiling, drop=frozenset()):
     a whole frontier of sums at a time, and only the sums that touch both
     sides are unpacked into groups.
     """
-    tvars = frozenset(term_vars(term))
-    linear = var not in tvars and is_linear_term(term)
+    names = occurrences(term)
+    tvars = frozenset(names)
+    linear = var not in tvars and len(names) == len(tvars)
     rx, rt, rest = set(), set(), set()
     for g in groups:
         nx, nt, ts = 0, 0, 0  # the count of var, the count and number of term variables

@@ -208,8 +208,10 @@ def parse_sl(text: str) -> ShLinElement:
     groups = sc.sequence(_read_set_group, "}")
     for tok in ("}", ",", "lin", "=", "{"):
         sc.expect(tok)
-    linear = sc.names()
-    return sl_element(groups, linear, sc.interest())
+    linear, interest = sc.names(), sc.interest()
+    if stray := sorted(set(linear) - set(interest)):  # a typo, which sl_element would drop
+        raise ValueError(f"linear variables {stray} not in interest set {sorted(interest)}")
+    return sl_element(groups, linear, interest)
 
 
 # --- the domain record (see ``sharlin.domains``) ------------------------------

@@ -11,6 +11,10 @@ and printed back sugared, so analyzer-level substitutions round-trip.
 
 Unification is Martelli-Montanari style equation rewriting with an eager
 occur check and yields an idempotent most general unifier.
+
+Every read of a term's variables goes through one iterative walk,
+``occurrences``; ``preimages`` builds every variable's sharing group from it
+in one pass, for ``preimage_var`` and ``shlin_omega.alpha_omega``.
 """
 from __future__ import annotations
 
@@ -31,10 +35,12 @@ __all__ = [
     "UnificationError",
     "Clash",
     "OccurCheck",
+    "occurrences",
     "occ",
     "term_vars",
     "is_linear_term",
     "mgu_terms",
+    "preimages",
     "preimage_var",
     "preimage_group",
     "ParseError",
@@ -87,45 +93,36 @@ class OccurCheck(UnificationError):
     """A variable occurs in the term it should be bound to."""
 
 
-def term_vars(t: Term, acc: set[str] | None = None) -> set[str]:
-    out = set() if acc is None else acc
+def occurrences(t: Term) -> list[str]:
+    """The variable names of ``t`` left to right, with repeats: the one walk
+    that reads a term's variables. It keeps its own stack, so depth is unbounded."""
+    out: list[str] = []
     stack = [t]
     while stack:
         cur = stack.pop()
         if isinstance(cur, Var):
-            out.add(cur.name)
+            out.append(cur.name)
         else:
             stack.extend(cur.args)
+    out.reverse()  # the stack takes each term's arguments right to left
+    return out
+
+
+def term_vars(t: Term, acc: set[str] | None = None) -> set[str]:
+    out = set() if acc is None else acc
+    out.update(occurrences(t))
     return out
 
 
 def occ(v: str, t: Term) -> int:
     """Number of occurrences of variable ``v`` in ``t``."""
-    n = 0
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Var):
-            if cur.name == v:
-                n += 1
-        else:
-            stack.extend(cur.args)
-    return n
+    return occurrences(t).count(v)
 
 
 def is_linear_term(t: Term) -> bool:
     """True when no variable occurs twice in ``t``."""
-    seen: set[str] = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Var):
-            if cur.name in seen:
-                return False
-            seen.add(cur.name)
-        else:
-            stack.extend(cur.args)
-    return True
+    names = occurrences(t)
+    return len(names) == len(set(names))
 
 
 class Substitution:
@@ -303,27 +300,38 @@ def mgu_terms(equations: Iterable[tuple[Term, Term]]) -> Substitution:
     return Substitution({v: resolve(t) for v, t in subst.items()})
 
 
+def preimages(theta: Substitution, interest: Iterable[str] = ()) -> dict[str, dict[str, int]]:
+    """The pre-image under ``theta`` of every variable that occurs in a
+    binding or is in ``interest``, in one pass: how often it occurs in the
+    binding of each variable (as counts). Unbound variables of ``interest``
+    count as bound to themselves."""
+    out: dict[str, dict[str, int]] = {}
+    for w, t in theta.bindings():
+        for v in occurrences(t):
+            counts = out.setdefault(v, {})
+            counts[w] = counts.get(w, 0) + 1
+    dom = theta.domain
+    for v in interest:
+        if v not in dom:  # bound to itself: v/v is the one binding keyed v
+            out.setdefault(v, {})[v] = 1
+    return out
+
+
 def preimage_var(theta: Substitution, v: str) -> Multiset:
     """The sharing group of ``v``: how often ``v`` occurs in each binding.
 
     Unbound variables count as bound to themselves, so the pre-image of an
     untouched variable is its own singleton group.
     """
-    counts: dict[str, int] = {}
-    for w, t in theta.bindings():
-        n = occ(v, t)
-        if n:
-            counts[w] = n
-    if v not in theta.domain:
-        counts[v] = counts.get(v, 0) + 1
-    return Multiset(counts)
+    return Multiset(preimages(theta, (v,)).get(v, ()))
 
 
 def preimage_group(theta: Substitution, b: Multiset) -> Multiset:
     """Pre-image of a whole group: per-variable pre-images summed with multiplicity."""
+    pre = preimages(theta, b.support)
     out = Multiset()
     for v, n in b.items():
-        out = out + preimage_var(theta, v).scale(n)
+        out = out + Multiset(pre.get(v, ())).scale(n)
     return out
 
 

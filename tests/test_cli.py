@@ -274,6 +274,25 @@ def test_analyze_injection(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[x^*y^*]_{x, y, z}"
 
 
+def test_sl_linear_variable_outside_the_interest_set_is_an_input_error(tmp_path, capsys):
+    argv = ["eval", "--domain", "sl", "--op", "union", "[{x}, lin={q}]_{x}", "[{x}, lin={x}]_{x}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "sharlin: linear variables ['q'] not in interest set ['x']\n")
+    # in an injection file, the error names its line
+    prog = tmp_path / "member.pl"
+    prog.write_text(PROGRAM_62)
+    inj = tmp_path / "inject.txt"
+    inj.write_text("# typo: lin={q}\n0 1 [{u}, lin={q}]_{u,v}\n")
+    rc = main(["analyze", "--program", str(prog), "--goal", "member(x, [y])",
+               "--call", "[{xy}, lin={x,y}]_{x,y}", "--domain", "sl", "--inject", str(inj)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "sharlin: linear variables ['q'] not in interest set ['u', 'v'] on line 2\n")
+
+
 @pytest.mark.parametrize("entry, message", [
     ("7 0 [u]_{u}", "injected clause index 7 names no clause of member/2"),
     ("2 0 [u]_{u}", "injected clause index 2 names no clause of member/2"),
@@ -551,6 +570,55 @@ def test_suite_flag_errors_name_the_flag(argv, error, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sharlin: {error}\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("trace=no\n", ["analyze", *ANALYZE_MISSING]),
+    ("trials=60\njson=no\n", ["equiv"]),
+    ("json=1\n", ["verify", "correctness", "--trials", "3"]),
+])
+def test_config_switch_takes_only_true_or_false(text, argv, tmp_path, capsys):
+    # a switch's value is not guessed: "no" does not turn it on
+    cfg = tmp_path / "sharlin.cfg"
+    cfg.write_text(text)
+    argv = [a.format(missing=tmp_path / "missing.pl") for a in argv]
+    assert main(["--config", str(cfg), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key, value = text.splitlines()[-1].split("=")
+    ln = len(text.splitlines())
+    assert captured.err == (
+        f"sharlin: config key {key!r} on line {ln} takes true or false, not {value!r}\n")
+
+
+def test_config_switch_false_leaves_it_off(tmp_path, capsys):
+    cfg = tmp_path / "sharlin.cfg"
+    cfg.write_text("trials=5\njson=false\n")
+    assert main(["--config", str(cfg), "equiv"]) == 0
+    assert capsys.readouterr().out.startswith("kind=")
+    cfg.write_text("trials=5\njson=true\n")
+    assert main(["--config", str(cfg), "equiv"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 5
+
+
+@pytest.mark.parametrize("text, argv, flag", [
+    ("trials=true\n", ["equiv"], "--trials"),
+    ("cap=true\n", ["analyze", *ANALYZE_MISSING], "--cap"),
+    ("seed=x1\n", ["verify", "optimality"], "--seed"),
+])
+def test_config_values_convert_with_the_flags_type(text, argv, flag, tmp_path, capsys):
+    # "true" is not the integer 1: the flag's own type rejects it
+    cfg = tmp_path / "sharlin.cfg"
+    cfg.write_text(text)
+    argv = [a.format(missing=tmp_path / "missing.pl") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), *argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = text.strip().split("=")[1]
+    assert len(captured.err.splitlines()) == 1
+    assert f"argument {flag}: invalid int value: {value!r}" in captured.err
 
 
 def test_least_flag_values_still_run(tmp_path, capsys):

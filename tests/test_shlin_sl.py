@@ -174,6 +174,14 @@ def test_parse_print_round_trip():
             parse_sl(bad)
 
 
+def test_parse_sl_rejects_a_linear_variable_outside_the_interest_set():
+    # a written lin={q} over {x} is a typo, not x non-linear
+    with pytest.raises(ValueError, match="'q'"):
+        parse_sl("[{x}, lin={q}]_{x}")
+    # the normalizing constructor stays lenient
+    assert sl_element([{"x"}], {"q"}, {"x"}) == parse_sl("[{x}, lin={}]_{x}")
+
+
 def _random_sl(rng, variables):
     k = rng.randint(0, 3)
     groups = [frozenset(v for v in sorted(variables) if rng.random() < 0.5) for _ in range(k)]

@@ -3,8 +3,9 @@ parsing round-trip, and nesting depth is not bounded by the Python stack."""
 from hypothesis import given, settings, strategies as st
 
 from sharlin.analyzer import parse_goal
-from sharlin.multiset import Multiset
-from sharlin.shlin_omega import omega_element, parse_omega
+from sharlin.existential import ExistentialSubstitution
+from sharlin.multiset import EMPTY, Multiset
+from sharlin.shlin_omega import alpha_omega, omega_element, parse_omega
 from sharlin.shlin2 import INF, parse_two, two_element, two_group
 from sharlin.shlin_sl import parse_sl, sl_element
 from sharlin.terms import (
@@ -14,9 +15,12 @@ from sharlin.terms import (
     Substitution,
     Var,
     format_term,
+    is_linear_term,
     occ,
+    occurrences,
     parse_substitution,
     parse_term,
+    preimage_var,
     term_vars,
 )
 
@@ -101,6 +105,11 @@ def test_deep_term_parses_without_recursion():
     t = parse_term(_nested(DEPTH))
     assert term_vars(t) == {"x"}
     assert occ("x", t) == 1
+    assert occurrences(t) == ["x"]
+    assert is_linear_term(t)
+    assert preimage_var(Substitution({"y": t}), "x") == Multiset({"x": 1, "y": 1})
+    c = ExistentialSubstitution(Substitution({"x": t}), frozenset({"x"}))
+    assert alpha_omega(c).groups == {EMPTY, Multiset({"x": 1})}
     depth = 0
     while isinstance(t, App):
         (t,) = t.args

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sharlin.multiset import EMPTY, parse_group
+from sharlin.multiset import EMPTY, Multiset, parse_group
 from sharlin.terms import (
     App,
     Clash,
@@ -14,10 +14,12 @@ from sharlin.terms import (
     is_linear_term,
     mgu_terms,
     occ,
+    occurrences,
     parse_substitution,
     parse_term,
     preimage_group,
     preimage_var,
+    preimages,
     term_vars,
 )
 
@@ -26,6 +28,22 @@ def test_occ_counts():
     assert occ("y", parse_term("s(y,u,y)")) == 2
     assert occ("x", parse_term("a")) == 0
     assert occ("u", parse_term("s(u,u)")) == 2
+
+
+def test_occurrences_lists_variables_left_to_right_with_repeats():
+    assert occurrences(parse_term("f(x, g(y, x), z)")) == ["x", "y", "x", "z"]
+    assert occurrences(parse_term("[u, v|u]")) == ["u", "v", "u"]
+    assert occurrences(parse_term("a")) == []
+    assert occurrences(Var("w")) == ["w"]
+
+
+def test_preimages_is_one_map_of_every_preimage():
+    theta = parse_substitution("{x/s(y,u,y), z/s(u,u), v/u}")
+    # u and y occur in bindings; w is of interest and unbound; x is bound
+    pre = preimages(theta, ("w", "x"))
+    assert pre == {"u": {"v": 1, "x": 1, "z": 2}, "y": {"x": 2}, "w": {"w": 1}}
+    for v in "uwxyz":
+        assert preimage_var(theta, v) == Multiset(preimages(theta, (v,)).get(v, {}))
 
 
 def test_apply():
