@@ -16,8 +16,10 @@ part of a report. A config file of
 ``key=value`` lines can supply defaults for optional long flags, not for
 the required ``--program``, ``--goal``, ``--call``, ``--domain`` and
 ``--op``; explicit flags win, and a key no subcommand knows is an error.
-Each value is converted by its flag's own type, and a switch takes only
-``true`` or ``false``.
+Each value is converted by its flag's own type and must be one of its
+choices, and a switch takes only ``true`` or ``false``. The running
+subcommand's values are checked whether or not a flag overrides them, and
+a bad one exits 1 naming its key and line.
 """
 from __future__ import annotations
 
@@ -73,7 +75,11 @@ def _operand(text: str) -> str:
     return text
 
 
-def _load_config(path: str, known, switches) -> dict:
+def _load_config(path: str, known, switches, sub) -> dict:
+    """The ``key=value`` lines of ``path`` as defaults by destination. A
+    value for the running subcommand ``sub`` is converted and checked as
+    its flag would be; argparse never checks a default against choices."""
+    flags = {a.dest: a for a in sub._actions}  # noqa: SLF001
     out = {}
     for ln, raw in enumerate(_read_file(path).splitlines(), 1):
         line = raw.strip()
@@ -90,6 +96,11 @@ def _load_config(path: str, known, switches) -> dict:
                 raise ValueError(f"config key {key!r} on line {ln} takes true or false, "
                                  f"not {value!r}")
             value = value == "true"
+        elif dest in flags:
+            try:
+                sub._check_value(flags[dest], sub._get_value(flags[dest], value))  # noqa: SLF001
+            except argparse.ArgumentError as exc:  # exit as the same flag would
+                sub.exit(1, f"sharlin: config key {key!r} on line {ln}: {exc}\n")
         out[dest] = value
     return out
 
@@ -331,13 +342,13 @@ def _main(argv) -> int:
     args, _ = parser.parse_known_args(argv)
     if args.config:
         # one file serves every subcommand, so each takes the keys it knows
-        actions = {sub: sub._actions  # noqa: SLF001
-                   for group in parser._subparsers._group_actions  # noqa: SLF001
-                   for sub in group.choices.values()}
+        (commands,) = parser._subparsers._group_actions  # noqa: SLF001
+        actions = {sub: sub._actions for sub in commands.choices.values()}  # noqa: SLF001
         known = {sub: {a.dest for a in acts} for sub, acts in actions.items()}
         # a store_true flag is the only kind whose default is False
         switches = {a.dest for acts in actions.values() for a in acts if a.default is False}
-        defaults = _load_config(args.config, set().union(*known.values()), switches)
+        defaults = _load_config(args.config, set().union(*known.values()), switches,
+                                commands.choices[args.command])
         for sub, dests in known.items():
             sub.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     args = parser.parse_args(argv)

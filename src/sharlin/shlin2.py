@@ -17,17 +17,21 @@ domain record (``sharlin.domains``): the forward rule saturates at the
 ceiling, so ``clip`` has nothing left to do.
 
 Two matching operators are provided. ``match2_ref`` is the literal
-set-level definition, enumerating all candidate groups over the joint
-interest set; it is exponential in the number of variables and exists as a
-small-input reference and oracle. ``match2_opt`` works directly on maximal
-antichains, choosing subsets of the second argument's groups and repeating
-the ones whose shared variables are all non-linear; it is the production
-operator and provably computes the same downward-closed set. Its subsets
-are not enumerated one by one: ``linear_subsets`` folds them with
-``multiset.fold_frontier`` over bitmask states, once per distinct shared
-part of a first-argument group and its linear variables there, cutting a
-branch as soon as a linear variable would be hit twice. ``shlin_sl``'s
-matcher runs the same fold on the embedding of its sets.
+set-level definition, enumerating all 3^|U| candidate groups over the joint
+interest set U; it is exponential in the number of variables and exists as
+a small-input reference and oracle. It keys the down-closure of the first
+argument by count tuples over its interest set and the star set of the
+second argument by count tuples over its own, tests each candidate, a
+count tuple over U, by looking up its two restrictions there, and builds a
+group only for a candidate that passes both. ``match2_opt`` works directly
+on maximal antichains, choosing subsets of the second argument's groups
+and repeating the ones whose shared variables are all non-linear; it is
+the production operator and provably computes the same downward-closed
+set. Its subsets are not enumerated one by one: ``linear_subsets`` folds
+them with ``multiset.fold_frontier`` over bitmask states, once per
+distinct shared part of a first-argument group and its linear variables
+there, cutting a branch as soon as a linear variable would be hit twice.
+``shlin_sl``'s matcher runs the same fold on the embedding of its sets.
 
 The textual form writes the count 2 as ``^*`` (``^inf`` and any written
 count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
@@ -173,7 +177,15 @@ def leq2(e1: ShLin2Element, e2: ShLin2Element) -> bool:
 
 
 def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Element:
-    """Literal set-level matching; enumerates all 3^|U| candidate groups."""
+    """Literal set-level matching; tests all 3^|U| candidate groups.
+
+    A candidate is a count tuple over U's variables ordered as A + S + C,
+    with A = u1 - u2, S = u1 & u2 and C = u2 - u1, names sorted within each
+    part. It is kept when its part on A + S, its restriction to u1, is the
+    count tuple of a group of the first argument's down-closure, and its
+    part on S + C, its restriction to u2, that of a group of the star set.
+    Only a kept candidate is built as a group.
+    """
     u1, u2 = e1.interest, e2.interest
     u = u1 | u2
     if len(u) > cap:
@@ -195,12 +207,17 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Ele
     for g in generators:
         star |= {oplus(s, g) for s in star}
 
+    only1, shared, only2 = sorted(u1 - u2), sorted(u1 & u2), sorted(u2 - u1)
+    on_u1, on_u2, names = only1 + shared, shared + only2, only1 + shared + only2
+    first = {tuple(map(o.count, on_u1)) for o in t1_full}
+    second = {tuple(map(o.count, on_u2)) for o in star}
     out = set(t2_pass)
-    names = sorted(u)
-    for exps in product((0, 1, 2), repeat=len(names)):
-        o = Multiset(zip(names, exps))
-        if o.restrict(u1) in t1_full and o.restrict(u2) in star:
-            out.add(o)
+    counts = (0, 1, 2)
+    for pa, ps, pc in product(product(counts, repeat=len(only1)),
+                              product(counts, repeat=len(shared)),
+                              product(counts, repeat=len(only2))):
+        if pa + ps in first and ps + pc in second:
+            out.add(Multiset._from_clean({v: n for v, n in zip(names, pa + ps + pc) if n}))
     return two_element(out, u)
 
 

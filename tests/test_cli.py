@@ -621,6 +621,41 @@ def test_config_values_convert_with_the_flags_type(text, argv, flag, tmp_path, c
     assert f"argument {flag}: invalid int value: {value!r}" in captured.err
 
 
+@pytest.mark.parametrize("text, argv, error", [
+    ("seed=3\ntrials=true\n", ["equiv"], "argument --trials: invalid int value: 'true'"),
+    ("trials=2\ndomain=bogus\n", ["verify", "correctness", "--trials", "2"],
+     "argument --domain: invalid choice: 'bogus'"),
+    # checked against the running subcommand's choices, even when overridden
+    ("domain=concrete\n", ["analyze", *ANALYZE_MISSING],
+     "argument --domain: invalid choice: 'concrete'"),
+    ("trials=2\n\nmode=fast\n", ["analyze", *ANALYZE_MISSING],
+     "argument --mode: invalid choice: 'fast'"),
+])
+def test_config_value_errors_name_the_key_and_line(text, argv, error, tmp_path, capsys):
+    cfg = tmp_path / "sharlin.cfg"
+    cfg.write_text(text)
+    argv = [a.format(missing=tmp_path / "missing.pl") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), *argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = text.splitlines()[-1].split("=")[0]
+    ln = len(text.splitlines())
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"sharlin: config key {key!r} on line {ln}: {error}")
+
+
+def test_config_value_is_checked_against_its_own_subcommands_choices(tmp_path, capsys):
+    # eval's --domain accepts "concrete"; analyze's (checked above) does not
+    cfg = tmp_path / "sharlin.cfg"
+    cfg.write_text("domain=concrete\n")
+    argv = ["--config", str(cfg), "eval", "--domain", "concrete", "--op", "match",
+            "[{x/a}]_{x}", "[{y/a}]_{y}"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "[{x/a, y/a}]_{x, y}\n"
+
+
 def test_least_flag_values_still_run(tmp_path, capsys):
     assert main(["verify", "correctness", "--jobs", "1", "--trials", "5"]) == 0
     assert "result: PASS" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 
 import pytest
@@ -120,6 +121,71 @@ def test_match2_ref_too_large():
     e2 = two_element({two_group({"v1": 1})}, {f"v{i}" for i in range(8)})
     with pytest.raises(TooLarge):
         match2_ref(e1, e2, cap=10)
+
+
+def _match2_ref_by_multisets(e1, e2):
+    """``match2_ref`` as its candidate loop read before it keyed count
+    tuples: a validated multiset per candidate, restricted to each interest
+    set and looked up among multisets."""
+    u1, u2 = e1.interest, e2.interest
+    u = u1 | u2
+    t1_full = down_closure(e1.groups)
+    t2_full = down_closure(e2.groups)
+    if e1.groups:
+        t1_full.add(EMPTY)
+    if e2.groups:
+        t2_full.add(EMPTY)
+    t2_pass = {o for o in t2_full if not o.support & u1}
+    t2_rest = t2_full - t2_pass
+    generators = sorted(t2_rest | {oplus(o, o) for o in t2_rest}, key=Multiset.sort_key)
+    star = {EMPTY}
+    for g in generators:
+        star |= {oplus(s, g) for s in star}
+    out = set(t2_pass)
+    names = sorted(u)
+    for exps in itertools.product((0, 1, 2), repeat=len(names)):
+        o = Multiset(zip(names, exps))
+        if o.restrict(u1) in t1_full and o.restrict(u2) in star:
+            out.add(o)
+    return two_element(out, u)
+
+
+def test_match2_ref_equals_the_multiset_candidate_loop():
+    rng = random.Random(61)
+    edges = dict.fromkeys(("bottom", "empty group", "pass-through", "disjoint"), 0)
+    for i in range(2000):
+        names = rng.sample("tuvwxyz", rng.randint(2, 6))
+        cut = rng.randint(1, len(names) - 1)
+        u1 = frozenset(names[: rng.randint(1, len(names))])
+        u2 = frozenset(names[rng.randint(0, len(names) - 1):])
+        if i % 8 == 5:
+            u1, u2 = frozenset(names[:cut]), frozenset(names[cut:])
+        e1 = union2(_random_two(rng, u1), _random_two(rng, u1))
+        e2 = union2(_random_two(rng, u2), _random_two(rng, u2))
+        if i % 8 == 1:
+            e1, e2 = rng.choice([(two_element((), u1), e2), (e1, two_element((), u2)),
+                                 (two_element((), u1), two_element((), u2))])
+        elif i % 8 == 2:
+            e1, e2 = rng.choice([(two_element({EMPTY}, u1), e2), (e1, two_element({EMPTY}, u2))])
+        elif i % 8 == 3:
+            e2 = two_element(project2(e2, u2 - u1).groups, u2)
+        ref = _match2_ref_by_multisets(e1, e2)
+        assert match2_ref(e1, e2) == ref, (str(e1), str(e2))
+        edges["bottom"] += e1.is_bottom() or e2.is_bottom()
+        edges["empty group"] += EMPTY in e1.groups and len(e1.groups) == 1 or \
+            EMPTY in e2.groups and len(e2.groups) == 1
+        edges["pass-through"] += bool(e2.groups) and not any(g.support & u1 for g in e2.groups)
+        edges["disjoint"] += not u1 & u2
+    assert min(edges.values()) >= 100, edges
+
+
+def test_match2_ref_over_eight_variables():
+    u1, u2 = frozenset("stuvwx"), frozenset("uvwxyz")
+    e1 = parse_two("[s^*tu, uv^*w, wx, s]_{s,t,u,v,w,x}")
+    e2 = parse_two("[uy, v^*z^*, wxy^*, z, xu]_{u,v,w,x,y,z}")
+    ref = match2_ref(e1, e2)
+    assert ref.interest == u1 | u2
+    assert ref == _match2_ref_by_multisets(e1, e2) == match2(e1, e2)
 
 
 def test_project_rename_union():
