@@ -25,7 +25,8 @@ supplies these names:
 * ``groups_of(e)``: the textual sharing groups, for precision diffs.
 
 A domain whose optimal matching is proved through the domain above also
-supplies ``gamma(e)``, the embedding into ``above`` (only ``shlin_sl``).
+supplies ``gamma(e)``, the embedding into ``above`` (only ``shlin_sl``,
+whose elements are stored as that embedding, so ``gamma`` re-labels them).
 Every caller looks an operation up on its module when it calls it, so
 rebinding a module attribute reaches every caller. The order of
 ``DOMAINS`` is the order of reports; each module comes after the one

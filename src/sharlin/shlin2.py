@@ -31,7 +31,7 @@ set. Its subsets are not enumerated one by one: ``linear_subsets`` folds
 them with ``multiset.fold_frontier`` over bitmask states, once per
 distinct shared part of a first-argument group and its linear variables
 there, cutting a branch as soon as a linear variable would be hit twice.
-``shlin_sl``'s matcher runs the same fold on the embedding of its sets.
+``shlin_sl``'s matcher runs the same fold on its groups' supports.
 
 The textual form writes the count 2 as ``^*`` (``^inf`` and any written
 count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.

@@ -25,8 +25,9 @@ are disjoint, so the merge is the multiset sum.
 and reads the summands off the links back from nothing left.
 
 Projection, renaming and union build through the element's own class, so
-they also serve ShLin^2, whose element is this one with a ceiling of 2.
-So do the analyzer's operations of the domain record (``sharlin.domains``)
+they serve all three domains: ShLin^2's element is this one with a ceiling
+of 2, and Sharing x Lin's has that ceiling and uniform linearity. So do
+the analyzer's operations of the domain record (``sharlin.domains``)
 below, among them the forward binding rule ``amgu`` (folded by ``_bind``),
 which saturates at the element's ceiling, or else at the analysis cap.
 """
@@ -86,8 +87,9 @@ class ShLinOmegaElement:
 
     ``ceiling`` is the largest count a group may hold (``None``: exact); a
     count at the ceiling reads "that many or more" and prints as ``^*``.
-    ``normalize`` picks the groups stored. Subclasses (``ShLin2Element``)
-    set both, and elements of different classes never compare equal.
+    ``normalize`` picks the groups stored. Subclasses (``ShLin2Element``,
+    ``ShLinElement``) set both, and elements of different classes never
+    compare equal.
     """
 
     groups: frozenset[Multiset]

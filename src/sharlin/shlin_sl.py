@@ -1,9 +1,16 @@
 """The reduced product of set-sharing with a linearity component.
 
-An element is a triple: set-sharing groups (plain variable sets), the set
-of variables linear in every group, and the interest set. Ground
+An element reads as a triple: set-sharing groups (plain variable sets),
+the set of variables linear in every group, and the interest set. Ground
 variables (those in no sharing group) are always linear, and nonempty
 sharing components contain the empty group, mirroring the other domains.
+It is stored as its embedding in ShLin^2: the ShLin^omega element with
+ceiling 2 whose groups count each linear variable once and the others
+twice (``^*``), uniform by ``normalize``, so their supports are distinct.
+Projection, renaming, union and the analyzer's operations of the domain
+record (``sharlin.domains``) are ShLin^omega's own, the forward rule
+``amgu`` too, with no round trip through ShLin^2; ``gamma``, the
+embedding, re-labels the groups.
 
 Matching glues first-argument groups with subsets of the second argument's
 groups agreeing on the shared variables, provided no first-argument linear
@@ -12,23 +19,19 @@ non-linear may be counted twice, which wipes the linearity of their
 variables. This computes exactly the abstraction of the maximal-antichain
 matching run on the embedding into 2-sharing groups, and it runs that
 matcher's fold, ``shlin2.linear_subsets``, once per distinct nonempty
-shared part of a first-argument group, then decodes its states to sets.
+shared part of a first-argument group.
 
 Textual form: ``[{uv, ux}, lin={u,v}]_{u,v,x}``.
-
-As a domain record (``sharlin.domains``) it abstracts ShLin^2 and also
-supplies ``gamma``, the embedding back; its forward rule ``amgu`` embeds,
-runs ShLin^2's rule and forgets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import shlin2
-from .multiset import Layout, Multiset, random_groups
-from .shlin_omega import injective_renaming, same_interest
-from .shlin2 import ShLin2Element, two_element
+from .multiset import EMPTY, Layout, Multiset, random_groups
+from .shlin_omega import (ShLinOmegaElement, amgu, extend, groups_of, join_disjoint,
+                          project_omega, rename_omega, union_omega)
+from .shlin2 import ShLin2Element, clip
 from .terms import Scanner
 
 __all__ = [
@@ -47,18 +50,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShLinElement:
-    sharing: frozenset[frozenset[str]]
-    linear: frozenset[str]
-    interest: frozenset[str]
+class ShLinElement(ShLinOmegaElement):
+    """The ShLin^omega element with ceiling 2 and uniform linearity."""
 
-    def is_bottom(self) -> bool:
-        return not self.sharing
+    ceiling = 2
+
+    @staticmethod
+    def normalize(groups):
+        """A variable at 2 in some group is at 2 in every group holding
+        it; a group that is already uniform is kept as it is."""
+        stars = {v for g in groups for v, n in g.items() if n == 2}
+        return frozenset(g if all(n == 2 or v not in stars for v, n in g.items()) else
+                         Multiset._from_clean({v: 2 if v in stars else n for v, n in g.items()})
+                         for g in groups)
+
+    @property
+    def sharing(self) -> frozenset[frozenset[str]]:
+        return frozenset(g.support for g in self.groups)
+
+    @property
+    def linear(self) -> frozenset[str]:
+        return self.interest.difference(v for g in self.groups for v, n in g.items() if n == 2)
 
     def __str__(self) -> str:
-        gs = sorted(("".join(sorted(g)) for g in self.sharing if g))
-        if not gs and self.sharing:
+        gs = sorted("".join(v for v, _ in g.items()) for g in self.groups if g)
+        if not gs and self.groups:
             gs = ["0"]
         lin = ", ".join(sorted(self.linear))
         vs = ", ".join(sorted(self.interest))
@@ -72,39 +88,34 @@ class ShLinElement:
 
 
 def sl_element(sharing, linear, interest) -> ShLinElement:
-    """Normalize: add the empty group to nonempty sharing, keep linearity
-    within the interest set, and mark ground variables linear."""
-    u = frozenset(interest)
-    groups = {frozenset(g) for g in sharing}
-    for g in groups:
+    """The element of these sets: each group holds its linear variables
+    once and the others twice, nonempty sharing gains the empty group, and
+    linear names outside the interest set are dropped."""
+    u, lin = frozenset(interest), frozenset(linear)
+    groups = set()
+    for g in map(frozenset, sharing):
         if not g <= u:
             raise ValueError(f"group {sorted(g)} not over interest set {sorted(u)}")
+        groups.add(Multiset._from_clean({v: 1 if v in lin else 2 for v in g}))
     if groups:
-        groups.add(frozenset())
-    covered = frozenset().union(*groups) if groups else frozenset()
-    lin = (frozenset(linear) & u) | (u - covered)
-    return ShLinElement(frozenset(groups), lin, u)
+        groups.add(EMPTY)
+    return ShLinElement(frozenset(groups), u)
 
 
 def alpha_sl(e: ShLin2Element) -> ShLinElement:
     """Forget exponents: supports become sharing groups, variables that are
     nowhere ``^*`` stay linear."""
-    sharing = {g.support for g in e.groups}
-    nonlinear = {x for m in e.groups for x, n in m.items() if n == 2}
-    return sl_element(sharing, e.interest - nonlinear, e.interest)
+    return ShLinElement(ShLinElement.normalize(e.groups), e.interest)
 
 
 def gamma_sl_maximals(e: ShLinElement) -> frozenset[Multiset]:
-    """Best 2-sharing description of each group: linear variables get
-    exponent 1, the rest 2 (``^*``). Distinct groups have distinct supports,
-    so the result is already an antichain."""
-    return frozenset(
-        Multiset({v: (1 if v in e.linear else 2) for v in b}) for b in e.sharing
-    )
+    """Best 2-sharing description of each group: the stored groups."""
+    return e.groups
 
 
 def gamma_sl(e: ShLinElement) -> ShLin2Element:
-    return two_element(gamma_sl_maximals(e), e.interest)
+    """The groups read as ShLin^2's: their supports are distinct."""
+    return ShLin2Element(e.groups, e.interest)
 
 
 def nl(x: Iterable[frozenset[str]]) -> frozenset[str]:
@@ -118,42 +129,51 @@ def nl(x: Iterable[frozenset[str]]) -> frozenset[str]:
 
 
 def leq_sl(e1: ShLinElement, e2: ShLinElement) -> bool:
-    return (
-        e1.interest == e2.interest
-        and e1.sharing <= e2.sharing
-        and e1.linear >= e2.linear
-    )
+    """Sharing included, linearity containing: on uniform groups, each
+    group of ``e1`` lies below ``e2``'s group over its support."""
+    if e1.interest != e2.interest:
+        return False
+    over = {g.support: g for g in e2.groups}
+    return all(g.support in over and g.leq(over[g.support]) for g in e1.groups)
 
 
 def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     """Abstract matching: ShLin^2's fold, ``shlin2.linear_subsets``, run
-    once per distinct nonempty shared part of e1's groups on the embedding
-    in one-bit ``Layout`` fields, then unpacked to sets. Its groups carry
-    no stars, so a state holds a union, the variables two of its groups
-    share (``nl``) and those of doubled groups; both lose linearity in e2.
+    once per distinct nonempty shared part of e1's groups on their
+    supports in one-bit ``Layout`` fields. The supports carry no stars, so
+    a state holds a union, the variables two of its groups share (``nl``)
+    and those of doubled groups; both lose linearity in e2. Each output
+    group is built once, at 2 on every variable some pair leaves
+    non-linear.
     """
-    s1, u1 = e1.sharing, e1.interest
-    s2, u2 = e2.sharing, e2.interest
+    u1, u2 = e1.interest, e2.interest
     u = u1 | u2
-    if not (s1 and any(b & u1 for b in s2)):
-        # nothing to fold: the groups off u1 pass through, and the
-        # first-argument groups off u2 match the empty subset
-        return sl_element({b for b in s2 if not b & u1} | {b for b in s1 if not b & u2},
-                          e1.linear | e2.linear, u)
     lay = Layout.of(u, 1)
-    n, full, mask = len(lay.offsets), lay.ones, lay.fields.__getitem__
-    m1, m2, l1, l2 = map(lay.mask, (u1, u2, e1.linear, e2.linear))
+    n, full, bits = len(lay.offsets), lay.ones, lay.fields
+    m1, m2 = lay.mask(u1), lay.mask(u2)
+
+    def masks(e, m):
+        """Each group's support mask, and the mask of e's linear variables."""
+        out, stars = [], 0
+        for g in e.groups:
+            bm = 0
+            for v, k in g.items():
+                bm |= bits[v]
+                if k == 2:
+                    stars |= bits[v]
+            out.append(bm)
+        return out, m & ~stars
+
+    (s1, l1), (s2, l2) = masks(e1, m1), masks(e2, m2)
     # What a subset X contributes does not depend on the group of e1 it is
     # matched against, only its shared part does.
     by_shared: dict[int, list[int]] = {}
-    for b in s1:
-        bm = sum(map(mask, b))
+    for bm in s1:
         by_shared.setdefault(bm & m2, []).append(bm)
     # e1's groups off u2 match the empty subset, and e2's groups off u1 pass
     pairs = {(bm, l2) for bm in by_shared.pop(0, ())}
     rest = []
-    for b in s2:
-        bm = sum(map(mask, b))
+    for bm in s2:
         if bm & m1:
             rest.append((bm, bm, 0))
         else:
@@ -166,30 +186,18 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
                 for bm in bms:
                     pairs.add((bm | union, lin))
 
-    linear = full
+    nonlinear = 0
     for bu, lin in pairs:
-        linear &= l1 | lin | (full & ~bu)
-    return sl_element({frozenset(lay.unpack(bu)) for bu, _ in pairs}, lay.unpack(linear), u)
+        nonlinear |= bu & ~(l1 | lin)
+    # the empty group is among them unless both arguments are bottom: e1's
+    # matches the empty subset, and e2's passes
+    groups = frozenset(Multiset._from_clean({v: 2 if nonlinear & b else 1
+                                             for v, b in bits.items() if bu & b})
+                       for bu in {bu for bu, _ in pairs})
+    return ShLinElement(groups, u)
 
 
-def project_sl(e: ShLinElement, variables: Iterable[str]) -> ShLinElement:
-    v = frozenset(variables)
-    return sl_element(
-        {g & v for g in e.sharing}, e.linear & v, e.interest & v
-    )
-
-
-def rename_sl(e: ShLinElement, rho: Mapping[str, str]) -> ShLinElement:
-    relevant = injective_renaming(e, rho)
-    return sl_element(
-        {frozenset(relevant[v] for v in g) for g in e.sharing},
-        {relevant[v] for v in e.linear},
-        set(relevant.values()),
-    )
-
-
-def union_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
-    return sl_element(e1.sharing | e2.sharing, e1.linear & e2.linear, same_interest(e1, e2))
+project_sl, rename_sl, union_sl = project_omega, rename_omega, union_omega
 
 
 def _read_set_group(sc: Scanner) -> frozenset[str]:
@@ -230,28 +238,4 @@ def gen(rng, variables, cap: int) -> ShLinElement:
 
 
 def bottom(interest) -> ShLinElement:
-    u = frozenset(interest)
-    return sl_element((), u, u)
-
-
-def extend(e, new_vars):
-    new = frozenset(new_vars)
-    return sl_element(set(e.sharing) | {frozenset({v}) for v in new},
-                      e.linear | new, e.interest | new)
-
-
-def join_disjoint(e1, e2):
-    return sl_element(e1.sharing | e2.sharing, e1.linear | e2.linear,
-                      e1.interest | e2.interest)
-
-
-def amgu(e, var, term, cap: int, drop=frozenset()):
-    return alpha_sl(shlin2.amgu(gamma_sl(e), var, term, cap, drop))
-
-
-def clip(e, cap: int):
-    return e
-
-
-def groups_of(e) -> set[str]:
-    return {"".join(sorted(g)) for g in e.sharing if g}
+    return ShLinElement(frozenset(), frozenset(interest))

@@ -410,7 +410,7 @@ def test_diff_61_sl(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "difference: {xz}" in out
+    assert "difference: {x^*, x^*z^*, z^*}" in out
 
 
 def test_diff_member_injected(tmp_path, capsys):

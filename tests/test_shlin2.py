@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sharlin import shlin2, shlin_omega, shlin_sl
 from sharlin.multiset import EMPTY, Multiset, format_group, parse_group
 from sharlin.shlin_omega import ShLinOmegaElement, match_omega, omega_element, parse_omega
 from sharlin.shlin2 import (
@@ -32,6 +33,7 @@ from sharlin.shlin2 import (
     union2,
 )
 from sharlin.shlin_omega import InterestMismatch
+from sharlin.shlin_sl import parse_sl
 from sharlin.terms import ParseError
 
 T1 = parse_two("[x^*, xz]_{x,y,z}")
@@ -402,6 +404,27 @@ def test_one_element_body_serves_both_domains():
         two_element({Multiset({"x": 1, "y": 3})}, {"x", "y"})
     assert str(err.value) == "group xy^3 has a count above 2"
     assert omega_element({Multiset({"y": 3})}, {"y"}).groups == {EMPTY, Multiset({"y": 3})}
+
+
+def test_one_element_body_serves_sharing_times_lin():
+    x2 = Multiset({"x": 2})
+    sl, two = parse_sl("[{x}, lin={}]_{x}"), two_element({x2}, {"x"})
+    assert isinstance(sl, ShLinOmegaElement)
+    assert (sl.groups, sl.interest) == (two.groups, two.interest)
+    assert sl != two and two != sl
+    assert len({sl, two}) == 2
+    for text, parts in (("[{}, lin={x}]_{x}", (set(), {"x"}, {"x"})),
+                        ("[{0}, lin={x}]_{x}", ({""}, {"x"}, {"x"})),
+                        ("[{x}, lin={}]_{x}", ({"", "x"}, set(), {"x"}))):
+        e = parse_sl(text)
+        assert str(e) == text
+        assert _repr_parts(e, "ShLinElement") == parts
+    for op, omega_op in (("project", "project_omega"), ("union", "union_omega"),
+                         ("rename", "rename_omega"), ("extend", "extend"),
+                         ("join_disjoint", "join_disjoint"), ("amgu", "amgu"),
+                         ("groups_of", "groups_of")):
+        assert getattr(shlin_sl, op) is getattr(shlin_omega, omega_op), op
+    assert shlin_sl.clip is shlin2.clip
 
 
 def _random_wide_pair(rng, i):

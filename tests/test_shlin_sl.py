@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from sharlin import shlin2, shlin_sl
 from sharlin.existential import canonicalize
+from sharlin.multiset import Multiset
 from sharlin.shlin_omega import InterestMismatch, alpha_omega
-from sharlin.shlin2 import INF, alpha2, match2, match2_ref, parse_two, two_group
+from sharlin.shlin2 import INF, alpha2, match2, match2_ref, parse_two, two_element, two_group
 from sharlin.shlin_sl import (
     alpha_sl,
     gamma_sl,
@@ -18,7 +20,7 @@ from sharlin.shlin_sl import (
     sl_element,
     union_sl,
 )
-from sharlin.terms import ParseError, parse_substitution
+from sharlin.terms import App, ParseError, Var, parse_substitution, term_vars
 
 S1 = parse_sl("[{x, xz}, lin={y,z}]_{x,y,z}")
 S2 = parse_sl("[{uv, ux, vx, x}, lin={u,v}]_{u,v,x}")
@@ -188,3 +190,109 @@ def _random_sl(rng, variables):
     covered = frozenset().union(*groups) if groups else frozenset()
     linear = {v for v in sorted(covered) if rng.random() < 0.6}
     return sl_element(groups, linear, variables)
+
+
+def test_groups_of_shows_linearity():
+    # the precision diff of two elements that differ only in linearity
+    linear = parse_sl("[{xy}, lin={x,y}]_{x,y}")
+    shared = parse_sl("[{xy}, lin={}]_{x,y}")
+    assert shlin_sl.groups_of(linear) == {"xy"}
+    assert shlin_sl.groups_of(shared) == {"x^*y^*"}
+
+
+# --- the set-level operations on (sharing, linear, interest) triples --------
+
+
+def _triple(sharing, linear, interest):
+    """Add the empty group to nonempty sharing, keep linearity within the
+    interest set, and mark ground variables linear."""
+    u = frozenset(interest)
+    groups = {frozenset(g) for g in sharing}
+    if groups:
+        groups.add(frozenset())
+    covered = frozenset().union(*groups)
+    return frozenset(groups), (frozenset(linear) & u) | (u - covered), u
+
+
+def _project_ref(t, variables):
+    (s, lin, u), v = t, frozenset(variables)
+    return _triple({g & v for g in s}, lin & v, u & v)
+
+
+def _union_ref(t1, t2):
+    return _triple(t1[0] | t2[0], t1[1] & t2[1], t1[2])
+
+
+def _rename_ref(t, rho):
+    s, lin, u = t
+    r = {v: rho.get(v, v) for v in u}
+    return _triple({frozenset(r[v] for v in g) for g in s}, {r[v] for v in lin}, r.values())
+
+
+def _extend_ref(t, new):
+    s, lin, u = t
+    return _triple(s | {frozenset({v}) for v in new}, lin | new, u | new)
+
+
+def _join_disjoint_ref(t1, t2):
+    return _triple(t1[0] | t2[0], t1[1] | t2[1], t1[2] | t2[2])
+
+
+def _amgu_ref(t, var, term, cap, drop):
+    """Embed in ShLin^2, bind there and forget the exponents."""
+    s, lin, u = t
+    embedded = two_element({Multiset({v: 1 if v in lin else 2 for v in g}) for g in s}, u)
+    r = shlin2.amgu(embedded, var, term, cap, drop)
+    stars = {v for g in r.groups for v, n in g.items() if n == 2}
+    return _triple({g.support for g in r.groups}, r.interest - stars, r.interest)
+
+
+def _random_term(rng, names, depth):
+    if depth and rng.random() < 0.5:
+        return App("f", (_random_term(rng, names, depth - 1), _random_term(rng, names, depth - 1)))
+    return App("a") if rng.random() < 0.2 else Var(rng.choice(names))
+
+
+def test_record_operations_equal_the_set_level_operations():
+    """The record's operations, ShLin^omega's own on the uniform groups,
+    against the set-level operations on triples; one in ten elements is
+    bottom and one in ten holds only the empty group."""
+    rng = random.Random(25)
+    bottoms = ground = disjoint = 0
+
+    def element(u, i):
+        if i % 10 == 0:
+            return sl_element((), u, u)
+        if i % 10 == 1:
+            return sl_element([frozenset()], u, u)
+        return _random_sl(rng, u)
+
+    def same(got, want):
+        assert got == sl_element(*want)
+        assert (got.sharing, got.linear, got.interest) == want
+
+    for i in range(2000):
+        names = rng.sample("uvwxyz", rng.randint(1, 5))
+        u = frozenset(names)
+        e = element(u, i)
+        t = (e.sharing, e.linear, e.interest)
+        bottoms += e.is_bottom()
+        ground += e.sharing == {frozenset()}
+        keep = {v for v in sorted(u) if rng.random() < 0.5}
+        same(shlin_sl.project(e, keep), _project_ref(t, keep))
+        other = _random_sl(rng, u) if i % 3 else element(u, i + 1)
+        same(shlin_sl.union(e, other), _union_ref(t, (other.sharing, other.linear, u)))
+        rho = dict(zip(sorted(u), rng.sample("pqrstuvwxyz", len(u))))
+        same(shlin_sl.rename(e, rho), _rename_ref(t, rho))
+        new = frozenset(rng.sample(sorted(set("pqrst")), rng.randint(0, 2)))
+        same(shlin_sl.extend(e, new), _extend_ref(t, new))
+        off = frozenset(rng.sample("pqrst", rng.randint(1, 3)))
+        apart = element(off, i + rng.randint(0, 9))
+        disjoint += not (apart.interest & u)
+        same(shlin_sl.join_disjoint(e, apart),
+             _join_disjoint_ref(t, (apart.sharing, apart.linear, apart.interest)))
+        var, term = rng.choice(names), _random_term(rng, names, rng.randint(0, 2))
+        binding = sorted({var} | term_vars(term))
+        drop = frozenset(v for v in binding if rng.random() < 0.3)
+        same(shlin_sl.amgu(e, var, term, 3, drop), _amgu_ref(t, var, term, 3, drop))
+    assert min(bottoms, ground, disjoint) >= 100, (bottoms, ground, disjoint)
