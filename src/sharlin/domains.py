@@ -24,9 +24,10 @@ supplies these names:
 * ``clip(e, cap)``: saturate counts at the analysis cap;
 * ``groups_of(e)``: the textual sharing groups, for precision diffs.
 
-A domain whose optimal matching is proved through the domain above also
-supplies ``gamma(e)``, the embedding into ``above`` (only ``shlin_sl``,
-whose elements are stored as that embedding, so ``gamma`` re-labels them).
+A domain whose optimal matching is defined through the domain above, as
+``alpha(above.match(gamma(e1), gamma(e2)))``, also supplies ``gamma(e)``,
+the embedding into ``above`` (only ``shlin_sl``, whose elements are
+stored as that embedding, so ``gamma`` re-labels them).
 Every caller looks an operation up on its module when it calls it, so
 rebinding a module attribute reaches every caller. The order of
 ``DOMAINS`` is the order of reports; each module comes after the one

@@ -13,9 +13,10 @@ Three kinds of checks, all seeded and reproducible:
   assembled from an instance of the second plus bindings for its private
   variables. Clipped-domain results are witnessed by lifting through the
   exact-multiplicity domain, choosing concretization representatives whose
-  multiplicities respect the linear variables of the first argument;
+  multiplicities respect the linear variables of the first argument. The
+  record's ``match`` must give the matching witnessed;
 * equivalence: the reference and maximal-antichain matchers agree, and the
-  sharing+linearity matcher equals its composition through the embedding.
+  sharing+linearity matcher equals the reference through the embedding.
 
 Per-trial random streams are derived from (seed, label, index), so trials
 are order-independent and can be partitioned across processes;
@@ -328,19 +329,19 @@ def witness_theta1(
     return canonicalize(Substitution(bindings), u1)
 
 
-def _omega_witness_reports(e1: ShLinOmegaElement, second) -> list[WitnessReport]:
-    """One report per group of the exact-multiplicity matching.
+def _omega_witness_reports(e1: ShLinOmegaElement, second):
+    """One report per group of the exact-multiplicity matching, and it.
 
     A concrete ``second`` (lemma mode) stays fixed for all groups, matched
     through its abstraction; for an abstract ``second`` the second
     substitution is rebuilt per group from the decomposition.
     """
     reports: list[WitnessReport] = []
-    if e1.is_bottom():
-        return reports
     lemma = isinstance(second, ExistentialSubstitution)
     e2 = alpha_omega(second) if lemma else second
     m = match_omega(e1, e2)
+    if e1.is_bottom():
+        return reports, m
     u1, u2 = e1.interest, e2.interest
     rest = [g for g in e2.groups if g.support & u1]
     for b in sorted(m.groups, key=Multiset.sort_key):
@@ -362,18 +363,18 @@ def _omega_witness_reports(e1: ShLinOmegaElement, second) -> list[WitnessReport]
             and leq_omega(alpha_omega(c2), e2)
         )
         reports.append(WitnessReport(b, theta1, c2, ok))
-    return reports
+    return reports, m
 
 
-def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element) -> list[WitnessReport]:
-    """One report per maximal group of the clipped matching, witnessed by an
-    exact-multiplicity realization rebuilt from the group's generator."""
+def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element):
+    """One report per maximal group of the clipped matching, and it; each
+    is witnessed by an exact-multiplicity realization of its generator."""
     reports: list[WitnessReport] = []
-    if e1.is_bottom():
-        return reports
     u1, u2 = e1.interest, e2.interest
     generators = match2_opt_generators(e1.groups, u1, e2.groups, u2)
     result = two_element(generators, u1 | u2)
+    if e1.is_bottom():
+        return reports, result
     for o in sorted(result.groups, key=Multiset.sort_key):
         kind = generators[o]
         if kind[0] == "pass":
@@ -412,7 +413,7 @@ def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element) -> list[WitnessRe
             and leq2(alpha2(alpha_omega(c2)), e2)
         )
         reports.append(WitnessReport(c_group, theta1, c2, ok))
-    return reports
+    return reports, result
 
 
 _WITNESSES = {shlin_omega: _omega_witness_reports, shlin2: _two_witness_reports}
@@ -423,14 +424,15 @@ def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
     matching result, each carrying the realizing substitution pair. The
     second argument may be an abstract element or, for the exact domain, a
     concrete substitution class kept fixed across all groups. A domain
-    with a ``gamma`` is witnessed in the domain above, and its matching
-    must abstract the matching there."""
+    with a ``gamma`` is witnessed in the domain above, through ``alpha``."""
     d = DOMAINS[domain]
-    if not hasattr(d, "gamma"):
-        return _WITNESSES[d](e1, second)
-    t1, t2 = d.gamma(e1), d.gamma(second)
-    reports = _WITNESSES[d.above](t1, t2)
-    if d.match(e1, second) != d.alpha(d.above.match(t1, t2)):
+    if hasattr(d, "gamma"):
+        reports, m = _WITNESSES[d.above](d.gamma(e1), d.gamma(second))
+        m, e2 = d.alpha(m), second
+    else:
+        reports, m = _WITNESSES[d](e1, second)
+        e2 = d.alpha(second) if isinstance(second, ExistentialSubstitution) else second
+    if d.match(e1, e2) != m:
         for r in reports:
             r.verified = False
     return reports
@@ -540,7 +542,7 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
         s1 = shlin_sl.gen(rng, u1, cfg.multiplicity_cap)
         s2 = shlin_sl.gen(rng, u2, cfg.multiplicity_cap)
         direct = match_sl(s1, s2)
-        composed = alpha_sl(match2(gamma_sl(s1), gamma_sl(s2)))
+        composed = alpha_sl(match2_ref(gamma_sl(s1), gamma_sl(s2)))
         sl_checked += 1
         if direct != composed:
             failures.append(

@@ -31,7 +31,8 @@ set. Its subsets are not enumerated one by one: ``linear_subsets`` folds
 them with ``multiset.fold_frontier`` over bitmask states, once per
 distinct shared part of a first-argument group and its linear variables
 there, cutting a branch as soon as a linear variable would be hit twice.
-``shlin_sl``'s matcher runs the same fold on its groups' supports.
+One private fold runs it for all 2-sharing matching, ``shlin_sl``'s too;
+only ``match2_opt_generators``, for the witnesses, reads its provenance.
 
 The textual form writes the count 2 as ``^*`` (``^inf`` and any written
 count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
@@ -252,32 +253,16 @@ def linear_subsets(rest, n, m1, cover, linear) -> dict:
     return links
 
 
-def match2_opt_generators(t1, u1, t2, u2):
-    """Maximal-antichain matching, keeping one generator per produced group.
-
-    Returns (raw groups -> provenance) where provenance is either
-    ("pass", o) for second-argument groups not touching u1, or
-    ("gen", o1, X, Xbar) for the group built from o1 and the chosen subset X
-    (Xbar being the part of X repeated twice). Used by the optimality
-    witness builders; ``match2_opt`` keeps only the groups.
-
-    The subsets X that fit inside o1 of t1 depend on o1 only through its
-    shared part and its linear variables there, so ``linear_subsets`` runs
-    once per distinct such pair: a variable linear in o1 is covered at
-    most once, and the groups of X off them form Xbar, taken twice (the
-    group produced is ``^*`` on all of Xbar). Each group is packed once,
-    its support and its ``^*`` variables, in one-bit ``Layout`` fields. The
-    provenance names the subset that first reached a state giving the
-    group, read off the links back from that state and then reversed.
-    """
+def _fold(t1, u1, t2, u2):
+    """The ``Layout`` of u1 | u2, and each group of the matching packed
+    (support, and ``^*`` variables << n), in the order reached, mapped to
+    how it was first reached: ``None`` for a group of t2 off u1, else
+    ``(o1, state, links, linear)``, ``linear`` being o1's linear variables
+    on u2. Fitting subsets X of t2 depend on o1 only through its shared
+    part and ``linear``, so ``linear_subsets`` runs once per such pair,
+    giving ``links``; the groups of X off ``linear`` form Xbar, taken
+    twice (the group produced is ``^*`` on all of Xbar)."""
     u1, u2 = frozenset(u1), frozenset(u2)
-    t2 = sorted(set(t2), key=Multiset.sort_key)
-    out: dict[Multiset, tuple] = {o: ("pass", o) for o in t2 if not o.support & u1}
-    t2_rest = [o for o in t2 if o.support & u1]
-    t1 = sorted(t1, key=Multiset.sort_key)
-    if not t2_rest:  # only the empty subset: the groups of t1 off u2 stay
-        return out | {o1: ("gen", o1, (), ())
-                      for o1 in t1 if not o1.support & u2 and o1 not in out}
     lay = Layout.of(u1 | u2, 1)
     n, full, m1, m2, bits = len(lay.offsets), lay.ones, lay.mask(u1), lay.mask(u2), lay.fields
 
@@ -289,11 +274,16 @@ def match2_opt_generators(t1, u1, t2, u2):
                 stars |= bits[v]
         return support, stars
 
-    seen = {b | st << n for b, st in map(masks, out)}
-    rest = [(o, *masks(o)) for o in t2_rest]
+    found, rest = {}, []
+    for o in sorted(set(t2), key=Multiset.sort_key):
+        b, st = masks(o)
+        if b & m1:
+            rest.append((o, b, st))
+        else:
+            found[b | st << n] = None
     # (shared part, its linear variables) -> links; no group of rest fits under 0
     folds = {(0, 0): {0: None}}
-    for o1 in t1:
+    for o1 in sorted(t1, key=Multiset.sort_key):
         b1, s1 = masks(o1)
         key = cover, linear = b1 & m2, b1 & ~s1 & m2
         links = folds.get(key)
@@ -307,18 +297,42 @@ def match2_opt_generators(t1, u1, t2, u2):
             # the stars: o1's off u2, the sum's off u1, both's on shared
             # variables, and all of Xbar
             value = b1 | union | (s1 & ~m2 | starred & (s1 | ~m1) | state >> 2 * n) << n
-            if value in seen:
-                continue
-            seen.add(value)
-            x = []
-            while links[state]:
-                state, g = links[state]
-                x.append(g)
-            x.reverse()
-            group = Multiset._from_clean(
-                {v: 2 if value >> n & b else 1 for v, b in bits.items() if value & b})
-            out[group] = ("gen", o1, tuple(g[0] for g in x),
-                          tuple(g[0] for g in x if not g[1] & linear))
+            if value not in found:
+                found[value] = (o1, state, links, linear)
+    return lay, found
+
+
+def _group(lay: Layout, value: int) -> Multiset:
+    n = len(lay.offsets)
+    return Multiset._from_clean(
+        {v: 2 if value >> n & b else 1 for v, b in lay.fields.items() if value & b})
+
+
+def match2_opt_generators(t1, u1, t2, u2):
+    """Maximal-antichain matching, keeping one generator per produced group.
+
+    Returns (raw groups -> provenance) where provenance is either
+    ("pass", o) for second-argument groups not touching u1, or
+    ("gen", o1, X, Xbar) for the group built from o1 and the chosen subset X
+    (Xbar being the part of X repeated twice), X read off ``_fold``'s
+    links back from the state that first gave the group. Used by the
+    optimality witness builders; ``match2_opt`` keeps only the groups.
+    """
+    lay, found = _fold(t1, u1, t2, u2)
+    out: dict[Multiset, tuple] = {}
+    for value, how in found.items():
+        group = _group(lay, value)
+        if how is None:
+            out[group] = ("pass", group)
+            continue
+        o1, state, links, linear = how
+        x = []
+        while links[state]:
+            state, g = links[state]
+            x.append(g)
+        x.reverse()
+        out[group] = ("gen", o1, tuple(g[0] for g in x),
+                      tuple(g[0] for g in x if not g[1] & linear))
     return out
 
 
@@ -328,12 +342,15 @@ def match2_opt(t1, u1, t2, u2) -> frozenset[Multiset]:
 
 
 def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
-    """Element-level matching via the maximal-antichain algorithm."""
-    # two_element keeps the maximal groups, as match2_opt would.
-    return two_element(
-        match2_opt_generators(e1.groups, e1.interest, e2.groups, e2.interest),
-        e1.interest | e2.interest,
-    )
+    """Element-level matching via the maximal-antichain algorithm: of the
+    packed groups, and the empty one, only the maximal are built."""
+    lay, found = _fold(e1.groups, e1.interest, e2.groups, e2.interest)
+    n, full, stars = len(lay.offsets), lay.ones, {0: {0}} if found else {}
+    for value in found:
+        stars.setdefault(value & full, set()).add(value >> n)
+    return ShLin2Element(frozenset(_group(lay, b | st << n) for b, sts in stars.items()
+                                   for st in sts if not any(st & t == st != t for t in sts)),
+                         e1.interest | e2.interest)
 
 
 project2, rename2, union2 = project_omega, rename_omega, union_omega

@@ -16,10 +16,8 @@ Matching glues first-argument groups with subsets of the second argument's
 groups agreeing on the shared variables, provided no first-argument linear
 variable would be used twice; groups whose variables are all possibly
 non-linear may be counted twice, which wipes the linearity of their
-variables. This computes exactly the abstraction of the maximal-antichain
-matching run on the embedding into 2-sharing groups, and it runs that
-matcher's fold, ``shlin2.linear_subsets``, once per distinct nonempty
-shared part of a first-argument group.
+variables. ``match_sl`` is the paper's instantiation of this: ShLin^2's
+matching on the embeddings, abstracted.
 
 Textual form: ``[{uv, ux}, lin={u,v}]_{u,v,x}``.
 """
@@ -28,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import shlin2
-from .multiset import EMPTY, Layout, Multiset, random_groups
+from .multiset import EMPTY, Multiset, random_groups
 from .shlin_omega import (ShLinOmegaElement, amgu, extend, groups_of, join_disjoint,
                           project_omega, rename_omega, union_omega)
 from .shlin2 import ShLin2Element, clip
@@ -138,63 +136,9 @@ def leq_sl(e1: ShLinElement, e2: ShLinElement) -> bool:
 
 
 def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
-    """Abstract matching: ShLin^2's fold, ``shlin2.linear_subsets``, run
-    once per distinct nonempty shared part of e1's groups on their
-    supports in one-bit ``Layout`` fields. The supports carry no stars, so
-    a state holds a union, the variables two of its groups share (``nl``)
-    and those of doubled groups; both lose linearity in e2. Each output
-    group is built once, at 2 on every variable some pair leaves
-    non-linear.
-    """
-    u1, u2 = e1.interest, e2.interest
-    u = u1 | u2
-    lay = Layout.of(u, 1)
-    n, full, bits = len(lay.offsets), lay.ones, lay.fields
-    m1, m2 = lay.mask(u1), lay.mask(u2)
-
-    def masks(e, m):
-        """Each group's support mask, and the mask of e's linear variables."""
-        out, stars = [], 0
-        for g in e.groups:
-            bm = 0
-            for v, k in g.items():
-                bm |= bits[v]
-                if k == 2:
-                    stars |= bits[v]
-            out.append(bm)
-        return out, m & ~stars
-
-    (s1, l1), (s2, l2) = masks(e1, m1), masks(e2, m2)
-    # What a subset X contributes does not depend on the group of e1 it is
-    # matched against, only its shared part does.
-    by_shared: dict[int, list[int]] = {}
-    for bm in s1:
-        by_shared.setdefault(bm & m2, []).append(bm)
-    # e1's groups off u2 match the empty subset, and e2's groups off u1 pass
-    pairs = {(bm, l2) for bm in by_shared.pop(0, ())}
-    rest = []
-    for bm in s2:
-        if bm & m1:
-            rest.append((bm, bm, 0))
-        else:
-            pairs.add((bm, l2))
-    for cover, bms in by_shared.items():
-        for s in shlin2.linear_subsets(rest, n, m1, cover, l1 & cover):
-            union = s & full
-            if union & m1 == cover:
-                lin = l2 & ~(s >> n | s >> 2 * n)
-                for bm in bms:
-                    pairs.add((bm | union, lin))
-
-    nonlinear = 0
-    for bu, lin in pairs:
-        nonlinear |= bu & ~(l1 | lin)
-    # the empty group is among them unless both arguments are bottom: e1's
-    # matches the empty subset, and e2's passes
-    groups = frozenset(Multiset._from_clean({v: 2 if nonlinear & b else 1
-                                             for v, b in bits.items() if bu & b})
-                       for bu in {bu for bu, _ in pairs})
-    return ShLinElement(groups, u)
+    """Abstract matching: the abstraction of ShLin^2's matching on the
+    embeddings, looked up on ``shlin2`` at each call."""
+    return alpha_sl(shlin2.match2(gamma_sl(e1), gamma_sl(e2)))
 
 
 project_sl, rename_sl, union_sl = project_omega, rename_omega, union_omega

@@ -2,6 +2,7 @@
 supplies the names its docstring lists, after the domain above it, and a
 matcher rebound in every ``sharlin`` namespace, as the benchmark's tracer
 rebinds it, reaches both the analyzer and the oracle."""
+import random
 import re
 import sys
 
@@ -65,3 +66,32 @@ def test_rebound_matchers_reach_the_analyzer_and_the_oracle(monkeypatch):
     report = oracle.run_correctness(oracle.TrialConfig(trials=50))
     assert report["failures"] == []
     assert min(calls.values()) > 0, calls
+
+
+def _leq_law_violations(d, leq, pairs=300):
+    """Seeded pairs over one interest set, each with ``j = d.union(e1,
+    e2)``, on which ``leq`` breaks its law: both below j, antisymmetric,
+    and j below e1 only when j is e1. Returns the violations and the
+    number of pairs where j is strictly above e1."""
+    rng = random.Random(f"leq:{d.__name__}")
+    violations, strict = [], 0
+    for i in range(pairs):
+        u = frozenset(rng.sample("uvwxyz", rng.randint(1, 4)))
+        e1, e2 = d.gen(rng, u, 3), d.gen(rng, u, 3)
+        j = d.union(e1, e2)
+        strict += j != e1
+        if not (leq(e1, j) and leq(e2, j)):
+            violations.append((i, "below the union"))
+        if any(leq(a, b) and leq(b, a) and a != b for a, b in ((e1, e2), (e1, j), (e2, j))):
+            violations.append((i, "antisymmetry"))
+        if j != e1 and leq(j, e1):
+            violations.append((i, "the union below e1"))
+    return violations, strict
+
+
+@pytest.mark.parametrize("domain", list(DOMAINS))
+def test_each_order_holds_its_law_and_can_be_false(domain):
+    d = DOMAINS[domain]
+    violations, strict = _leq_law_violations(d, d.leq)
+    assert violations == [] and strict >= 100, (violations[:5], strict)
+    assert _leq_law_violations(d, lambda a, b: True)[0]

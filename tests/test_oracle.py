@@ -7,7 +7,8 @@ from functools import partial
 import pytest
 
 from sharlin.existential import UNDEFINED, canonicalize, ematch
-from sharlin.multiset import parse_group
+from sharlin.domains import DOMAINS
+from sharlin.multiset import Multiset, parse_group
 from sharlin.oracle import (
     NotInMatch,
     TrialConfig,
@@ -164,6 +165,24 @@ def test_check_optimality_empty_first_argument():
     reports = check_optimality(e1, e2, "omega")
     assert reports and all(r.verified for r in reports)
     assert {str(r.group) for r in reports} == {"0", "uv"}
+
+
+@pytest.mark.parametrize("domain", ["omega", "two", "sl"])
+def test_optimality_fails_when_the_record_match_adds_a_group(monkeypatch, domain):
+    """The suite reads the ``match`` entry that the analyzer calls: one
+    spurious group, all variables at the ceiling, makes it fail."""
+    d = DOMAINS[domain]
+    cfg = TrialConfig(seed=3, trials=30)
+    assert run_optimality(cfg, domain)["failures"] == []
+    good = d.match
+
+    def spurious(e1, e2):
+        m = good(e1, e2)
+        top = m.ceiling or 9
+        return type(m).of(m.groups | {Multiset({v: top for v in m.interest})}, m.interest)
+
+    monkeypatch.setattr(d, "match", spurious)
+    assert run_optimality(cfg, domain)["failures"]
 
 
 def test_suites_pass_and_render_deterministically():
