@@ -14,7 +14,6 @@ from sharlin import (
     gamma2_contains,
     leq2,
     match2,
-    match2_opt,
     match2_ref,
     match_omega,
     parse_group,
@@ -43,7 +42,7 @@ print("  antichain:", opt)
 print("  equal:", ref == opt)
 print()
 
-raw = match2_opt(t1.groups, t1.interest, t2.groups, t2.interest)
+raw = opt.groups
 print("raw maximal groups:", sorted(format_group(g, ceiling=2) for g in raw if g))
 print()
 print("note vxz: choosing the delinearized vx from below vx^* is different")

@@ -9,13 +9,11 @@ from sharlin import (
     alpha_sl,
     format_group,
     gamma_sl,
-    gamma_sl_maximals,
     leq_sl,
     match2,
     match_sl,
     nl,
     parse_sl,
-    parse_two,
 )
 
 s1 = parse_sl("[{x, xz}, lin={y,z}]_{x,y,z}")
@@ -24,7 +22,7 @@ print("exit side: ", s1, " (y is ground, hence linear; x is not)")
 print("entry side:", s2)
 print()
 
-embedded = sorted(format_group(g, ceiling=2) for g in gamma_sl_maximals(s1))
+embedded = sorted(format_group(g, ceiling=2) for g in gamma_sl(s1).groups)
 print("embedding of the exit side:", embedded)
 print("  x is possibly non-linear, so every group delinearizes on x")
 print()

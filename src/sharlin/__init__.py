@@ -44,7 +44,6 @@ from .shlin_omega import (
     InterestMismatch,
     ShLinOmegaElement,
     alpha_omega,
-    approx_omega,
     leq_omega,
     match_omega,
     omega_element,
@@ -61,11 +60,9 @@ from .shlin2 import (
     alpha2,
     antichain_max,
     down_closure,
-    embed_cap2,
     gamma2_contains,
     leq2,
     match2,
-    match2_opt,
     match2_ref,
     oplus,
     parse_two,
@@ -80,7 +77,6 @@ from .shlin_sl import (
     ShLinElement,
     alpha_sl,
     gamma_sl,
-    gamma_sl_maximals,
     leq_sl,
     match_sl,
     nl,

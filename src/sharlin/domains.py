@@ -28,10 +28,11 @@ A domain whose optimal matching is defined through the domain above, as
 ``alpha(above.match(gamma(e1), gamma(e2)))``, also supplies ``gamma(e)``,
 the embedding into ``above`` (only ``shlin_sl``, whose elements are
 stored as that embedding, so ``gamma`` re-labels them).
-Every caller looks an operation up on its module when it calls it, so
-rebinding a module attribute reaches every caller. The order of
-``DOMAINS`` is the order of reports; each module comes after the one
-above it.
+The analyzer and the oracle's suites reach a domain's operations only
+through its record, and every caller looks an operation up on its module
+when it calls it, so rebinding a module attribute reaches every caller.
+The order of ``DOMAINS`` is the order of reports; each module comes after
+the one above it.
 """
 from __future__ import annotations
 

@@ -11,12 +11,21 @@ Three kinds of checks, all seeded and reproducible:
   optimality proofs: the second substitution binds each interest variable
   to a term stacking one fresh variable per needed group, and the first is
   assembled from an instance of the second plus bindings for its private
-  variables. Clipped-domain results are witnessed by lifting through the
-  exact-multiplicity domain, choosing concretization representatives whose
-  multiplicities respect the linear variables of the first argument. The
-  record's ``match`` must give the matching witnessed;
-* equivalence: the reference and maximal-antichain matchers agree, and the
-  sharing+linearity matcher equals the reference through the embedding.
+  variables. One loop builds every witness, fed per group by a small
+  realization of the witnessing domain: the exact-multiplicity domain, or
+  the clipped one, which lifts through the exact domain with
+  concretization representatives whose multiplicities respect the linear
+  variables of the first argument, and in which sharing+linearity is
+  witnessed through its ``gamma``. The record's ``match`` must give the
+  matching witnessed;
+* equivalence: the reference matcher and the clipped record's ``match``
+  agree, and the sharing+linearity record's ``match`` equals the reference
+  through the embedding.
+
+The suites look every domain operation up on the domain's record in
+``DOMAINS``, taking abstractions down its ``above`` chain. Only the spec
+is called by name: the witness builders, the matching being witnessed
+(``match_omega``, ``match2_opt_generators``) and ``match2_ref``.
 
 Per-trial random streams are derived from (seed, label, index), so trials
 are order-independent and can be partitioned across processes;
@@ -33,7 +42,7 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from . import existential, shlin2, shlin_omega, shlin_sl
+from . import existential, shlin2, shlin_omega
 from .domains import DOMAINS
 from .existential import (
     ExistentialSubstitution,
@@ -41,27 +50,15 @@ from .existential import (
     canonicalize,
     ematch,
 )
-from .multiset import EMPTY, Multiset
+from .multiset import Multiset
 from .shlin_omega import (
     ShLinOmegaElement,
     alpha_omega,
-    approx_omega,
-    leq_omega,
     match_omega,
     omega_element,
     star_decompose,
 )
-from .shlin2 import (
-    ShLin2Element,
-    alpha2,
-    el2_contains,
-    leq2,
-    match2,
-    match2_opt_generators,
-    match2_ref,
-    two_element,
-)
-from .shlin_sl import alpha_sl, gamma_sl, match_sl
+from .shlin2 import match2_opt_generators, match2_ref, two_element
 from .terms import App, Substitution, Term, Var, preimages, term_vars
 
 __all__ = [
@@ -186,13 +183,13 @@ def _split_universe(rng: random.Random, limit: int):
 # --- correctness -------------------------------------------------------------
 
 
-def _abstracted(d, triples: dict) -> tuple:
-    """``d``'s abstractions of the first argument, the second and the
-    concrete answer: ``triples`` starts from the concrete triple under
-    ``existential`` and keeps each domain's on the way down ``above``."""
-    if d not in triples:
-        triples[d] = tuple(map(d.alpha, _abstracted(d.above, triples)))
-    return triples[d]
+def _abstracted(d, chain: dict) -> tuple:
+    """Concrete classes taken down to ``d``: ``chain`` maps ``existential``
+    to a tuple of them and keeps each domain's abstractions of it on the
+    way down ``above``."""
+    if d not in chain:
+        chain[d] = tuple(map(d.alpha, _abstracted(d.above, chain)))
+    return chain[d]
 
 
 def _match_correct(d, triples: dict) -> bool:
@@ -329,94 +326,58 @@ def witness_theta1(
     return canonicalize(Substitution(bindings), u1)
 
 
-def _omega_witness_reports(e1: ShLinOmegaElement, second):
-    """One report per group of the exact-multiplicity matching, and it.
-
-    A concrete ``second`` (lemma mode) stays fixed for all groups, matched
-    through its abstraction; for an abstract ``second`` the second
-    substitution is rebuilt per group from the decomposition.
-    """
-    reports: list[WitnessReport] = []
-    lemma = isinstance(second, ExistentialSubstitution)
-    e2 = alpha_omega(second) if lemma else second
-    m = match_omega(e1, e2)
-    if e1.is_bottom():
-        return reports, m
+def _realize_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement):
+    """The exact-multiplicity matching and, for each group ``b`` of it,
+    the groups of ``e2`` whose sum realizes ``b`` on u2 (``b`` alone when
+    it passes through), ``b`` as the group realized and ``e1``."""
     u1, u2 = e1.interest, e2.interest
     rest = [g for g in e2.groups if g.support & u1]
-    for b in sorted(m.groups, key=Multiset.sort_key):
-        if lemma:
-            c2 = second
-        elif not b.restrict(u1) and b in e2.groups:
-            c2 = canonicalize(witness_theta2({b: 1}, u2), u2)
-        else:
-            ok, witness = star_decompose(b.restrict(u2), rest)
-            if not ok:  # pragma: no cover - see above
-                raise NotInMatch(f"{b} undecomposable")
-            c2 = canonicalize(witness_theta2(dict(witness), u2), u2)
-        theta1 = witness_theta1(e1, c2, b)
-        concrete = ematch(theta1, c2)
-        ok = (
-            concrete is not UNDEFINED
-            and b in alpha_omega(concrete).groups
-            and approx_omega(e1, theta1)
-            and leq_omega(alpha_omega(c2), e2)
-        )
-        reports.append(WitnessReport(b, theta1, c2, ok))
-    return reports, m
+
+    def realize(b: Multiset):
+        if not b.restrict(u1) and b in e2.groups:
+            return {b: 1}, b, e1
+        ok, witness = star_decompose(b.restrict(u2), rest)
+        if not ok:  # pragma: no cover - matching only emits decomposable groups
+            raise NotInMatch(f"{b} undecomposable")
+        return dict(witness), b, e1
+
+    return match_omega(e1, e2), realize
 
 
-def _two_witness_reports(e1: ShLin2Element, e2: ShLin2Element):
-    """One report per maximal group of the clipped matching, and it; each
-    is witnessed by an exact-multiplicity realization of its generator."""
-    reports: list[WitnessReport] = []
+def _realize_two(e1, e2):
+    """The clipped matching and, for each maximal group ``o`` of it, the
+    exact-multiplicity groups realizing its generator, the group ``c``
+    they realize and the one-group element of ``c`` on u1. A chosen group
+    enters once at multiplicity 1 where the first argument demands
+    linearity, so the realization stays below the generator's first
+    group; a doubled one enters twice as it is."""
     u1, u2 = e1.interest, e2.interest
     generators = match2_opt_generators(e1.groups, u1, e2.groups, u2)
-    result = two_element(generators, u1 | u2)
-    if e1.is_bottom():
-        return reports, result
-    for o in sorted(result.groups, key=Multiset.sort_key):
+
+    def realize(o: Multiset):
         kind = generators[o]
         if kind[0] == "pass":
-            c_group = o
-            xs: dict[Multiset, int] = {c_group: 1} if c_group else {}
+            xs: dict[Multiset, int] = {o: 1} if o else {}
+            c = o
         else:
             _, o1, x, xbar = kind
             doubled = set(xbar)
             xs = {}
             for op in x:
-                if op in doubled:
-                    xs[op] = xs.get(op, 0) + 2
-                else:
-                    # multiplicity 1 where the first argument demands
-                    # linearity, so the realization stays below o1
-                    rep = Multiset(
-                        {
-                            v: (1 if e == 1 or (v in u1 and o1.count(v) == 1) else 2)
-                            for v, e in op.items()
-                        }
-                    )
-                    xs[rep] = xs.get(rep, 0) + 1
-            total = EMPTY
+                n = 2 if op in doubled else 1
+                if n == 1:
+                    op = Multiset({v: 1 if e == 1 or (v in u1 and o1.count(v) == 1) else 2
+                                   for v, e in op.items()})
+                xs[op] = xs.get(op, 0) + n
+            c = o.restrict(u1 - u2)
             for rep, n in xs.items():
-                total = total + rep.scale(n)
-            c_group = o.restrict(u1 - u2) + total
-        theta2 = witness_theta2(xs, u2)
-        c2 = canonicalize(theta2, u2)
-        e1_omega = omega_element({c_group.restrict(u1)}, u1)
-        theta1 = witness_theta1(e1_omega, c2, c_group)
-        concrete = ematch(theta1, c2)
-        ok = (
-            concrete is not UNDEFINED
-            and el2_contains(alpha2(alpha_omega(concrete)), o)
-            and leq2(alpha2(alpha_omega(theta1)), e1)
-            and leq2(alpha2(alpha_omega(c2)), e2)
-        )
-        reports.append(WitnessReport(c_group, theta1, c2, ok))
-    return reports, result
+                c = c + rep.scale(n)
+        return xs, c, omega_element({c.restrict(u1)}, u1)
+
+    return two_element(generators, u1 | u2), realize
 
 
-_WITNESSES = {shlin_omega: _omega_witness_reports, shlin2: _two_witness_reports}
+_REALIZATIONS = {shlin_omega: _realize_omega, shlin2: _realize_two}
 
 
 def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
@@ -424,15 +385,34 @@ def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
     matching result, each carrying the realizing substitution pair. The
     second argument may be an abstract element or, for the exact domain, a
     concrete substitution class kept fixed across all groups. A domain
-    with a ``gamma`` is witnessed in the domain above, through ``alpha``."""
+    with a ``gamma`` is witnessed in the domain above, through ``alpha``.
+
+    The witnessing domain's realization gives the matching and, per group,
+    the groups a second substitution must realize, the exact-multiplicity
+    group to realize and the first argument to realize it under; a
+    concrete second argument is kept in place of those groups. The
+    witness is judged by the witnessing domain's record: the concrete
+    matching's abstraction holds the group, and the pair's abstractions
+    lie below the arguments. The record's ``match`` must give the matching
+    witnessed."""
     d = DOMAINS[domain]
-    if hasattr(d, "gamma"):
-        reports, m = _WITNESSES[d.above](d.gamma(e1), d.gamma(second))
-        m, e2 = d.alpha(m), second
-    else:
-        reports, m = _WITNESSES[d](e1, second)
-        e2 = d.alpha(second) if isinstance(second, ExistentialSubstitution) else second
-    if d.match(e1, e2) != m:
+    lemma = isinstance(second, ExistentialSubstitution)
+    e2 = d.alpha(second) if lemma else second
+    w, f1, f2 = (d.above, d.gamma(e1), d.gamma(e2)) if hasattr(d, "gamma") else (d, e1, e2)
+    m, realize = _REALIZATIONS[w](f1, f2)
+    u2 = f2.interest
+    reports: list[WitnessReport] = []
+    for group in [] if e1.is_bottom() else sorted(m.groups, key=Multiset.sort_key):
+        xs, target, first = realize(group)
+        c2 = second if lemma else canonicalize(witness_theta2(xs, u2), u2)
+        theta1 = witness_theta1(first, c2, target)
+        concrete = ematch(theta1, c2)
+        ok = concrete is not UNDEFINED
+        if ok:
+            got, a1, a2 = _abstracted(w, {existential: (concrete, theta1, c2)})
+            ok = w.leq(m.of({group}, m.interest), got) and w.leq(a1, f1) and w.leq(a2, f2)
+        reports.append(WitnessReport(target, theta1, c2, ok))
+    if d.match(e1, e2) != (m if w is d else d.alpha(m)):
         for r in reports:
             r.verified = False
     return reports
@@ -518,15 +498,16 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
     if cfg.max_vars < 2:
         raise ValueError("equivalence trials need max_vars of at least 2")
     hi = cfg.trials if hi is None else hi
+    two, sl = DOMAINS["two"], DOMAINS["sl"]
     two_checked = sl_checked = 0
     failures = []
     for i in range(lo, hi):
         rng = _rng(cfg, "equiv", i)
         u1, u2 = _split_universe(rng, cfg.max_vars)
-        e1 = shlin2.gen(rng, u1, cfg.multiplicity_cap)
-        e2 = shlin2.gen(rng, u2, cfg.multiplicity_cap)
+        e1 = two.gen(rng, u1, cfg.multiplicity_cap)
+        e2 = two.gen(rng, u2, cfg.multiplicity_cap)
         ref = match2_ref(e1, e2)
-        opt = match2(e1, e2)
+        opt = two.match(e1, e2)
         two_checked += 1
         if ref != opt:
             failures.append(
@@ -539,10 +520,10 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
                     "opt": str(opt),
                 }
             )
-        s1 = shlin_sl.gen(rng, u1, cfg.multiplicity_cap)
-        s2 = shlin_sl.gen(rng, u2, cfg.multiplicity_cap)
-        direct = match_sl(s1, s2)
-        composed = alpha_sl(match2_ref(gamma_sl(s1), gamma_sl(s2)))
+        s1 = sl.gen(rng, u1, cfg.multiplicity_cap)
+        s2 = sl.gen(rng, u2, cfg.multiplicity_cap)
+        direct = sl.match(s1, s2)
+        composed = sl.alpha(match2_ref(sl.gamma(s1), sl.gamma(s2)))
         sl_checked += 1
         if direct != composed:
             failures.append(

@@ -20,19 +20,19 @@ Two matching operators are provided. ``match2_ref`` is the literal
 set-level definition, enumerating all 3^|U| candidate groups over the joint
 interest set U; it is exponential in the number of variables and exists as
 a small-input reference and oracle. It keys the down-closure of the first
-argument by count tuples over its interest set and the star set of the
-second argument by count tuples over its own, tests each candidate, a
+argument by count tuples over its interest set, folds the star set of the
+second argument as count tuples over its own, tests each candidate, a
 count tuple over U, by looking up its two restrictions there, and builds a
-group only for a candidate that passes both. ``match2_opt`` works directly
-on maximal antichains, choosing subsets of the second argument's groups
-and repeating the ones whose shared variables are all non-linear; it is
-the production operator and provably computes the same downward-closed
-set. Its subsets are not enumerated one by one: ``linear_subsets`` folds
-them with ``multiset.fold_frontier`` over bitmask states, once per
-distinct shared part of a first-argument group and its linear variables
-there, cutting a branch as soon as a linear variable would be hit twice.
-One private fold runs it for all 2-sharing matching, ``shlin_sl``'s too;
-only ``match2_opt_generators``, for the witnesses, reads its provenance.
+group only for a candidate that passes both. ``match2`` works directly on
+maximal antichains, choosing subsets of the second argument's groups and
+repeating the ones whose shared variables are all non-linear; it is the
+production operator and provably computes the same downward-closed set.
+Its subsets are not enumerated one by one: ``linear_subsets`` folds them
+with ``multiset.fold_frontier`` over bitmask states, once per distinct
+shared part of a first-argument group and its linear variables there,
+cutting a branch as soon as a linear variable would be hit twice. One
+private fold runs it for all 2-sharing matching, ``shlin_sl``'s too; only
+``match2_opt_generators``, for the witnesses, reads its provenance.
 
 The textual form writes the count 2 as ``^*`` (``^inf`` and any written
 count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from itertools import product
+from operator import add
 
 from . import shlin_omega
 from .multiset import EMPTY, Layout, Multiset, fold_frontier, random_groups
@@ -50,7 +51,6 @@ from .shlin_omega import (
     extend,
     groups_of,
     join_disjoint,
-    omega_element,
     project_omega,
     rename_omega,
     union_omega,
@@ -72,15 +72,12 @@ __all__ = [
     "leq2",
     "match2_ref",
     "linear_subsets",
-    "match2_opt",
     "match2",
     "project2",
     "rename2",
     "union2",
-    "embed_cap2",
     "prop_abstraction2_check",
     "parse_two",
-    "parse_two_group",
 ]
 
 INF = float("inf")
@@ -198,20 +195,18 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Ele
     if e2.groups:
         t2_full.add(EMPTY)
     t2_pass = {o for o in t2_full if not o.support & u1}
-    t2_rest = t2_full - t2_pass
-
-    # The star set {sum of X | X subseteq T'' union squares} has at most
-    # 3^|U2| members, so it is folded one generator at a time instead of
-    # enumerating the subsets themselves.
-    generators = sorted(t2_rest | {oplus(o, o) for o in t2_rest}, key=Multiset.sort_key)
-    star = {EMPTY}
-    for g in generators:
-        star |= {oplus(s, g) for s in star}
-
     only1, shared, only2 = sorted(u1 - u2), sorted(u1 & u2), sorted(u2 - u1)
     on_u1, on_u2, names = only1 + shared, shared + only2, only1 + shared + only2
     first = {tuple(map(o.count, on_u1)) for o in t1_full}
-    second = {tuple(map(o.count, on_u2)) for o in star}
+
+    # The star set {sum of X | X subseteq T'' union squares} has at most
+    # 3^|U2| members, so it is folded one generator at a time, as count
+    # tuples over u2 summed saturating at 2, instead of enumerating the
+    # subsets themselves; a square is 2 wherever its group is nonzero.
+    rest = {tuple(map(o.count, on_u2)) for o in t2_full - t2_pass}
+    second, sat = {(0,) * len(on_u2)}, (0, 1, 2, 2, 2).__getitem__
+    for g in rest | {tuple(2 if n else 0 for n in t) for t in rest}:
+        second |= {tuple(map(sat, map(add, s, g))) for s in second}
     out = set(t2_pass)
     counts = (0, 1, 2)
     for pa, ps, pc in product(product(counts, repeat=len(only1)),
@@ -316,7 +311,7 @@ def match2_opt_generators(t1, u1, t2, u2):
     ("gen", o1, X, Xbar) for the group built from o1 and the chosen subset X
     (Xbar being the part of X repeated twice), X read off ``_fold``'s
     links back from the state that first gave the group. Used by the
-    optimality witness builders; ``match2_opt`` keeps only the groups.
+    optimality witness builders; ``match2`` keeps only the maximal groups.
     """
     lay, found = _fold(t1, u1, t2, u2)
     out: dict[Multiset, tuple] = {}
@@ -336,11 +331,6 @@ def match2_opt_generators(t1, u1, t2, u2):
     return out
 
 
-def match2_opt(t1, u1, t2, u2) -> frozenset[Multiset]:
-    """The maximal groups of the matching, computed without down-closures."""
-    return antichain_max(match2_opt_generators(t1, u1, t2, u2))
-
-
 def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
     """Element-level matching via the maximal-antichain algorithm: of the
     packed groups, and the empty one, only the maximal are built."""
@@ -354,12 +344,6 @@ def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
 
 
 project2, rename2, union2 = project_omega, rename_omega, union_omega
-
-
-def embed_cap2(e: ShLin2Element) -> ShLinOmegaElement:
-    """Concretization with exponents capped at 2 (exact for clipping checks,
-    since any multiplicity of at least 2 clips to 2)."""
-    return omega_element(down_closure(e.groups), e.interest)
 
 
 def prop_abstraction2_check(b: Multiset, v: Iterable[str], xs: Iterable[Multiset]) -> bool:
@@ -388,10 +372,6 @@ def _read_two_group(sc: Scanner) -> Multiset:
     for v, n in sc.group(star=True):
         exps[v] = 2 if v in exps or n != 1 else 1
     return Multiset._from_clean(exps)
-
-
-def parse_two_group(text: str) -> Multiset:
-    return Scanner(text).whole(_read_two_group)
 
 
 def parse_two(text: str) -> ShLin2Element:

@@ -49,7 +49,6 @@ __all__ = [
     "omega_element",
     "alpha_omega",
     "leq_omega",
-    "approx_omega",
     "star_decompose",
     "match_omega",
     "project_omega",
@@ -147,11 +146,6 @@ def alpha_omega(c: ExistentialSubstitution) -> ShLinOmegaElement:
 
 def leq_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> bool:
     return e1.interest == e2.interest and e1.groups <= e2.groups
-
-
-def approx_omega(e: ShLinOmegaElement, c: ExistentialSubstitution) -> bool:
-    """Does ``e`` correctly approximate the substitution class ``c``?"""
-    return leq_omega(alpha_omega(c), e)
 
 
 def star_decompose(

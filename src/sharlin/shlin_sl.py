@@ -36,7 +36,6 @@ __all__ = [
     "ShLinElement",
     "sl_element",
     "alpha_sl",
-    "gamma_sl_maximals",
     "gamma_sl",
     "nl",
     "leq_sl",
@@ -104,11 +103,6 @@ def alpha_sl(e: ShLin2Element) -> ShLinElement:
     """Forget exponents: supports become sharing groups, variables that are
     nowhere ``^*`` stay linear."""
     return ShLinElement(ShLinElement.normalize(e.groups), e.interest)
-
-
-def gamma_sl_maximals(e: ShLinElement) -> frozenset[Multiset]:
-    """Best 2-sharing description of each group: the stored groups."""
-    return e.groups
 
 
 def gamma_sl(e: ShLinElement) -> ShLin2Element:

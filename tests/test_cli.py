@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sharlin.cli
-import sharlin.oracle
 import sharlin.shlin_omega
+import sharlin.shlin_sl
 from sharlin.cli import main
 from sharlin.shlin_omega import omega_element
 from sharlin.shlin2 import parse_two
@@ -386,7 +386,7 @@ def test_short_suite_reports_are_pinned(capsys):
 def test_equiv_max_vars_bounds_the_instances(capsys, monkeypatch):
     # a broken matcher makes every instance a counterexample, so the report
     # shows each instance's elements
-    monkeypatch.setattr(sharlin.oracle, "match_sl", lambda s1, s2: None)
+    monkeypatch.setattr(sharlin.shlin_sl, "match", lambda s1, s2: None)
     widths = []
     for n in (2, 5):
         assert main(["equiv", "--trials", "20", "--seed", "3", "--max-vars", str(n), "--json"]) == 3

@@ -12,6 +12,8 @@ from sharlin.multiset import Multiset, parse_group
 from sharlin.oracle import (
     NotInMatch,
     TrialConfig,
+    _rng,
+    _split_universe,
     check_equivalences,
     check_match_correct,
     check_optimality,
@@ -24,9 +26,12 @@ from sharlin.oracle import (
     witness_theta2,
 )
 from sharlin.shlin_omega import alpha_omega, leq_omega, parse_omega
+from sharlin import shlin2, shlin_sl
 from sharlin.shlin2 import parse_two
 from sharlin.shlin_sl import parse_sl
 from sharlin.terms import parse_substitution, preimage_var
+
+PINNED_WITNESSES = os.path.join(os.path.dirname(__file__), "expected", "optimality_witnesses.txt")
 
 EX3_T1 = canonicalize(
     parse_substitution("{x/r(w1,w2,w2,w3,w3), y/a, z/r(w1)}"), {"x", "y", "z"}
@@ -133,6 +138,7 @@ def test_check_optimality_two_and_sl():
 WITNESS_SCRIPT = """
 from sharlin.oracle import check_optimality
 from sharlin.shlin_omega import parse_omega
+from sharlin import shlin2, shlin_sl
 from sharlin.shlin2 import parse_two
 for parse, domain, first, second in (
     (parse_omega, "omega", "[x^2, xz]_{x,y,z}", "[uv, ux, vx^2, x]_{u,v,x}"),
@@ -156,6 +162,40 @@ def test_check_optimality_witnesses_independent_of_hash_seed():
     assert outs[0] == outs[1]
     assert outs[0].count(b"omega ") == 8 and outs[0].count(b"two ") == 9
     assert b"False" not in outs[0]
+
+
+def witness_lines():
+    """One line per optimality report, ``domain trial group theta1 theta2
+    verified``, on the suite's seeded instances: 25 per domain, every 7th
+    second argument and every 11th first argument bottom, then 10
+    exact-multiplicity instances with a concrete second argument."""
+    cfg = TrialConfig(seed=27)
+    instances = []
+    for domain, d in DOMAINS.items():
+        for i in range(25):
+            rng = _rng(cfg, f"opt:{domain}", i)
+            u1, u2 = _split_universe(rng, 5)
+            e1 = d.gen(rng, u1, cfg.multiplicity_cap)
+            e2 = d.gen(rng, u2, cfg.multiplicity_cap)
+            if i % 11 == 10:
+                e1 = d.bottom(u1)
+            if i % 7 == 6:
+                e2 = d.bottom(u2)
+            instances.append((domain, i, e1, e2))
+    omega = DOMAINS["omega"]
+    for i in range(10):
+        rng = _rng(cfg, "opt:lemma", i)
+        u1, u2 = _split_universe(rng, 5)
+        e1 = omega.gen(rng, u1, cfg.multiplicity_cap)
+        instances.append(("omega", f"lemma{i}", e1, gen_existential(u2, cfg, rng)))
+    for domain, i, e1, second in instances:
+        for r in check_optimality(e1, second, domain):
+            yield f"{domain} {i} {r.group} {r.theta1} {r.theta2} {r.verified}\n"
+
+
+def test_optimality_witnesses_are_pinned():
+    with open(PINNED_WITNESSES, encoding="utf-8") as fh:
+        assert "".join(witness_lines()) == fh.read()
 
 
 def test_check_optimality_empty_first_argument():
@@ -183,6 +223,42 @@ def test_optimality_fails_when_the_record_match_adds_a_group(monkeypatch, domain
 
     monkeypatch.setattr(d, "match", spurious)
     assert run_optimality(cfg, domain)["failures"]
+
+
+def _equivalence_failures(check):
+    report = check_equivalences(TrialConfig(seed=3, trials=60, max_vars=5))
+    return [f for f in report["failures"] if f["check"] == check]
+
+
+def test_equivalences_fail_when_the_two_record_match_drops_a_group(monkeypatch):
+    """The suite reads ``shlin2``'s record ``match``: dropping its largest
+    nonempty group, when it has three or more, is caught."""
+    assert _equivalence_failures("two_ref_vs_opt") == []
+    good = shlin2.match
+
+    def dropping(e1, e2):
+        m = good(e1, e2)
+        nonempty = sorted((g for g in m.groups if g), key=Multiset.sort_key)
+        if len(nonempty) < 3:
+            return m
+        return type(m)(m.groups - {nonempty[-1]}, m.interest)
+
+    monkeypatch.setattr(shlin2, "match", dropping)
+    assert _equivalence_failures("two_ref_vs_opt")
+
+
+def test_equivalences_fail_when_the_sl_record_match_adds_a_group(monkeypatch):
+    """The suite reads ``shlin_sl``'s record ``match``: one spurious group
+    holding every variable at 2 is caught."""
+    assert _equivalence_failures("sl_vs_composition") == []
+    good = shlin_sl.match
+
+    def spurious(e1, e2):
+        m = good(e1, e2)
+        return type(m).of(m.groups | {Multiset({v: 2 for v in m.interest})}, m.interest)
+
+    monkeypatch.setattr(shlin_sl, "match", spurious)
+    assert _equivalence_failures("sl_vs_composition")
 
 
 def test_suites_pass_and_render_deterministically():
@@ -224,3 +300,7 @@ def test_trial_config_validation():
         TrialConfig(trials=0)
     with pytest.raises(ValueError):
         TrialConfig(max_vars=-1)
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(witness_lines()))

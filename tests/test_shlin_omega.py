@@ -10,7 +10,6 @@ from sharlin.shlin2 import alpha2, match2, match2_ref
 from sharlin.shlin_omega import (
     InterestMismatch,
     alpha_omega,
-    approx_omega,
     leq_omega,
     match_omega,
     omega_element,
@@ -48,9 +47,10 @@ def test_leq():
 
 
 def test_approx():
-    assert approx_omega(parse_omega("[x^2y, xz^2, w]_{w,x,y,z}"), EX2)
-    assert approx_omega(parse_omega("[x]_{x}"), _class("{x/a}", {"x"}))
-    assert not approx_omega(parse_omega("[w]_{w,x}"), canonicalize(EPSILON, {"w", "x"}))
+    # e approximates c when alpha(c) lies below it
+    assert leq_omega(alpha_omega(EX2), parse_omega("[x^2y, xz^2, w]_{w,x,y,z}"))
+    assert leq_omega(alpha_omega(_class("{x/a}", {"x"})), parse_omega("[x]_{x}"))
+    assert not leq_omega(alpha_omega(canonicalize(EPSILON, {"w", "x"})), parse_omega("[w]_{w,x}"))
 
 
 def test_star_decompose():

@@ -10,7 +10,6 @@ from sharlin.shlin2 import INF, alpha2, match2, match2_ref, parse_two, two_eleme
 from sharlin.shlin_sl import (
     alpha_sl,
     gamma_sl,
-    gamma_sl_maximals,
     leq_sl,
     match_sl,
     nl,
@@ -45,7 +44,7 @@ def test_alpha_sl_examples():
 
 
 def test_gamma_sl_maximals():
-    got = gamma_sl_maximals(S1)
+    got = gamma_sl(S1).groups
     # x is not linear, so both its groups delinearize on x; z stays linear
     assert got == frozenset(
         {two_group({}), two_group({"x": INF}), two_group({"x": INF, "z": 1})}
