@@ -27,10 +27,14 @@ The suites look every domain operation up on the domain's record in
 is called by name: the witness builders, the matching being witnessed
 (``match_omega``, ``match2_opt_generators``) and ``match2_ref``.
 
+Each suite is one function of a trial index that gives the report of that
+trial alone (``trials`` 1, its counts, its failures), and a suite's report
+over a range of trials is the ``merge_reports`` of those one-trial reports.
 Per-trial random streams are derived from (seed, label, index), so trials
 are order-independent and can be partitioned across processes;
-``merge_reports`` joins the reports of consecutive trial ranges, and they
-render byte-identically for identical configurations.
+``merge_reports``, which takes any iterable of reports, joins the reports
+of consecutive trial ranges the same way, and they render byte-identically
+for identical configurations.
 
 Bottom elements are excluded from optimality generation: an element with no
 groups approximates no substitution, so no witness pair can exist for the
@@ -252,13 +256,9 @@ def _rep_with_full_domain(c: ExistentialSubstitution) -> Substitution:
     """A representative binding every interest variable; free ones get a
     fresh variable, which stays in the same class."""
     bindings = dict(c.rep.bindings())
-    taken = c.rep.all_vars() | set(c.interest)
-    i = 0
-    for u in sorted(c.interest - c.rep.domain):
-        while f"_d{i}" in taken:
-            i += 1
-        bindings[u] = Var(f"_d{i}")
-        i += 1
+    free = sorted(c.interest - c.rep.domain)
+    for u, name in zip(free, _fresh_names(len(free), c.rep.all_vars() | set(c.interest), "_d")):
+        bindings[u] = Var(name)
     return Substitution(bindings)
 
 
@@ -397,6 +397,8 @@ def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
     witnessed."""
     d = DOMAINS[domain]
     lemma = isinstance(second, ExistentialSubstitution)
+    if lemma and d.above is not existential:
+        raise ValueError(f"a concrete second argument needs the omega domain, not {domain}")
     e2 = d.alpha(second) if lemma else second
     w, f1, f2 = (d.above, d.gamma(e1), d.gamma(e2)) if hasattr(d, "gamma") else (d, e1, e2)
     m, realize = _REALIZATIONS[w](f1, f2)
@@ -421,6 +423,42 @@ def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
 # --- suites ------------------------------------------------------------------
 
 
+def _zero(report: dict) -> dict:
+    """``report``'s shape with every count at zero and no failures."""
+    return {k: [] if k == "failures" else dict.fromkeys(v, 0) if isinstance(v, dict)
+            else 0 if isinstance(v, int) and k != "seed" else v for k, v in report.items()}
+
+
+def merge_reports(reports: Iterable[dict]) -> dict:
+    """One report from the reports of one suite over consecutive trial
+    ranges, or over its single trials: failures are concatenated in order,
+    every count except the seed is summed (dicts of counts key by key), and
+    the rest is kept. One pass over any iterable; the inputs are left as
+    they are."""
+    out = None
+    for r in reports:
+        out = out or _zero(r)
+        for key, value in r.items():
+            if key == "failures":
+                out[key] += value
+            elif isinstance(value, dict):
+                for k, n in value.items():
+                    out[key][k] += n
+            elif isinstance(value, int) and key != "seed":
+                out[key] += value
+    return out
+
+
+def _suite(lo: int, hi: int | None, cfg: TrialConfig, trial) -> dict:
+    """The merge of the one-trial reports ``trial(i)`` for ``lo <= i < hi``,
+    ``hi`` defaulting to ``cfg.trials``. An empty range gives the zero
+    report, shaped by trial ``lo``'s."""
+    hi = cfg.trials if hi is None else hi
+    if lo >= hi:
+        return _zero(trial(lo))
+    return merge_reports(map(trial, range(lo, hi)))
+
+
 def run_correctness(
     cfg: TrialConfig,
     domains: Iterable[str] = DOMAIN_TAGS,
@@ -428,68 +466,37 @@ def run_correctness(
     hi: int | None = None,
 ) -> dict:
     domains = tuple(domains)
-    hi = cfg.trials if hi is None else hi
-    counts = {d: 0 for d in domains}
-    defined = 0
-    failures = []
-    for i in range(lo, hi):
-        rng = _rng(cfg, "corr", i)
-        c1, c2 = _gen_pair(rng, cfg)
+
+    def trial(i: int) -> dict:
+        c1, c2 = _gen_pair(_rng(cfg, "corr", i), cfg)
         concrete = ematch(c1, c2)
-        if concrete is UNDEFINED:
-            for d in domains:
-                counts[d] += 1
-            continue
-        defined += 1
         triples = {existential: (c1, c2, concrete)}
-        for d in domains:
-            if _match_correct(DOMAINS[d], triples):
-                counts[d] += 1
-            else:
-                failures.append({"trial": i, "domain": d, "c1": str(c1), "c2": str(c2)})
-    return {
-        "kind": "correctness",
-        "seed": cfg.seed,
-        "trials": hi - lo,
-        "defined": defined,
-        "domains": {d: counts[d] for d in domains},
-        "failures": failures,
-    }
+        defined = concrete is not UNDEFINED
+        ok = {d: not defined or _match_correct(DOMAINS[d], triples) for d in domains}
+        return {"kind": "correctness", "seed": cfg.seed, "trials": 1, "defined": int(defined),
+                "domains": {d: int(ok[d]) for d in domains},
+                "failures": [{"trial": i, "domain": d, "c1": str(c1), "c2": str(c2)}
+                             for d in domains if not ok[d]]}
+
+    return _suite(lo, hi, cfg, trial)
 
 
 def run_optimality(cfg: TrialConfig, domain: str, lo: int = 0, hi: int | None = None) -> dict:
-    hi = cfg.trials if hi is None else hi
     d = DOMAINS[domain]
-    groups_checked = 0
-    failures = []
-    for i in range(lo, hi):
+
+    def trial(i: int) -> dict:
         rng = _rng(cfg, f"opt:{domain}", i)
         u1, u2 = _split_universe(rng, 5)
         e1 = d.gen(rng, u1, cfg.multiplicity_cap)
         e2 = d.gen(rng, u2, cfg.multiplicity_cap)
         reports = check_optimality(e1, e2, domain)
-        groups_checked += len(reports)
-        for r in reports:
-            if not r.verified:
-                failures.append(
-                    {
-                        "trial": i,
-                        "domain": domain,
-                        "group": str(r.group),
-                        "e1": str(e1),
-                        "e2": str(e2),
-                        "theta1": str(r.theta1),
-                        "theta2": str(r.theta2),
-                    }
-                )
-    return {
-        "kind": "optimality",
-        "seed": cfg.seed,
-        "domain": domain,
-        "trials": hi - lo,
-        "groups": groups_checked,
-        "failures": failures,
-    }
+        return {"kind": "optimality", "seed": cfg.seed, "domain": domain, "trials": 1,
+                "groups": len(reports),
+                "failures": [{"trial": i, "domain": domain, "group": str(r.group), "e1": str(e1),
+                              "e2": str(e2), "theta1": str(r.theta1), "theta2": str(r.theta2)}
+                             for r in reports if not r.verified]}
+
+    return _suite(lo, hi, cfg, trial)
 
 
 def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> dict:
@@ -497,67 +504,27 @@ def check_equivalences(cfg: TrialConfig, lo: int = 0, hi: int | None = None) -> 
     sharing+linearity matcher; failures carry the full counterexample."""
     if cfg.max_vars < 2:
         raise ValueError("equivalence trials need max_vars of at least 2")
-    hi = cfg.trials if hi is None else hi
     two, sl = DOMAINS["two"], DOMAINS["sl"]
-    two_checked = sl_checked = 0
-    failures = []
-    for i in range(lo, hi):
+
+    def trial(i: int) -> dict:
         rng = _rng(cfg, "equiv", i)
         u1, u2 = _split_universe(rng, cfg.max_vars)
         e1 = two.gen(rng, u1, cfg.multiplicity_cap)
         e2 = two.gen(rng, u2, cfg.multiplicity_cap)
-        ref = match2_ref(e1, e2)
-        opt = two.match(e1, e2)
-        two_checked += 1
-        if ref != opt:
-            failures.append(
-                {
-                    "trial": i,
-                    "check": "two_ref_vs_opt",
-                    "e1": str(e1),
-                    "e2": str(e2),
-                    "ref": str(ref),
-                    "opt": str(opt),
-                }
-            )
+        ref, opt = match2_ref(e1, e2), two.match(e1, e2)
+        failures = [] if ref == opt else [{"trial": i, "check": "two_ref_vs_opt", "e1": str(e1),
+                                           "e2": str(e2), "ref": str(ref), "opt": str(opt)}]
         s1 = sl.gen(rng, u1, cfg.multiplicity_cap)
         s2 = sl.gen(rng, u2, cfg.multiplicity_cap)
         direct = sl.match(s1, s2)
         composed = sl.alpha(match2_ref(sl.gamma(s1), sl.gamma(s2)))
-        sl_checked += 1
         if direct != composed:
-            failures.append(
-                {
-                    "trial": i,
-                    "check": "sl_vs_composition",
-                    "e1": str(s1),
-                    "e2": str(s2),
-                    "direct": str(direct),
-                    "composed": str(composed),
-                }
-            )
-    return {
-        "kind": "equivalence",
-        "seed": cfg.seed,
-        "trials": hi - lo,
-        "checks": {"two_ref_vs_opt": two_checked, "sl_vs_composition": sl_checked},
-        "failures": failures,
-    }
+            failures.append({"trial": i, "check": "sl_vs_composition", "e1": str(s1),
+                             "e2": str(s2), "direct": str(direct), "composed": str(composed)})
+        return {"kind": "equivalence", "seed": cfg.seed, "trials": 1,
+                "checks": {"two_ref_vs_opt": 1, "sl_vs_composition": 1}, "failures": failures}
 
-
-def merge_reports(reports: list[dict]) -> dict:
-    """One report from the reports of one suite over consecutive trial
-    ranges: failures are concatenated in order, every count except the
-    seed is summed (dicts of counts key by key), and the rest is kept."""
-    out = dict(reports[0])
-    for key, value in reports[0].items():
-        if key == "failures":
-            out[key] = [f for r in reports for f in r[key]]
-        elif isinstance(value, dict):
-            out[key] = {k: sum(r[key][k] for r in reports) for k in value}
-        elif isinstance(value, int) and key != "seed":
-            out[key] = sum(r[key] for r in reports)
-    return out
+    return _suite(lo, hi, cfg, trial)
 
 
 def render_report(report: dict) -> str:

@@ -81,6 +81,7 @@ __all__ = [
 ]
 
 INF = float("inf")
+_REF_CAP = 10  # the most variables ``match2_ref`` enumerates 3^|U| candidates over
 
 
 class TooLarge(ValueError):
@@ -174,7 +175,7 @@ def leq2(e1: ShLin2Element, e2: ShLin2Element) -> bool:
     return all(el2_contains(e2, m) for m in e1.groups)
 
 
-def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Element:
+def match2_ref(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
     """Literal set-level matching; tests all 3^|U| candidate groups.
 
     A candidate is a count tuple over U's variables ordered as A + S + C,
@@ -186,8 +187,8 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element, cap: int = 10) -> ShLin2Ele
     """
     u1, u2 = e1.interest, e2.interest
     u = u1 | u2
-    if len(u) > cap:
-        raise TooLarge(f"{len(u)} variables exceeds the cap of {cap}")
+    if len(u) > _REF_CAP:
+        raise TooLarge(f"{len(u)} variables exceeds the cap of {_REF_CAP}")
     t1_full = down_closure(e1.groups)
     t2_full = down_closure(e2.groups)
     if e1.groups:

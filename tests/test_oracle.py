@@ -32,6 +32,8 @@ from sharlin.shlin_sl import parse_sl
 from sharlin.terms import parse_substitution, preimage_var
 
 PINNED_WITNESSES = os.path.join(os.path.dirname(__file__), "expected", "optimality_witnesses.txt")
+PINNED_FAILURES = os.path.join(os.path.dirname(__file__), "expected", "failing_suites.txt")
+CORR_TRIALS, OPT_TRIALS, EQ_TRIALS = 12, 3, 12
 
 EX3_T1 = canonicalize(
     parse_substitution("{x/r(w1,w2,w2,w3,w3), y/a, z/r(w1)}"), {"x", "y", "z"}
@@ -115,6 +117,14 @@ def test_check_optimality_lemma_mode():
     reports = check_optimality(e1, EX3_T2, "omega")
     assert reports and all(r.verified for r in reports)
     assert all(r.theta2 == EX3_T2 for r in reports)
+
+
+@pytest.mark.parametrize("domain, first", [("two", "[x^*]_{x}"), ("sl", "[{x}, lin={}]_{x}")])
+def test_check_optimality_lemma_mode_needs_omega(domain, first):
+    e1 = DOMAINS[domain].parse(first)
+    c2 = gen_existential({"u", "x"}, TrialConfig())
+    with pytest.raises(ValueError, match="concrete second argument needs the omega domain"):
+        check_optimality(e1, c2, domain)
 
 
 def test_check_optimality_two_and_sl():
@@ -207,6 +217,27 @@ def test_check_optimality_empty_first_argument():
     assert {str(r.group) for r in reports} == {"0", "uv"}
 
 
+def _dropping(good):
+    """``good`` without its largest nonempty group when it has three or more."""
+    def match(e1, e2):
+        m = good(e1, e2)
+        nonempty = sorted((g for g in m.groups if g), key=Multiset.sort_key)
+        if len(nonempty) < 3:
+            return m
+        return type(m)(m.groups - {nonempty[-1]}, m.interest)
+    return match
+
+
+def _adding(good):
+    """``good`` plus one spurious group holding every variable at the
+    ceiling (at 9 where counts are exact)."""
+    def match(e1, e2):
+        m = good(e1, e2)
+        top = m.ceiling or 9
+        return type(m).of(m.groups | {Multiset({v: top for v in m.interest})}, m.interest)
+    return match
+
+
 @pytest.mark.parametrize("domain", ["omega", "two", "sl"])
 def test_optimality_fails_when_the_record_match_adds_a_group(monkeypatch, domain):
     """The suite reads the ``match`` entry that the analyzer calls: one
@@ -214,14 +245,7 @@ def test_optimality_fails_when_the_record_match_adds_a_group(monkeypatch, domain
     d = DOMAINS[domain]
     cfg = TrialConfig(seed=3, trials=30)
     assert run_optimality(cfg, domain)["failures"] == []
-    good = d.match
-
-    def spurious(e1, e2):
-        m = good(e1, e2)
-        top = m.ceiling or 9
-        return type(m).of(m.groups | {Multiset({v: top for v in m.interest})}, m.interest)
-
-    monkeypatch.setattr(d, "match", spurious)
+    monkeypatch.setattr(d, "match", _adding(d.match))
     assert run_optimality(cfg, domain)["failures"]
 
 
@@ -234,16 +258,7 @@ def test_equivalences_fail_when_the_two_record_match_drops_a_group(monkeypatch):
     """The suite reads ``shlin2``'s record ``match``: dropping its largest
     nonempty group, when it has three or more, is caught."""
     assert _equivalence_failures("two_ref_vs_opt") == []
-    good = shlin2.match
-
-    def dropping(e1, e2):
-        m = good(e1, e2)
-        nonempty = sorted((g for g in m.groups if g), key=Multiset.sort_key)
-        if len(nonempty) < 3:
-            return m
-        return type(m)(m.groups - {nonempty[-1]}, m.interest)
-
-    monkeypatch.setattr(shlin2, "match", dropping)
+    monkeypatch.setattr(shlin2, "match", _dropping(shlin2.match))
     assert _equivalence_failures("two_ref_vs_opt")
 
 
@@ -251,14 +266,50 @@ def test_equivalences_fail_when_the_sl_record_match_adds_a_group(monkeypatch):
     """The suite reads ``shlin_sl``'s record ``match``: one spurious group
     holding every variable at 2 is caught."""
     assert _equivalence_failures("sl_vs_composition") == []
-    good = shlin_sl.match
-
-    def spurious(e1, e2):
-        m = good(e1, e2)
-        return type(m).of(m.groups | {Multiset({v: 2 for v in m.interest})}, m.interest)
-
-    monkeypatch.setattr(shlin_sl, "match", spurious)
+    monkeypatch.setattr(shlin_sl, "match", _adding(shlin_sl.match))
     assert _equivalence_failures("sl_vs_composition")
+
+
+def failing_suites():
+    """Every suite rendered on a few trials with every record's ``match``
+    mutated, first by ``_dropping`` and then by ``_adding``."""
+    out = []
+    for mutant in (_dropping, _adding):
+        with pytest.MonkeyPatch.context() as mp:
+            for d in DOMAINS.values():
+                mp.setattr(d, "match", mutant(d.match))
+            reports = [run_correctness(TrialConfig(seed=4, trials=CORR_TRIALS))]
+            reports += [run_optimality(TrialConfig(seed=4, trials=OPT_TRIALS), d) for d in DOMAINS]
+            reports.append(check_equivalences(TrialConfig(seed=4, trials=EQ_TRIALS)))
+        out.extend(map(render_report, reports))
+    return "".join(out)
+
+
+def test_failing_suites_are_pinned():
+    """The failure fields, their order and their rendering, for every
+    failure kind: correctness and optimality in each domain, and both
+    equivalence checks."""
+    text = failing_suites()
+    for kind in [f"domain={d} c1=" for d in DOMAINS] + [f"domain={d} group=" for d in DOMAINS]:
+        assert kind in text
+    assert "check=two_ref_vs_opt" in text and "check=sl_vs_composition" in text
+    with open(PINNED_FAILURES, encoding="utf-8") as fh:
+        assert text == fh.read()
+
+
+def test_an_empty_trial_range_gives_a_zero_report():
+    cfg = TrialConfig(seed=6, trials=10)
+    assert run_correctness(cfg, lo=4, hi=4) == run_correctness(cfg, lo=10) == {
+        "kind": "correctness", "seed": 6, "trials": 0, "defined": 0,
+        "domains": {"omega": 0, "two": 0, "sl": 0}, "failures": []}
+    assert run_correctness(cfg, ("sl",), 3, 3)["domains"] == {"sl": 0}
+    for domain in DOMAINS:
+        assert run_optimality(cfg, domain, 7, 7) == {
+            "kind": "optimality", "seed": 6, "domain": domain, "trials": 0, "groups": 0,
+            "failures": []}
+    assert check_equivalences(cfg, 0, 0) == {
+        "kind": "equivalence", "seed": 6, "trials": 0,
+        "checks": {"two_ref_vs_opt": 0, "sl_vs_composition": 0}, "failures": []}
 
 
 def test_suites_pass_and_render_deterministically():
@@ -288,11 +339,14 @@ def test_suites_chunk_merge_invariance():
     a = {"kind": "optimality", "seed": 8, "domain": "two", "trials": 2, "groups": 3,
          "failures": [{"trial": 0}]}
     b = dict(a, trials=1, groups=1, failures=[{"trial": 2}])
-    merged = merge_reports([a, b])
+    merged = merge_reports(iter([a, b]))
     assert merged == dict(a, trials=3, groups=4, failures=[{"trial": 0}, {"trial": 2}])
+    # the inputs are left as they were
+    assert a["groups"] == 3 and a["failures"] == [{"trial": 0}] and len(b["failures"]) == 1
     c = {"kind": "equivalence", "seed": 8, "trials": 1, "checks": {"x": 1, "y": 2},
          "failures": []}
     assert merge_reports([c, c])["checks"] == {"x": 2, "y": 4}
+    assert c["checks"] == {"x": 1, "y": 2}
 
 
 def test_trial_config_validation():
@@ -303,4 +357,4 @@ def test_trial_config_validation():
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(witness_lines()))
+    sys.stdout.write(failing_suites() if sys.argv[1:] == ["failures"] else "".join(witness_lines()))

@@ -130,7 +130,7 @@ def test_match2_ref_too_large():
     e1 = two_element({two_group({"u1": 1})}, {f"u{i}" for i in range(8)})
     e2 = two_element({two_group({"v1": 1})}, {f"v{i}" for i in range(8)})
     with pytest.raises(TooLarge):
-        match2_ref(e1, e2, cap=10)
+        match2_ref(e1, e2)
 
 
 def _match2_ref_by_multisets(e1, e2):
