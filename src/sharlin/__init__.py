@@ -66,12 +66,9 @@ from .shlin2 import (
     match2_ref,
     oplus,
     parse_two,
-    project2,
     prop_abstraction2_check,
-    rename2,
     two_element,
     two_group,
-    union2,
 )
 from .shlin_sl import (
     ShLinElement,
@@ -81,10 +78,7 @@ from .shlin_sl import (
     match_sl,
     nl,
     parse_sl,
-    project_sl,
-    rename_sl,
     sl_element,
-    union_sl,
 )
 from .oracle import (
     NotInMatch,

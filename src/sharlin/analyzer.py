@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
+from . import shlin_omega
 from .domains import DOMAINS
 from .terms import (
     EPSILON,
@@ -209,10 +210,10 @@ def forward_unify(call, goal: Atom, head: Atom, domain: str, cap: int = 3,
         theta = mgu_terms(list(zip(head.args, goal.args)))
     except UnificationError:
         return ops.bottom(call.interest | cvars), ops.bottom(cvars), None
-    full = ops.extend(call, cvars - call.interest)
+    full = shlin_omega.extend(call, cvars - call.interest)
     for v, t in theta.bindings():
         full = ops.amgu(full, v, t, cap)
-    return full, ops.project(full, cvars), theta
+    return full, shlin_omega.project_omega(full, cvars), theta
 
 
 def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
@@ -231,12 +232,12 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
     if exit_elem.is_bottom() or theta is None:
         return ops.bottom(gv)
     if mode == "matching":
-        return ops.project(ops.clip(ops.match(exit_elem, full), cap), gv)
+        return shlin_omega.project_omega(shlin_omega.clip(ops.match(exit_elem, full), cap), gv)
     if mode != "mgu":
         raise ValueError(f"unknown backward mode {mode!r}")
     shared = sorted(exit_elem.interest & call.interest)
     primed = {v: f"_b{i}" for i, v in enumerate(shared)}
-    joined = ops.join_disjoint(call, ops.rename(exit_elem, primed))
+    joined = shlin_omega.join_disjoint(call, shlin_omega.rename_omega(exit_elem, primed))
     # in ``shared`` order: a Substitution would sort _b10 before _b2
     bindings = [(primed[v], Var(v)) for v in shared] + list(theta.bindings())
     drops, keep = [], set(gv)
@@ -244,7 +245,7 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
         uses = term_vars(t, {v})
         drops.append(frozenset(uses - keep))
         keep |= uses
-    e = joined if joined.interest <= keep else ops.project(joined, keep)
+    e = joined if joined.interest <= keep else shlin_omega.project_omega(joined, keep)
     for (v, t), drop in zip(bindings, reversed(drops)):
         e = ops.amgu(e, v, t, cap, drop)
     return e
@@ -293,9 +294,9 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
 
     Step 0 is the full pre-projection element of the forward step, step 1
     the entry element; comments start with ``#``. Elements use the clause's
-    source variable names, and every error names its line. ``analyze``
-    checks that each clause index names a clause of the root goal's
-    predicate.
+    source variable names, a pair of indices appears once, and every error
+    names its line. ``analyze`` checks that each clause index names a
+    clause of the root goal's predicate.
     """
     ops = DOMAINS[domain]
     out: dict[tuple[int, int], object] = {}
@@ -305,14 +306,16 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
             continue
         parts = line.split(None, 2)
         try:
-            clause_idx, step_idx, elem = int(parts[0]), int(parts[1]), parts[2]
+            key, elem = (int(parts[0]), int(parts[1])), parts[2]
         except (ValueError, IndexError):
             raise ValueError(f"bad injection entry on line {ln}: {raw!r}") from None
-        if step_idx not in (0, 1):
+        if key[1] not in (0, 1):
             raise ValueError(f"step index must be 0 or 1 on line {ln}")
+        if key in out:
+            raise ValueError(f"duplicate entry for clause {key[0]} step {key[1]} on line {ln}")
         # padded to its place in the file, so a syntax error names its line and column
         try:
-            out[(clause_idx, step_idx)] = ops.parse(
+            out[key] = ops.parse(
                 "\n" * (ln - 1) + " " * raw.rindex(elem) + elem)
         except ParseError:
             raise
@@ -321,7 +324,7 @@ def parse_injection(text: str, domain: str) -> dict[tuple[int, int], object]:
     return out
 
 
-def _pattern(atom: Atom, call, rename):
+def _pattern(atom: Atom, call):
     """The call pattern of ``atom`` under ``call``, up to variable renaming:
     (key, rho, back). Atom and element variables are renamed positionally
     by ``rho``, and ``back`` undoes it; both are tuples of pairs, so that
@@ -331,13 +334,13 @@ def _pattern(atom: Atom, call, rename):
     rho = {v: f"_p{i}" for i, v in enumerate(order)}
     sub = Substitution({v: Var(n) for v, n in rho.items()})
     args = tuple(sub.apply(a) for a in atom.args)
-    key = (atom.pred, args, rename(call, rho))
+    key = (atom.pred, args, shlin_omega.rename_omega(call, rho))
     return key, tuple(rho.items()), tuple((n, v) for v, n in rho.items())
 
 
-def _rename(rename, e, pairs):
-    """``rename(e, dict(pairs))``: a renaming given as pairs keys a table."""
-    return rename(e, dict(pairs))
+def _rename(e, pairs):
+    """``e`` renamed by ``dict(pairs)``: a renaming given as pairs keys a table."""
+    return shlin_omega.rename_omega(e, dict(pairs))
 
 
 def _rename_apart(clause: Clause, n: int, avoid: frozenset[str], reserved: frozenset[str]):
@@ -406,7 +409,7 @@ class _Engine:
             raise ValueError(
                 f"injected element mentions unknown variables {sorted(missing)}"
             )
-        return self._step(_rename, self.ops.rename, elem, crho)
+        return self._step(_rename, elem, crho)
 
     def solve(self, goal: Atom, call) -> object:
         """One pass: the answer to ``goal`` under ``call``. Each call
@@ -436,12 +439,12 @@ class _Engine:
         gv = call.interest
         if call.is_bottom():
             return step(ops.bottom, gv)
-        key, rho, back = step(_pattern, atom, call, ops.rename)
+        key, rho, back = step(_pattern, atom, call)
         if key in visited:
             cached = self.memo.get(key)
             if cached is None:
                 return step(ops.bottom, gv)
-            return step(_rename, ops.rename, cached, back)
+            return step(_rename, cached, back)
         visited.add(key)
         total = step(ops.bottom, gv)
         for idx, clause in self.clauses.get((atom.pred, len(atom.args)), ()):
@@ -453,27 +456,28 @@ class _Engine:
             if depth == 0 and req.injection:
                 injected = self._inject(idx, 0, crho, None)
                 if injected is not None:
-                    full, entry = injected, step(ops.project, injected, cvars)
+                    full, entry = injected, step(shlin_omega.project_omega, injected, cvars)
                 entry = self._inject(idx, 1, crho, entry)
             exit_elem = entry
             for batom in rclause.body:
                 if exit_elem.is_bottom():
                     break
-                bans = yield batom, step(ops.project, exit_elem, batom.variables), depth + 1
+                bans = (yield batom, step(shlin_omega.project_omega, exit_elem, batom.variables),
+                        depth + 1)
                 exit_elem = step(backward_unify, exit_elem, bans, exit_elem, EPSILON,
                                  req.mode, req.domain, exit_elem.interest, req.cap)
             answer = step(backward_unify, call, exit_elem, full, theta, req.mode,
                           req.domain, gv, req.cap)
-            total = step(ops.union, total, answer)
+            total = step(shlin_omega.union_omega, total, answer)
             self.trace.append(TraceStep(depth, idx, atom, call, full, entry, exit_elem, answer))
-        stored = step(_rename, ops.rename, total, rho)
+        stored = step(_rename, total, rho)
         old = self.memo.get(key)
         if old is not None:
-            stored = step(ops.union, stored, old)
+            stored = step(shlin_omega.union_omega, stored, old)
         if old != stored:
             self.memo[key] = stored
             self.changed = True
-        return step(_rename, ops.rename, stored, back)
+        return step(_rename, stored, back)
 
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:

@@ -31,6 +31,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
+from . import shlin_omega
 from .analyzer import (
     AnalysisRequest,
     analyze,
@@ -196,7 +197,7 @@ def _cmd_eval(args) -> int:
             raise ValueError(f"{args.op} takes two operands")
         e1 = d.parse(_operand(args.operands[0]))
         e2 = d.parse(_operand(args.operands[1]))
-        result = d.match(e1, e2) if args.op == "match" else d.union(e1, e2)
+        result = d.match(e1, e2) if args.op == "match" else shlin_omega.union_omega(e1, e2)
     else:
         if len(args.operands) != 2:
             raise ValueError("project takes an element and a {v1,v2} variable set")
@@ -205,7 +206,7 @@ def _cmd_eval(args) -> int:
         sc.expect("{")
         variables = sc.names()
         sc.end()
-        result = d.project(e1, variables)
+        result = shlin_omega.project_omega(e1, variables)
     print(result)
     return 0
 
@@ -304,12 +305,12 @@ def _cmd_equiv(args) -> int:
 def _cmd_diff(args) -> int:
     _check_least(args, cap=1)
     req = _make_request(args)
-    d = DOMAINS[args.domain]
     match_result = analyze(req)
     mgu_result = analyze(dataclasses.replace(req, mode="mgu"))
     print(f"matching: {match_result.answer}")
     print(f"mgu:      {mgu_result.answer}")
-    extra = sorted(d.groups_of(mgu_result.answer) - d.groups_of(match_result.answer))
+    extra = sorted(shlin_omega.groups_of(mgu_result.answer)
+                   - shlin_omega.groups_of(match_result.answer))
     print("difference: {" + ", ".join(extra) + "}")
     return 0
 

@@ -11,10 +11,11 @@ maximal groups (an antichain) plus the interest set. As in the exact
 multiplicity domain, nonempty elements contain the empty group.
 
 An element is the ShLin^omega element with ceiling 2, normalized by
-``antichain_max``, so ``project2``, ``rename2`` and ``union2`` are the
-ShLin^omega functions, as are most of the analyzer's operations of its
-domain record (``sharlin.domains``): the forward rule saturates at the
-ceiling, so ``clip`` has nothing left to do.
+``antichain_max``, so projection, renaming, union and the analyzer's
+other shared operations are ShLin^omega's own, used from there (see
+``sharlin.domains``), and so is its record's forward rule ``amgu``: it
+saturates at the ceiling, so ``shlin_omega.clip`` leaves the element as
+it is.
 
 Two matching operators are provided. ``match2_ref`` is the literal
 set-level definition, enumerating all 3^|U| candidate groups over the joint
@@ -45,16 +46,7 @@ from operator import add
 
 from . import shlin_omega
 from .multiset import EMPTY, Layout, Multiset, fold_frontier, random_groups
-from .shlin_omega import (
-    ShLinOmegaElement,
-    amgu,
-    extend,
-    groups_of,
-    join_disjoint,
-    project_omega,
-    rename_omega,
-    union_omega,
-)
+from .shlin_omega import ShLinOmegaElement, amgu
 from .terms import Scanner
 
 __all__ = [
@@ -73,9 +65,6 @@ __all__ = [
     "match2_ref",
     "linear_subsets",
     "match2",
-    "project2",
-    "rename2",
-    "union2",
     "prop_abstraction2_check",
     "parse_two",
 ]
@@ -344,9 +333,6 @@ def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
                          e1.interest | e2.interest)
 
 
-project2, rename2, union2 = project_omega, rename_omega, union_omega
-
-
 def prop_abstraction2_check(b: Multiset, v: Iterable[str], xs: Iterable[Multiset]) -> bool:
     """Evaluate the four clipping laws on concrete inputs (test utility):
     support preservation, commutation with restriction, commutation with
@@ -387,7 +373,6 @@ def parse_two(text: str) -> ShLin2Element:
 
 above = shlin_omega
 parse, leq, match, alpha = parse_two, leq2, match2, alpha2
-project, union, rename = project2, union2, rename2
 
 
 def gen(rng, variables, cap: int) -> ShLin2Element:
@@ -398,7 +383,3 @@ def gen(rng, variables, cap: int) -> ShLin2Element:
 
 def bottom(interest) -> ShLin2Element:
     return ShLin2Element(frozenset(), frozenset(interest))
-
-
-def clip(e, cap: int):
-    return e

@@ -24,12 +24,13 @@ are disjoint, so the merge is the multiset sum.
 ``star_decompose`` folds what is left of one group with ``fold_frontier``,
 and reads the summands off the links back from nothing left.
 
-Projection, renaming and union build through the element's own class, so
-they serve all three domains: ShLin^2's element is this one with a ceiling
-of 2, and Sharing x Lin's has that ceiling and uniform linearity. So do
-the analyzer's operations of the domain record (``sharlin.domains``)
-below, among them the forward binding rule ``amgu`` (folded by ``_bind``),
-which saturates at the element's ceiling, or else at the analysis cap.
+Projection, renaming, union, ``extend``, ``join_disjoint``, ``clip`` and
+``groups_of`` build through the element's own class, so they serve all
+three domains and are defined here alone (``sharlin.domains`` lists them):
+ShLin^2's element is this one with a ceiling of 2, and Sharing x Lin's
+has that ceiling and uniform linearity. So does the forward binding rule
+``amgu`` (folded by ``_bind``), an entry of every domain's record, which
+saturates at the element's ceiling, or else at the analysis cap.
 """
 from __future__ import annotations
 
@@ -44,8 +45,6 @@ from .terms import Scanner, occurrences, preimages
 __all__ = [
     "ShLinOmegaElement",
     "InterestMismatch",
-    "same_interest",
-    "injective_renaming",
     "omega_element",
     "alpha_omega",
     "leq_omega",
@@ -60,24 +59,6 @@ __all__ = [
 
 class InterestMismatch(ValueError):
     """Operation requires equal interest sets."""
-
-
-def same_interest(e1, e2) -> frozenset[str]:
-    """The interest set of two elements of one domain that must agree on it."""
-    if e1.interest != e2.interest:
-        raise InterestMismatch(
-            f"interest sets differ: {sorted(e1.interest)} vs {sorted(e2.interest)}"
-        )
-    return e1.interest
-
-
-def injective_renaming(e, rho: Mapping[str, str]) -> dict[str, str]:
-    """``rho`` on the interest set of ``e`` (identity where it is silent),
-    which it must map injectively."""
-    relevant = {v: rho.get(v, v) for v in e.interest}
-    if len(set(relevant.values())) != len(relevant):
-        raise ValueError("renaming is not injective on the interest set")
-    return relevant
 
 
 @dataclass(frozen=True)
@@ -298,16 +279,40 @@ def project_omega(e: ShLinOmegaElement, variables: Iterable[str]) -> ShLinOmegaE
 
 
 def rename_omega(e: ShLinOmegaElement, rho: Mapping[str, str]) -> ShLinOmegaElement:
-    """Apply an injective variable renaming to groups and interest set."""
-    relevant = injective_renaming(e, rho)
-    groups = {
-        Multiset({relevant[v]: n for v, n in g.items()}) for g in e.groups
-    }
-    return e.of(groups, set(relevant.values()))
+    """Apply ``rho`` (the identity where it is silent), which must be
+    injective on the interest set, to groups and interest set."""
+    relevant = {v: rho.get(v, v) for v in e.interest}
+    if len(set(relevant.values())) != len(relevant):
+        raise ValueError("renaming is not injective on the interest set")
+    return e.of({Multiset({relevant[v]: n for v, n in g.items()}) for g in e.groups},
+                relevant.values())
 
 
 def union_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> ShLinOmegaElement:
-    return e1.of(e1.groups | e2.groups, same_interest(e1, e2))
+    if e1.interest == e2.interest:
+        return e1.of(e1.groups | e2.groups, e1.interest)
+    raise InterestMismatch(f"interest sets differ: {sorted(e1.interest)} vs {sorted(e2.interest)}")
+
+
+def extend(e, new_vars):
+    """``e`` with fresh independent linear variables ``new_vars``."""
+    return e.of(e.groups | {Multiset({v: 1}) for v in new_vars}, e.interest.union(new_vars))
+
+
+def join_disjoint(e1, e2):
+    """The union of two elements over disjoint interest sets."""
+    return e1.of(e1.groups | e2.groups, e1.interest | e2.interest)
+
+
+def clip(e, cap: int):
+    """Saturate counts at the analysis cap, unless the element has a
+    ceiling of its own: the library operators are exact."""
+    return e if e.ceiling else e.of({g.clip(cap) for g in e.groups}, e.interest)
+
+
+def groups_of(e) -> set[str]:
+    """Canonical textual group set, for precision diffs."""
+    return {format_group(g, e.ceiling) for g in e.groups if g}
 
 
 def parse_omega(text: str) -> ShLinOmegaElement:
@@ -323,7 +328,6 @@ def parse_omega(text: str) -> ShLinOmegaElement:
 
 above = existential
 parse, leq, match, alpha = parse_omega, leq_omega, match_omega, alpha_omega
-project, union, rename = project_omega, union_omega, rename_omega
 
 
 def gen(rng, variables, cap: int) -> ShLinOmegaElement:
@@ -335,31 +339,10 @@ def bottom(interest) -> ShLinOmegaElement:
     return ShLinOmegaElement(frozenset(), frozenset(interest))
 
 
-def extend(e, new_vars):
-    """``e`` with fresh independent linear variables ``new_vars``."""
-    groups = set(e.groups) | {Multiset({v: 1}) for v in new_vars}
-    return e.of(groups, e.interest | frozenset(new_vars))
-
-
-def join_disjoint(e1, e2):
-    """The union of two elements over disjoint interest sets."""
-    return e1.of(e1.groups | e2.groups, e1.interest | e2.interest)
-
-
 def amgu(e, var, term, cap: int, drop=frozenset()):
     """Bind ``var`` to ``term``, projecting ``drop``, variables of the
     binding, away; an element's own ceiling overrides the analysis cap."""
     return e.of(_bind(e.groups, var, term, e.ceiling or cap, drop), e.interest - drop)
-
-
-def clip(e, cap: int):
-    """Saturate counts at the analysis cap: the library operators are exact."""
-    return e.of({g.clip(cap) for g in e.groups}, e.interest)
-
-
-def groups_of(e) -> set[str]:
-    """Canonical textual group set, for precision diffs."""
-    return {format_group(g, e.ceiling) for g in e.groups if g}
 
 
 def _bind(groups, var, term, ceiling, drop=frozenset()):

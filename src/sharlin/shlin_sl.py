@@ -7,10 +7,10 @@ sharing components contain the empty group, mirroring the other domains.
 It is stored as its embedding in ShLin^2: the ShLin^omega element with
 ceiling 2 whose groups count each linear variable once and the others
 twice (``^*``), uniform by ``normalize``, so their supports are distinct.
-Projection, renaming, union and the analyzer's operations of the domain
-record (``sharlin.domains``) are ShLin^omega's own, the forward rule
-``amgu`` too, with no round trip through ShLin^2; ``gamma``, the
-embedding, re-labels the groups.
+Projection, renaming, union and the analyzer's other shared operations
+are ShLin^omega's own, used from there (see ``sharlin.domains``), and so
+is its record's forward rule ``amgu``, with no round trip through
+ShLin^2; ``gamma``, the embedding, re-labels the groups.
 
 Matching glues first-argument groups with subsets of the second argument's
 groups agreeing on the shared variables, provided no first-argument linear
@@ -27,9 +27,8 @@ from typing import Iterable
 
 from . import shlin2
 from .multiset import EMPTY, Multiset, random_groups
-from .shlin_omega import (ShLinOmegaElement, amgu, extend, groups_of, join_disjoint,
-                          project_omega, rename_omega, union_omega)
-from .shlin2 import ShLin2Element, clip
+from .shlin_omega import ShLinOmegaElement, amgu
+from .shlin2 import ShLin2Element
 from .terms import Scanner
 
 __all__ = [
@@ -40,9 +39,6 @@ __all__ = [
     "nl",
     "leq_sl",
     "match_sl",
-    "project_sl",
-    "rename_sl",
-    "union_sl",
     "parse_sl",
 ]
 
@@ -135,9 +131,6 @@ def match_sl(e1: ShLinElement, e2: ShLinElement) -> ShLinElement:
     return alpha_sl(shlin2.match2(gamma_sl(e1), gamma_sl(e2)))
 
 
-project_sl, rename_sl, union_sl = project_omega, rename_omega, union_omega
-
-
 def _read_set_group(sc: Scanner) -> frozenset[str]:
     start = sc.pos
     g = Multiset(sc.group())
@@ -164,7 +157,6 @@ def parse_sl(text: str) -> ShLinElement:
 
 above = shlin2
 parse, leq, match, alpha, gamma = parse_sl, leq_sl, match_sl, alpha_sl, gamma_sl
-project, union, rename = project_sl, union_sl, rename_sl
 
 
 def gen(rng, variables, cap: int) -> ShLinElement:

@@ -26,13 +26,12 @@ from sharlin.analyzer import (
 )
 from sharlin.existential import canonicalize, emgu_subst, parse_existential
 from sharlin.multiset import EMPTY, Multiset, fold_frontier
-from sharlin.shlin_omega import alpha_omega, leq_omega, omega_element, parse_omega
+from sharlin.shlin_omega import alpha_omega, leq_omega, omega_element, parse_omega, project_omega
 from sharlin.shlin2 import (
     alpha2,
     leq2,
     oplus,
     parse_two,
-    project2,
     two_element,
 )
 from sharlin.shlin_sl import alpha_sl, parse_sl
@@ -88,10 +87,9 @@ def test_parse_goal():
 
 
 def test_baseline_amgu_two_examples():
-    ops = DOMAINS["two"]
-    e = ops.extend(parse_two("[xy, xz]_{x,y,z}"), {"u"})
+    e = shlin_omega.extend(parse_two("[xy, xz]_{x,y,z}"), {"u"})
     r = baseline_amgu(e, "x", Var("u"), "two")
-    assert ops.project(r, {"u", "x", "y", "z"}) == parse_two("[uxy, uxz]_{u,x,y,z}")
+    assert project_omega(r, {"u", "x", "y", "z"}) == parse_two("[uxy, uxz]_{u,x,y,z}")
 
     e = parse_two("[uvxy, uxz, w]_{u,v,w,x,y,z}")
     r = baseline_amgu(e, "w", App("[]"), "two")
@@ -99,8 +97,7 @@ def test_baseline_amgu_two_examples():
 
 
 def test_baseline_amgu_omega_chain():
-    ops = DOMAINS["omega"]
-    e = ops.extend(parse_omega("[x, z]_{x,z}"), {"u", "v", "w"})
+    e = shlin_omega.extend(parse_omega("[x, z]_{x,z}"), {"u", "v", "w"})
     e = baseline_amgu(e, "u", parse_term("x"), "omega")
     e = baseline_amgu(e, "v", parse_term("f(x,z)"), "omega")
     e = baseline_amgu(e, "w", parse_term("z"), "omega")
@@ -341,7 +338,8 @@ def test_forward_unify_62_second_clause_entry():
     full, entry, theta = forward_unify(call, goal, head, "two")
     assert full == parse_two("[uvxy, uxz]_{u,v,w,x,y,z}")
     assert entry == parse_two("[uv, u]_{u,v,w}")
-    assert project2(entry, {"u", "w"}) == project2(parse_two("[uv, v]_{u,v,w}"), {"u", "w"})
+    assert project_omega(entry, {"u", "w"}) == project_omega(parse_two("[uv, v]_{u,v,w}"),
+                                                             {"u", "w"})
 
 
 def test_forward_unify_failure_gives_bottom():
@@ -388,13 +386,13 @@ def _mgu_step_without_drops(call, exit_elem, theta, domain, goal_vars, cap):
     ops = DOMAINS[domain]
     shared = sorted(exit_elem.interest & call.interest)
     primed = {v: f"_b{i}" for i, v in enumerate(shared)}
-    e = ops.join_disjoint(call, ops.rename(exit_elem, primed))
+    e = shlin_omega.join_disjoint(call, shlin_omega.rename_omega(exit_elem, primed))
     bindings = [(primed[v], Var(v)) for v in shared] + list(theta.bindings())
     steps = []
     for v, t in bindings:
         steps.append((e, v, t))
         e = ops.amgu(e, v, t, cap)
-    return ops.project(e, goal_vars), steps
+    return project_omega(e, goal_vars), steps
 
 
 def _random_backward_step(rng, domain):
@@ -618,10 +616,11 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
     monkeypatch.setattr(analyzer, "forward_unify", counted_unify)
     monkeypatch.setattr(analyzer._Engine, "_rename_clause", counted_rename)
     monkeypatch.setattr(analyzer._Engine, "__init__", tracked_init)
-    # call patterns, renamed clauses and renamings, and the domain's
-    # projections, unions and bottoms between the steps (``two`` is shlin2)
+    # call patterns, renamed clauses and renamings, and the projections,
+    # unions and the domain's bottoms between the steps (``two`` is shlin2)
     for module, names in ((analyzer, ("_pattern", "_rename_apart", "_rename")),
-                          (shlin2, ("project", "union", "bottom"))):
+                          (shlin_omega, ("project_omega", "union_omega")),
+                          (shlin2, ("bottom",))):
         for name in names:
             monkeypatch.setattr(module, name, counted_piece(name, getattr(module, name)))
     req = AnalysisRequest(program=parse_program(NREV), goal=parse_goal("nrev(x, y)"),
@@ -632,8 +631,8 @@ def test_step_table_is_live_and_per_analysis(monkeypatch):
     # the distinct ones run: later passes repeat the first one's arguments
     assert len(forward) == len(set(forward)) < len(clauses)
     # so does every other piece of the engine: each runs once per analysis
-    assert {name for name, _ in pieces} == {"_pattern", "_rename_apart", "_rename", "project",
-                                            "union", "bottom"}
+    assert {name for name, _ in pieces} == {"_pattern", "_rename_apart", "_rename",
+                                            "project_omega", "union_omega", "bottom"}
     assert len(pieces) == len(set(pieces))
     # the tables belong to their analysis: the same request runs them again
     first, first_pieces = len(forward), len(pieces)
@@ -872,6 +871,14 @@ def test_injection_must_name_a_clause_of_the_goal(idx):
 def test_injection_entries_need_two_integer_indices(line):
     with pytest.raises(ValueError, match="^bad injection entry on line 2: "):
         parse_injection("# clause step element\n" + line, "two")
+
+
+def test_injection_entry_may_not_repeat_a_clause_and_step():
+    # the second entry for one (clause, step) used to replace the first
+    with pytest.raises(ValueError, match="^duplicate entry for clause 0 step 0 on line 3$"):
+        parse_injection("0 0 [u]_{u}\n0 1 [u]_{u}\n0 0 [u^*]_{u}\n", "two")
+    assert set(parse_injection("0 0 [u]_{u}\n0 1 [u]_{u}\n1 0 [u]_{u}\n", "two")) == {
+        (0, 0), (0, 1), (1, 0)}
 
 
 def test_call_interest_must_cover_goal():

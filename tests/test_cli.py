@@ -117,16 +117,21 @@ def test_eval_alpha_and_concrete_match(capsys):
 
 
 def test_eval_jobs_deterministic(capsys):
+    # as text and as --json, which prints every field of the merged report
     for base, jobs in (
         (["verify", "correctness", "--domain", "two", "--trials", "120", "--seed", "3"], "3"),
         (["verify", "optimality", "--trials", "60", "--seed", "3"], "2"),
         (["equiv", "--trials", "80", "--seed", "3"], "2"),
     ):
-        assert main(base) == 0
-        seq = capsys.readouterr().out
-        assert main(base + ["--jobs", jobs]) == 0
-        par = capsys.readouterr().out
-        assert seq == par
+        for as_json in ([], ["--json"]):
+            assert main(base + as_json) == 0
+            seq = capsys.readouterr().out
+            assert main(base + as_json + ["--jobs", jobs]) == 0
+            par = capsys.readouterr().out
+            assert seq == par
+            if as_json:
+                trials = int(base[base.index("--trials") + 1])
+                assert {json.loads(line)["trials"] for line in seq.splitlines()} == {trials}
 
 
 def test_jobs_pool_is_bounded_by_the_cpu_count(monkeypatch):
@@ -302,8 +307,9 @@ def test_sl_linear_variable_outside_the_interest_set_is_an_input_error(tmp_path,
      "unexpected character '^' (line 3, column 7)"),
     ("# so does an element that parses but is invalid\n\n0 1 [x]_{y}",
      "group x not over interest set ['y'] on line 3"),
+    ("0 0 [u]_{u}\n0 0 [u^*]_{u}", "duplicate entry for clause 0 step 0 on line 2"),
 ], ids=["past-the-end", "other-predicate", "negative", "not-an-integer", "bad-element",
-        "invalid-element"])
+        "invalid-element", "duplicate"])
 def test_analyze_rejects_a_bad_injection(tmp_path, capsys, entry, message):
     prog = tmp_path / "member.pl"
     prog.write_text(PROGRAM_62 + "other(a).\n")

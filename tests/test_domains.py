@@ -1,7 +1,10 @@
 """The domain records of ``sharlin.domains``: every module in ``DOMAINS``
 supplies the names its docstring lists, after the domain above it, and a
 matcher rebound in every ``sharlin`` namespace, as the benchmark's tracer
-rebinds it, reaches both the analyzer and the oracle."""
+rebinds it, reaches both the analyzer and the oracle. The operations the
+domains share are bound in ``shlin_omega`` alone, so rebinding one there
+reaches every caller."""
+import os
 import random
 import re
 import sys
@@ -10,13 +13,14 @@ import pytest
 
 from sharlin import analyzer, domains, existential, oracle, shlin2, shlin_omega, shlin_sl
 from sharlin.analyzer import AnalysisRequest, analyze, parse_goal, parse_program
+from sharlin.cli import main
 from sharlin.domains import DOMAINS
 
 RECORD = re.findall(r"^\* ``(\w+)", domains.__doc__, re.MULTILINE)
 
 
 def test_the_docstring_lists_the_record():
-    assert {"parse", "leq", "match", "gen", "above", "alpha", "amgu", "groups_of"} <= set(RECORD)
+    assert {"parse", "leq", "match", "gen", "above", "alpha", "bottom", "amgu"} == set(RECORD)
 
 
 @pytest.mark.parametrize("domain", list(DOMAINS))
@@ -69,8 +73,8 @@ def test_rebound_matchers_reach_the_analyzer_and_the_oracle(monkeypatch):
 
 
 def _leq_law_violations(d, leq, pairs=300):
-    """Seeded pairs over one interest set, each with ``j = d.union(e1,
-    e2)``, on which ``leq`` breaks its law: both below j, antisymmetric,
+    """Seeded pairs over one interest set, each with ``j =
+    union_omega(e1, e2)``, on which ``leq`` breaks its law: both below j, antisymmetric,
     and j below e1 only when j is e1. Returns the violations and the
     number of pairs where j is strictly above e1."""
     rng = random.Random(f"leq:{d.__name__}")
@@ -78,7 +82,7 @@ def _leq_law_violations(d, leq, pairs=300):
     for i in range(pairs):
         u = frozenset(rng.sample("uvwxyz", rng.randint(1, 4)))
         e1, e2 = d.gen(rng, u, 3), d.gen(rng, u, 3)
-        j = d.union(e1, e2)
+        j = shlin_omega.union_omega(e1, e2)
         strict += j != e1
         if not (leq(e1, j) and leq(e2, j)):
             violations.append((i, "below the union"))
@@ -95,3 +99,67 @@ def test_each_order_holds_its_law_and_can_be_false(domain):
     violations, strict = _leq_law_violations(d, d.leq)
     assert violations == [] and strict >= 100, (violations[:5], strict)
     assert _leq_law_violations(d, lambda a, b: True)[0]
+
+
+SHARED = ("project_omega", "rename_omega", "union_omega", "extend", "join_disjoint", "clip",
+          "groups_of")
+RECORD_ALIASES = ("project", "union", "rename")
+ALIASES = ("project2", "rename2", "union2", "project_sl", "rename_sl", "union_sl")
+
+
+def test_the_shared_operations_are_bound_in_shlin_omega_alone():
+    """Each shared operation has one binding, in ``shlin_omega``, among
+    the package's modules (the package re-exports its public names); no
+    other domain binds one by any name, and the old aliases are gone."""
+    shared = [getattr(shlin_omega, name) for name in SHARED]
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sharlin."):
+            held = [attr for attr, value in vars(module).items()
+                    if any(value is op for op in shared)]
+            assert held == (list(SHARED) if module is shlin_omega else []), name
+    for d in DOMAINS.values():
+        names = RECORD_ALIASES + ALIASES + (() if d is shlin_omega else SHARED)
+        assert [n for n in names if hasattr(d, n)] == [], d.__name__
+    for alias in ALIASES:
+        with pytest.raises(ImportError):
+            exec(f"from sharlin import {alias}", {})
+
+
+MEMBER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "programs", "member.pl")
+# per domain, the corpus item member's call, whose answer is the union of
+# its two clauses' answers, and two elements for ``eval --op union``
+OPERANDS = {"omega": ("[x, y, z]_{x,y,z}", "[x]_{x,y}", "[y]_{x,y}"),
+            "two": ("[x, y, z]_{x,y,z}", "[x^*]_{x,y}", "[y]_{x,y}"),
+            "sl": ("[{x, y, z}, lin={x,y,z}]_{x,y,z}", "[{x}, lin={}]_{x,y}",
+                   "[{y}, lin={y}]_{x,y}")}
+
+
+def test_a_union_that_keeps_one_side_reaches_every_caller(monkeypatch, capsys):
+    """The mutant ``union`` that keeps its first argument's groups, bound
+    on ``shlin_omega`` alone, changes the analyzer's answer in every
+    domain and what ``sharlin eval --op union`` prints."""
+    with open(MEMBER, encoding="utf-8") as fh:
+        program = parse_program(fh.read())
+    goal = parse_goal("member(x, [y, z])")
+
+    def outputs():
+        out = []
+        for domain, (call, e1, e2) in OPERANDS.items():
+            req = AnalysisRequest(program=program, goal=goal, call=DOMAINS[domain].parse(call),
+                                  domain=domain)
+            assert main(["eval", "--domain", domain, "--op", "union", e1, e2]) == 0
+            out += [str(analyze(req).answer), capsys.readouterr().out.strip()]
+        return out
+
+    # the answers are the ones pinned in tests/expected/corpus_answers.txt
+    assert outputs() == ["[xy, xz, y, z]_{x, y, z}", "[x, y]_{x, y}",
+                         "[xy, xz, y, z]_{x, y, z}", "[x^*, y]_{x, y}",
+                         "[{xy, xz, y, z}, lin={x, y, z}]_{x, y, z}", "[{x, y}, lin={y}]_{x, y}"]
+
+    def keeps_one_side(e1, e2):
+        return e1.of(e1.groups, e1.interest)
+
+    monkeypatch.setattr(shlin_omega, "union_omega", keeps_one_side)
+    assert outputs() == ["[]_{x, y, z}", "[x]_{x, y}", "[]_{x, y, z}", "[x^*]_{x, y}",
+                         "[{}, lin={x, y, z}]_{x, y, z}", "[{x}, lin={y}]_{x, y}"]

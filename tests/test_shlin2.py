@@ -6,7 +6,8 @@ import pytest
 
 from sharlin import shlin2, shlin_omega, shlin_sl
 from sharlin.multiset import EMPTY, Multiset, format_group, parse_group
-from sharlin.shlin_omega import ShLinOmegaElement, match_omega, omega_element, parse_omega
+from sharlin.shlin_omega import (ShLinOmegaElement, match_omega, omega_element, parse_omega,
+                                  project_omega, rename_omega, union_omega)
 from sharlin.shlin2 import (
     INF,
     TooLarge,
@@ -22,12 +23,9 @@ from sharlin.shlin2 import (
     match2_ref,
     oplus,
     parse_two,
-    project2,
     prop_abstraction2_check,
-    rename2,
     two_element,
     two_group,
-    union2,
 )
 from sharlin.shlin_omega import InterestMismatch
 from sharlin.shlin_sl import parse_sl
@@ -170,15 +168,15 @@ def test_match2_ref_equals_the_multiset_candidate_loop():
         u2 = frozenset(names[rng.randint(0, len(names) - 1):])
         if i % 8 == 5:
             u1, u2 = frozenset(names[:cut]), frozenset(names[cut:])
-        e1 = union2(_random_two(rng, u1), _random_two(rng, u1))
-        e2 = union2(_random_two(rng, u2), _random_two(rng, u2))
+        e1 = union_omega(_random_two(rng, u1), _random_two(rng, u1))
+        e2 = union_omega(_random_two(rng, u2), _random_two(rng, u2))
         if i % 8 == 1:
             e1, e2 = rng.choice([(two_element((), u1), e2), (e1, two_element((), u2)),
                                  (two_element((), u1), two_element((), u2))])
         elif i % 8 == 2:
             e1, e2 = rng.choice([(two_element({EMPTY}, u1), e2), (e1, two_element({EMPTY}, u2))])
         elif i % 8 == 3:
-            e2 = two_element(project2(e2, u2 - u1).groups, u2)
+            e2 = two_element(project_omega(e2, u2 - u1).groups, u2)
         ref = _match2_ref_by_multisets(e1, e2)
         assert match2_ref(e1, e2) == ref, (str(e1), str(e2))
         edges["bottom"] += e1.is_bottom() or e2.is_bottom()
@@ -199,14 +197,14 @@ def test_match2_ref_over_eight_variables():
 
 
 def test_project_rename_union():
-    assert project2(parse_two("[u^*x^*y^*]_{u,v,x,y,z}"), {"u", "v"}) == parse_two(
+    assert project_omega(parse_two("[u^*x^*y^*]_{u,v,x,y,z}"), {"u", "v"}) == parse_two(
         "[u^*]_{u,v}"
     )
     e = parse_two("[xz^*]_{x,z}")
-    assert rename2(e, {}) == e
-    assert union2(parse_two("[x]_{x}"), parse_two("[x^*]_{x}")) == parse_two("[x^*]_{x}")
+    assert rename_omega(e, {}) == e
+    assert union_omega(parse_two("[x]_{x}"), parse_two("[x^*]_{x}")) == parse_two("[x^*]_{x}")
     with pytest.raises(InterestMismatch):
-        union2(parse_two("[x]_{x}"), parse_two("[y]_{y}"))
+        union_omega(parse_two("[x]_{x}"), parse_two("[y]_{y}"))
 
 
 def test_antichain_and_down_closure():
@@ -265,7 +263,7 @@ def test_match2_provenance_rebuilds_every_group():
         u1 = frozenset(names[: rng.randint(1, len(names))])
         u2 = frozenset(names[rng.randint(0, len(names) - 1):])
         e1, e2 = _random_two(rng, u1), _random_two(rng, u2)
-        e2 = union2(e2, _random_two(rng, u2))
+        e2 = union_omega(e2, _random_two(rng, u2))
         generators = match2_opt_generators(e1.groups, u1, e2.groups, u2)
         for group, provenance in generators.items():
             if provenance[0] == "pass":
@@ -318,8 +316,8 @@ def test_monotonicity_of_both_matchers():
         u1 = frozenset(rng.sample("uvwx", rng.randint(1, 3)))
         u2 = frozenset(rng.sample("uvwx", rng.randint(1, 3)))
         small1, small2 = _random_two(rng, u1), _random_two(rng, u2)
-        big1 = union2(small1, _random_two(rng, u1))
-        big2 = union2(small2, _random_two(rng, u2))
+        big1 = union_omega(small1, _random_two(rng, u1))
+        big2 = union_omega(small2, _random_two(rng, u2))
         for f in (match2_ref, match2):
             assert leq2(f(small1, small2), f(big1, big2))
 
@@ -331,8 +329,8 @@ def test_every_operation_preserves_the_antichain_invariant():
         e = _random_two(rng, u)
         others = [
             match2(e, _random_two(rng, u)),
-            union2(e, _random_two(rng, u)),
-            project2(e, set(rng.sample(sorted(u), rng.randint(0, len(u))))),
+            union_omega(e, _random_two(rng, u)),
+            project_omega(e, set(rng.sample(sorted(u), rng.randint(0, len(u))))),
         ]
         for r in others:
             assert antichain_max(r.groups) == r.groups
@@ -427,12 +425,13 @@ def test_one_element_body_serves_sharing_times_lin():
         e = parse_sl(text)
         assert str(e) == text
         assert _repr_parts(e, "ShLinElement") == parts
-    for op, omega_op in (("project", "project_omega"), ("union", "union_omega"),
-                         ("rename", "rename_omega"), ("extend", "extend"),
-                         ("join_disjoint", "join_disjoint"), ("amgu", "amgu"),
-                         ("groups_of", "groups_of")):
-        assert getattr(shlin_sl, op) is getattr(shlin_omega, omega_op), op
-    assert shlin_sl.clip is shlin2.clip
+    # the shared operations are ShLin^omega's alone; the forward rule is
+    # each record's entry, ShLin^omega's too
+    shared = ("project", "union", "rename", "project_omega", "union_omega", "rename_omega",
+              "extend", "join_disjoint", "clip", "groups_of")
+    for module in (shlin2, shlin_sl):
+        assert [op for op in shared if hasattr(module, op)] == [], module.__name__
+        assert module.amgu is shlin_omega.amgu
 
 
 def _random_wide_pair(rng, i):
@@ -442,18 +441,18 @@ def _random_wide_pair(rng, i):
     names = rng.sample("tuvwxyz", rng.randint(6, 7))
     u1 = frozenset(names[: rng.randint(2, 5)])
     u2 = frozenset(names[rng.randint(1, len(u1)):])
-    e1 = union2(_random_two(rng, u1), _random_two(rng, u1))
-    e2 = union2(union2(_random_two(rng, u2), _random_two(rng, u2)), _random_two(rng, u2))
+    e1 = union_omega(_random_two(rng, u1), _random_two(rng, u1))
+    e2 = union_omega(union_omega(_random_two(rng, u2), _random_two(rng, u2)), _random_two(rng, u2))
     edge = i % 16
     if edge == 0:
         e1 = two_element((), u1)
     elif edge == 4:
-        e1 = two_element(project2(e1, u1 - u2).groups, u1)
+        e1 = two_element(project_omega(e1, u1 - u2).groups, u1)
     elif edge == 8:
         e1, e2 = (two_element({Multiset({v: 2 for v, _ in g.items()}) for g in e.groups},
                               e.interest) for e in (e1, e2))
     elif edge == 12:
-        e2 = two_element(project2(e2, u2 - u1).groups, u2)
+        e2 = two_element(project_omega(e2, u2 - u1).groups, u2)
     return e1, e2
 
 
@@ -544,7 +543,7 @@ def test_match2_raw_groups_equal_the_subset_enumeration():
         names = rng.sample("uvwxyz", rng.randint(4, 6))
         u1 = frozenset(names[: rng.randint(2, len(names))])
         u2 = frozenset(names[rng.randint(1, min(len(u1) - 1, len(names) - 3)):])
-        e1 = union2(_random_two(rng, u1), _random_two(rng, u1))
+        e1 = union_omega(_random_two(rng, u1), _random_two(rng, u1))
         shared = sorted(u1 & u2)
         t2 = {EMPTY}
         while sum(1 for g in t2 if g.support & u1) < i % 9:  # 0 to 8 touching

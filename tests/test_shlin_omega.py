@@ -161,13 +161,13 @@ def test_rename_and_union():
 
 
 def test_renaming_must_be_injective_in_every_domain():
-    from sharlin.shlin2 import parse_two, rename2
-    from sharlin.shlin_sl import parse_sl, rename_sl
+    from sharlin.shlin2 import parse_two
+    from sharlin.shlin_sl import parse_sl
 
     for rename, e in (
         (rename_omega, parse_omega("[x, y]_{x,y}")),
-        (rename2, parse_two("[x^*, y]_{x,y}")),
-        (rename_sl, parse_sl("[{x, y}, lin={x}]_{x,y}")),
+        (rename_omega, parse_two("[x^*, y]_{x,y}")),
+        (rename_omega, parse_sl("[{x, y}, lin={x}]_{x,y}")),
     ):
         with pytest.raises(ValueError, match="^renaming is not injective on the interest set$"):
             rename(e, {"x": "y"})

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from sharlin import shlin2, shlin_sl
+from sharlin import shlin2, shlin_omega, shlin_sl
 from sharlin.existential import canonicalize
 from sharlin.multiset import Multiset
-from sharlin.shlin_omega import InterestMismatch, alpha_omega
+from sharlin.shlin_omega import (InterestMismatch, alpha_omega, project_omega, rename_omega,
+                                  union_omega)
 from sharlin.shlin2 import INF, alpha2, match2, match2_ref, parse_two, two_element, two_group
 from sharlin.shlin_sl import (
     alpha_sl,
@@ -14,10 +15,7 @@ from sharlin.shlin_sl import (
     match_sl,
     nl,
     parse_sl,
-    project_sl,
-    rename_sl,
     sl_element,
-    union_sl,
 )
 from sharlin.terms import App, ParseError, Var, parse_substitution, term_vars
 
@@ -131,8 +129,8 @@ def test_match_sl_monotone():
         u1 = frozenset(rng.sample("uvwx", rng.randint(1, 3)))
         u2 = frozenset(rng.sample("uvwx", rng.randint(1, 3)))
         s1, s2 = _random_sl(rng, u1), _random_sl(rng, u2)
-        b1 = union_sl(s1, _random_sl(rng, u1))
-        b2 = union_sl(s2, _random_sl(rng, u2))
+        b1 = union_omega(s1, _random_sl(rng, u1))
+        b2 = union_omega(s2, _random_sl(rng, u2))
         assert leq_sl(match_sl(s1, s2), match_sl(b1, b2))
 
 
@@ -148,16 +146,16 @@ def test_linearity_invariant():
 
 def test_project_union_rename():
     e = parse_sl("[{uvx, vwz}, lin={u,v,w,x,z}]_{u,v,w,x,z}")
-    p = project_sl(e, {"x", "z"})
+    p = project_omega(e, {"x", "z"})
     assert p == parse_sl("[{x, z}, lin={x,z}]_{x,z}")
-    assert union_sl(e, e) == e
-    assert rename_sl(e, {}) == e
+    assert union_omega(e, e) == e
+    assert rename_omega(e, {}) == e
     with pytest.raises(InterestMismatch):
-        union_sl(S1, S2)
+        union_omega(S1, S2)
     # projection re-establishes groundness-implies-linearity
-    q = project_sl(parse_sl("[{uv}, lin={}]_{u,v}"), {"u"})
+    q = project_omega(parse_sl("[{uv}, lin={}]_{u,v}"), {"u"})
     assert q == parse_sl("[{u}, lin={}]_{u}")
-    r = project_sl(parse_sl("[{uv}, lin={}]_{u,v,w}"), {"w"})
+    r = project_omega(parse_sl("[{uv}, lin={}]_{u,v,w}"), {"w"})
     assert r.linear == frozenset("w")
 
 
@@ -195,8 +193,8 @@ def test_groups_of_shows_linearity():
     # the precision diff of two elements that differ only in linearity
     linear = parse_sl("[{xy}, lin={x,y}]_{x,y}")
     shared = parse_sl("[{xy}, lin={}]_{x,y}")
-    assert shlin_sl.groups_of(linear) == {"xy"}
-    assert shlin_sl.groups_of(shared) == {"x^*y^*"}
+    assert shlin_omega.groups_of(linear) == {"xy"}
+    assert shlin_omega.groups_of(shared) == {"x^*y^*"}
 
 
 # --- the set-level operations on (sharing, linear, interest) triples --------
@@ -278,17 +276,17 @@ def test_record_operations_equal_the_set_level_operations():
         bottoms += e.is_bottom()
         ground += e.sharing == {frozenset()}
         keep = {v for v in sorted(u) if rng.random() < 0.5}
-        same(shlin_sl.project(e, keep), _project_ref(t, keep))
+        same(shlin_omega.project_omega(e, keep), _project_ref(t, keep))
         other = _random_sl(rng, u) if i % 3 else element(u, i + 1)
-        same(shlin_sl.union(e, other), _union_ref(t, (other.sharing, other.linear, u)))
+        same(shlin_omega.union_omega(e, other), _union_ref(t, (other.sharing, other.linear, u)))
         rho = dict(zip(sorted(u), rng.sample("pqrstuvwxyz", len(u))))
-        same(shlin_sl.rename(e, rho), _rename_ref(t, rho))
+        same(shlin_omega.rename_omega(e, rho), _rename_ref(t, rho))
         new = frozenset(rng.sample(sorted(set("pqrst")), rng.randint(0, 2)))
-        same(shlin_sl.extend(e, new), _extend_ref(t, new))
+        same(shlin_omega.extend(e, new), _extend_ref(t, new))
         off = frozenset(rng.sample("pqrst", rng.randint(1, 3)))
         apart = element(off, i + rng.randint(0, 9))
         disjoint += not (apart.interest & u)
-        same(shlin_sl.join_disjoint(e, apart),
+        same(shlin_omega.join_disjoint(e, apart),
              _join_disjoint_ref(t, (apart.sharing, apart.linear, apart.interest)))
         var, term = rng.choice(names), _random_term(rng, names, rng.randint(0, 2))
         binding = sorted({var} | term_vars(term))
