@@ -79,7 +79,6 @@ __all__ = [
     "AnalysisRequest",
     "AnalysisResult",
     "TraceStep",
-    "ParseError",
     "PredicateMismatch",
     "FixpointLimitExceeded",
     "parse_program",
@@ -89,7 +88,6 @@ __all__ = [
     "forward_unify",
     "backward_unify",
     "analyze",
-    "DOMAINS",
 ]
 
 

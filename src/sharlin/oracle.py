@@ -234,8 +234,7 @@ def witness_theta2(xs, u2) -> Substitution:
     """
     u2 = frozenset(u2)
     counts: dict[Multiset, int] = {}
-    items = xs.items() if isinstance(xs, Mapping) else ((g, 1) for g in xs)
-    for g, n in items:
+    for g, n in xs.items():
         if g:
             counts[g] = counts.get(g, 0) + n
     supp = sorted(counts, key=Multiset.sort_key)

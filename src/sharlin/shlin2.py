@@ -35,8 +35,10 @@ cutting a branch as soon as a linear variable would be hit twice. One
 private fold runs it for all 2-sharing matching, ``shlin_sl``'s too; only
 ``match2_opt_generators``, for the witnesses, reads its provenance.
 
-The textual form writes the count 2 as ``^*`` (``^inf`` and any written
-count above 1 are accepted on input), e.g. ``[x^*y, xz^*]_{x,y,z}``.
+The textual form writes the count 2 as ``^*``, e.g. ``[x^*y, xz^*]_{x,y,z}``.
+On input ``Scanner.group`` reads ``^*`` (or ``^inf``) as the ceiling 2,
+and each group is clipped at 2, so a written count above 1 or a repeated
+variable also reads as ``^*``.
 """
 from __future__ import annotations
 
@@ -65,7 +67,6 @@ __all__ = [
     "match2_ref",
     "linear_subsets",
     "match2",
-    "prop_abstraction2_check",
     "parse_two",
 ]
 
@@ -77,11 +78,10 @@ class TooLarge(ValueError):
     """Joint interest set exceeds the reference matcher's enumeration cap."""
 
 
-def two_group(exps: Mapping[str, float] | Iterable[tuple[str, float]]) -> Multiset:
+def two_group(exps: Mapping[str, float]) -> Multiset:
     """A 2-sharing group from exponents 1, 2 or ``INF`` (stored as 2)."""
-    pairs = exps.items() if isinstance(exps, Mapping) else exps
     clean: dict[str, int] = {}
-    for v, e in pairs:
+    for v, e in exps.items():
         if e == 0:
             continue
         if e not in (1, 2, INF):
@@ -333,39 +333,11 @@ def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
                          e1.interest | e2.interest)
 
 
-def prop_abstraction2_check(b: Multiset, v: Iterable[str], xs: Iterable[Multiset]) -> bool:
-    """Evaluate the four clipping laws on concrete inputs (test utility):
-    support preservation, commutation with restriction, commutation with
-    multiset sums, and squaring."""
-    vs = frozenset(v)
-    xs = list(xs)
-    clause1 = b.support == b.clip(2).support
-    clause2 = b.restrict(vs).clip(2) == b.clip(2).restrict(vs)
-    total = EMPTY
-    for x in xs:
-        total = total + x
-    lhs = total.clip(2)
-    rhs = EMPTY
-    for x in xs:
-        rhs = oplus(rhs, x.clip(2))
-    clause3 = lhs == rhs
-    clause4 = (b + b).clip(2) == oplus(b.clip(2), b.clip(2))
-    return clause1 and clause2 and clause3 and clause4
-
-
-def _read_two_group(sc: Scanner) -> Multiset:
-    """Written counts above 1 and repeated variables clip to 2."""
-    exps: dict[str, int] = {}
-    for v, n in sc.group(star=True):
-        exps[v] = 2 if v in exps or n != 1 else 1
-    return Multiset._from_clean(exps)
-
-
 def parse_two(text: str) -> ShLin2Element:
     """Parse ``[x^*y, xz^*]_{x,y,z}``; the groups listed are the maximals."""
     sc = Scanner(text)
     sc.expect("[")
-    groups = sc.sequence(_read_two_group, "]")
+    groups = sc.sequence(lambda sc: Multiset(sc.group(star=2)).clip(2), "]")
     return two_element(groups, sc.interest())
 
 

@@ -12,13 +12,16 @@ and printed back sugared, so analyzer-level substitutions round-trip.
 Unification is Martelli-Montanari style equation rewriting with an eager
 occur check and yields an idempotent most general unifier.
 
+``Scanner`` reads every textual form. Its ``group`` reads a polynomial
+group such as ``x^2y``; ``^*`` stands for the count its caller names, the
+domain's ceiling, and is rejected where there is none.
+
 Every read of a term's variables goes through one iterative walk,
 ``occurrences``; ``preimages`` builds every variable's sharing group from it
 in one pass, for ``preimage_var`` and ``shlin_omega.alpha_omega``.
 """
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
@@ -130,10 +133,9 @@ class Substitution:
 
     __slots__ = ("_bind", "_items")
 
-    def __init__(self, bindings: Mapping[str, Term] | Iterable[tuple[str, Term]] = ()):
-        pairs = bindings.items() if isinstance(bindings, Mapping) else bindings
+    def __init__(self, bindings: Mapping[str, Term] = {}):
         clean: dict[str, Term] = {}
-        for var, term in pairs:
+        for var, term in bindings.items():
             if isinstance(term, Var) and term.name == var:
                 continue
             clean[var] = term
@@ -451,21 +453,21 @@ class Scanner:
         self.end()
         return names
 
-    def group(self, star: bool = False) -> list[tuple[str, float]]:
+    def group(self, star: int | None = None) -> list[tuple[str, int]]:
         """One polynomial group such as ``x^2y`` as (variable, count) pairs in
-        written order; ``0`` is the empty group. With ``star`` the exponent
-        ``*`` (or ``inf``) is an infinite count."""
+        written order; ``0`` is the empty group. The exponent ``*`` (or
+        ``inf``) stands for the count ``star``, and is an error without it."""
         pos = _SPACE.match(self.text, self.pos).end()
         if self.text.startswith("0", pos):
             self.pos = pos + 1
             return []
-        items: list[tuple[str, float]] = []
+        items: list[tuple[str, int]] = []
         while m := _GROUP_ITEM.match(self.text, pos):
             var, exp = m.groups()
             if exp in ("*", "inf"):
-                if not star:
+                if star is None:
                     raise self.error("expected a count after '^'", m.start(2))
-                n = math.inf
+                n = star
             else:
                 n = int(exp or 1)
                 if n == 0:

@@ -6,7 +6,7 @@ from sharlin.analyzer import parse_goal
 from sharlin.existential import ExistentialSubstitution
 from sharlin.multiset import EMPTY, Multiset
 from sharlin.shlin_omega import alpha_omega, omega_element, parse_omega
-from sharlin.shlin2 import INF, parse_two, two_element, two_group
+from sharlin.shlin2 import INF, alpha2, parse_two, two_element, two_group
 from sharlin.shlin_sl import parse_sl, sl_element
 from sharlin.terms import (
     App,
@@ -83,6 +83,16 @@ def test_two_element_round_trip(case):
     u, groups = case
     e = two_element(map(two_group, groups), u)
     assert parse_two(str(e)) == e
+
+
+@PROPERTY
+@given(_elements(lambda u: st.dictionaries(st.sampled_from(u), st.integers(1, 4))))
+def test_two_reads_an_omega_element_as_its_abstraction(case):
+    """``^*`` and written counts above 2 read as the ceiling, so the text of
+    an exact element parses to its clipping."""
+    u, groups = case
+    e = omega_element(map(Multiset, groups), u)
+    assert parse_two(str(e)) == alpha2(e)
 
 
 @PROPERTY
