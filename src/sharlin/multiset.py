@@ -12,9 +12,10 @@ Counts are plain Python integers, so sums are exact and never wrap.
 ``Layout`` is the one packed format for count vectors, ``fold_frontier``
 the one fold over sums of groups, each up to a bound: the forward abstract
 unification, ``star_decompose`` and ShLin^2's matching, which Sharing x
-Lin's runs through the embedding, fold packed vectors with it. A caller
-that needs to know how a state was reached records, inside its own
-``advance``, the first ``(state, group)`` that produced each new state.
+Lin's runs through the embedding, fold packed vectors with it. Only
+``star_decompose``, which witnesses every domain's matching, needs to know
+how a state was reached: its ``advance`` records the first ``(state,
+group)`` that produced each new state.
 ``match_omega`` folds packed states too, in ``shlin_omega._sums``,
 grouped by what is left.
 """

@@ -11,21 +11,21 @@ Three kinds of checks, all seeded and reproducible:
   optimality proofs: the second substitution binds each interest variable
   to a term stacking one fresh variable per needed group, and the first is
   assembled from an instance of the second plus bindings for its private
-  variables. One loop builds every witness, fed per group by a small
-  realization of the witnessing domain: the exact-multiplicity domain, or
-  the clipped one, which lifts through the exact domain with
-  concretization representatives whose multiplicities respect the linear
-  variables of the first argument, and in which sharing+linearity is
-  witnessed through its ``gamma``. The record's ``match`` must give the
-  matching witnessed;
+  variables. One loop builds every witness, fed per group by one
+  realization: ``star_decompose``, at the first argument's ceiling, sums
+  second-argument groups (of its down-closure when clipped) to the group
+  on u2, which lifts a clipped group to an exact one. Sharing+linearity
+  is witnessed through its ``gamma``. The record's ``match`` must give
+  the matching witnessed;
 * equivalence: the reference matcher and the clipped record's ``match``
   agree, and the sharing+linearity record's ``match`` equals the reference
   through the embedding.
 
 The suites look every domain operation up on the domain's record in
 ``DOMAINS``, taking abstractions down its ``above`` chain. Only the spec
-is called by name: the witness builders, the matching being witnessed
-(``match_omega``, ``match2_opt_generators``) and ``match2_ref``.
+is called by name: the witness builders (with ``down_closure``), the
+matching witnessed (``match_omega``, ``match2_opt_generators``) and
+``match2_ref``.
 
 Each suite is one function of a trial index that gives the report of that
 trial alone (``trials`` 1, its counts, its failures), and a suite's report
@@ -46,7 +46,7 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from . import existential, shlin2, shlin_omega
+from . import existential
 from .domains import DOMAINS
 from .existential import (
     ExistentialSubstitution,
@@ -62,7 +62,7 @@ from .shlin_omega import (
     omega_element,
     star_decompose,
 )
-from .shlin2 import match2_opt_generators, match2_ref, two_element
+from .shlin2 import down_closure, match2_opt_generators, match2_ref, two_element
 from .terms import App, Substitution, Term, Var, preimages, term_vars
 
 __all__ = [
@@ -108,8 +108,8 @@ class TrialConfig:
 @dataclass
 class WitnessReport:
     group: Multiset
-    theta1: ExistentialSubstitution
-    theta2: ExistentialSubstitution
+    theta1: ExistentialSubstitution | None  # None: the group is not realized
+    theta2: ExistentialSubstitution | None
     verified: bool
 
 
@@ -325,58 +325,35 @@ def witness_theta1(
     return canonicalize(Substitution(bindings), u1)
 
 
-def _realize_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement):
-    """The exact-multiplicity matching and, for each group ``b`` of it,
-    the groups of ``e2`` whose sum realizes ``b`` on u2 (``b`` alone when
-    it passes through), ``b`` as the group realized and ``e1``."""
-    u1, u2 = e1.interest, e2.interest
-    rest = [g for g in e2.groups if g.support & u1]
+def _realize(e1: ShLinOmegaElement, e2: ShLinOmegaElement):
+    """The matching witnessed, exact or clipped as ``e1`` is, and a
+    function giving, for a group ``b`` of it, the groups of ``e2`` (of its
+    down-closure when clipped) that ``star_decompose`` sums to ``b`` on u2
+    at ``e1``'s ceiling (``b`` alone when it passes through), the exact
+    group ``c`` they realize, which clips to ``b``, and the one-group
+    element of ``c`` on u1; or ``None`` when no sum realizes ``b``."""
+    u1, u2, k = e1.interest, e2.interest, e1.ceiling
+    if k:
+        m = two_element(match2_opt_generators(e1.groups, u1, e2.groups, u2), u1 | u2)
+        groups = down_closure(e2.groups)
+    else:
+        m, groups = match_omega(e1, e2), e2.groups
+    rest = [g for g in groups if g.support & u1]
 
     def realize(b: Multiset):
-        if not b.restrict(u1) and b in e2.groups:
-            return {b: 1}, b, e1
-        ok, witness = star_decompose(b.restrict(u2), rest)
-        if not ok:  # pragma: no cover - matching only emits decomposable groups
-            raise NotInMatch(f"{b} undecomposable")
-        return dict(witness), b, e1
-
-    return match_omega(e1, e2), realize
-
-
-def _realize_two(e1, e2):
-    """The clipped matching and, for each maximal group ``o`` of it, the
-    exact-multiplicity groups realizing its generator, the group ``c``
-    they realize and the one-group element of ``c`` on u1. A chosen group
-    enters once at multiplicity 1 where the first argument demands
-    linearity, so the realization stays below the generator's first
-    group; a doubled one enters twice as it is."""
-    u1, u2 = e1.interest, e2.interest
-    generators = match2_opt_generators(e1.groups, u1, e2.groups, u2)
-
-    def realize(o: Multiset):
-        kind = generators[o]
-        if kind[0] == "pass":
-            xs: dict[Multiset, int] = {o: 1} if o else {}
-            c = o
+        if not b.support & u1:
+            xs = {b: 1}
         else:
-            _, o1, x, xbar = kind
-            doubled = set(xbar)
-            xs = {}
-            for op in x:
-                n = 2 if op in doubled else 1
-                if n == 1:
-                    op = Multiset({v: 1 if e == 1 or (v in u1 and o1.count(v) == 1) else 2
-                                   for v, e in op.items()})
-                xs[op] = xs.get(op, 0) + n
-            c = o.restrict(u1 - u2)
-            for rep, n in xs.items():
-                c = c + rep.scale(n)
+            ok, witness = star_decompose(b.restrict(u2), rest, k)
+            if not ok:
+                return None
+            xs = dict(witness)
+        c = b.restrict(u1 - u2)
+        for g, n in xs.items():
+            c += g.scale(n)
         return xs, c, omega_element({c.restrict(u1)}, u1)
 
-    return two_element(generators, u1 | u2), realize
-
-
-_REALIZATIONS = {shlin_omega: _realize_omega, shlin2: _realize_two}
+    return m, realize
 
 
 def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
@@ -386,25 +363,28 @@ def check_optimality(e1, second, domain: str) -> list[WitnessReport]:
     concrete substitution class kept fixed across all groups. A domain
     with a ``gamma`` is witnessed in the domain above, through ``alpha``.
 
-    The witnessing domain's realization gives the matching and, per group,
-    the groups a second substitution must realize, the exact-multiplicity
-    group to realize and the first argument to realize it under; a
-    concrete second argument is kept in place of those groups. The
-    witness is judged by the witnessing domain's record: the concrete
-    matching's abstraction holds the group, and the pair's abstractions
-    lie below the arguments. The record's ``match`` must give the matching
-    witnessed."""
+    ``_realize`` gives the matching and, per group, the groups a second
+    substitution must realize, the exact-multiplicity group to realize
+    and the first argument to realize it under; a concrete second
+    argument is kept in place of those groups. A group it cannot realize
+    fails, with no pair. The witness is judged by the witnessing domain's
+    record: the concrete matching's abstraction holds the group, and the
+    pair's abstractions lie below the arguments. The record's ``match``
+    must give the matching witnessed."""
     d = DOMAINS[domain]
     lemma = isinstance(second, ExistentialSubstitution)
     if lemma and d.above is not existential:
         raise ValueError(f"a concrete second argument needs the omega domain, not {domain}")
     e2 = d.alpha(second) if lemma else second
     w, f1, f2 = (d.above, d.gamma(e1), d.gamma(e2)) if hasattr(d, "gamma") else (d, e1, e2)
-    m, realize = _REALIZATIONS[w](f1, f2)
+    m, realize = _realize(f1, f2)
     u2 = f2.interest
     reports: list[WitnessReport] = []
     for group in [] if e1.is_bottom() else sorted(m.groups, key=Multiset.sort_key):
-        xs, target, first = realize(group)
+        if (realized := realize(group)) is None:
+            reports.append(WitnessReport(group, None, None, False))
+            continue
+        xs, target, first = realized
         c2 = second if lemma else canonicalize(witness_theta2(xs, u2), u2)
         theta1 = witness_theta1(first, c2, target)
         concrete = ematch(theta1, c2)

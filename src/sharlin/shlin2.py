@@ -32,8 +32,8 @@ Its subsets are not enumerated one by one: ``linear_subsets`` folds them
 with ``multiset.fold_frontier`` over bitmask states, once per distinct
 shared part of a first-argument group and its linear variables there,
 cutting a branch as soon as a linear variable would be hit twice. One
-private fold runs it for all 2-sharing matching, ``shlin_sl``'s too; only
-``match2_opt_generators``, for the witnesses, reads its provenance.
+private fold runs it for all 2-sharing matching, ``shlin_sl``'s too, and
+``match2_opt_generators`` gives the witnesses its raw groups.
 
 The textual form writes the count 2 as ``^*``, e.g. ``[x^*y, xz^*]_{x,y,z}``.
 On input ``Scanner.group`` reads ``^*`` (or ``^inf``) as the ceiling 2,
@@ -207,10 +207,9 @@ def match2_ref(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:
     return two_element(out, u)
 
 
-def linear_subsets(rest, n, m1, cover, linear) -> dict:
-    """Every subset X of the groups ``rest`` that fits under ``cover``,
-    folded by ``fold_frontier``: ``{state: (previous state, group)}`` from
-    ``{0: None}``, in the order reached.
+def linear_subsets(rest, n, m1, cover, linear) -> set:
+    """The states of every subset X of the groups ``rest`` that fits under
+    ``cover``, folded by ``fold_frontier`` from 0.
 
     Groups are ``(key, support, stars)`` bitmasks over n variables; one
     fits when its part on ``m1`` lies under ``cover``, and each is taken
@@ -220,32 +219,20 @@ def linear_subsets(rest, n, m1, cover, linear) -> dict:
     takes a variable of ``linear`` twice stays so as X grows, so it is
     pruned.
     """
-    links = {0: None}
-
     def advance(frontier, g):
         _, gm, gs = g
         doubled = 0 if gm & linear else gm << 2 * n
-        reached = set()
-        for s in frontier:
-            twice = s & gm
-            if not twice & linear:
-                t = s | gm | (twice | gs) << n | doubled
-                reached.add(t)
-                links.setdefault(t, (s, g))
-        return reached
+        return {s | gm | ((s & gm) | gs) << n | doubled for s in frontier if not s & gm & linear}
 
-    fold_frontier(0, {g: 1 for g in rest if not g[1] & m1 & ~cover}, advance)
-    return links
+    return fold_frontier(0, {g: 1 for g in rest if not g[1] & m1 & ~cover}, advance)
 
 
 def _fold(t1, u1, t2, u2):
-    """The ``Layout`` of u1 | u2, and each group of the matching packed
-    (support, and ``^*`` variables << n), in the order reached, mapped to
-    how it was first reached: ``None`` for a group of t2 off u1, else
-    ``(o1, state, links, linear)``, ``linear`` being o1's linear variables
-    on u2. Fitting subsets X of t2 depend on o1 only through its shared
-    part and ``linear``, so ``linear_subsets`` runs once per such pair,
-    giving ``links``; the groups of X off ``linear`` form Xbar, taken
+    """The ``Layout`` of u1 | u2, and the set of the matching's groups
+    packed (support, and ``^*`` variables << n). Fitting subsets X of t2
+    depend on a first-argument group o1 only through its shared part and
+    its linear variables on u2, so ``linear_subsets`` runs once per such
+    pair; the groups of X off those linear variables form Xbar, taken
     twice (the group produced is ``^*`` on all of Xbar)."""
     u1, u2 = frozenset(u1), frozenset(u2)
     lay = Layout.of(u1 | u2, 1)
@@ -259,31 +246,29 @@ def _fold(t1, u1, t2, u2):
                 stars |= bits[v]
         return support, stars
 
-    found, rest = {}, []
-    for o in sorted(set(t2), key=Multiset.sort_key):
+    found, rest = set(), []
+    for o in set(t2):
         b, st = masks(o)
         if b & m1:
             rest.append((o, b, st))
         else:
-            found[b | st << n] = None
-    # (shared part, its linear variables) -> links; no group of rest fits under 0
-    folds = {(0, 0): {0: None}}
-    for o1 in sorted(t1, key=Multiset.sort_key):
+            found.add(b | st << n)
+    # (shared part, its linear variables) -> states; no group of rest fits under 0
+    folds = {(0, 0): {0}}
+    for o1 in t1:
         b1, s1 = masks(o1)
         key = cover, linear = b1 & m2, b1 & ~s1 & m2
-        links = folds.get(key)
-        if links is None:
-            links = folds[key] = linear_subsets(rest, n, m1, cover, linear)
-        for state in links:
+        states = folds.get(key)
+        if states is None:
+            states = folds[key] = linear_subsets(rest, n, m1, cover, linear)
+        for state in states:
             union = state & full
             if union & m1 != cover:
                 continue
             starred = state >> n & full
             # the stars: o1's off u2, the sum's off u1, both's on shared
             # variables, and all of Xbar
-            value = b1 | union | (s1 & ~m2 | starred & (s1 | ~m1) | state >> 2 * n) << n
-            if value not in found:
-                found[value] = (o1, state, links, linear)
+            found.add(b1 | union | (s1 & ~m2 | starred & (s1 | ~m1) | state >> 2 * n) << n)
     return lay, found
 
 
@@ -293,32 +278,12 @@ def _group(lay: Layout, value: int) -> Multiset:
         {v: 2 if value >> n & b else 1 for v, b in lay.fields.items() if value & b})
 
 
-def match2_opt_generators(t1, u1, t2, u2):
-    """Maximal-antichain matching, keeping one generator per produced group.
-
-    Returns (raw groups -> provenance) where provenance is either
-    ("pass", o) for second-argument groups not touching u1, or
-    ("gen", o1, X, Xbar) for the group built from o1 and the chosen subset X
-    (Xbar being the part of X repeated twice), X read off ``_fold``'s
-    links back from the state that first gave the group. Used by the
-    optimality witness builders; ``match2`` keeps only the maximal groups.
-    """
+def match2_opt_generators(t1, u1, t2, u2) -> set[Multiset]:
+    """The raw groups of maximal-antichain matching, of which ``match2``
+    keeps the maximal: t2's groups off u1, and one per group of t1 and
+    fitting subset of t2. The optimality witnesses take their matching here."""
     lay, found = _fold(t1, u1, t2, u2)
-    out: dict[Multiset, tuple] = {}
-    for value, how in found.items():
-        group = _group(lay, value)
-        if how is None:
-            out[group] = ("pass", group)
-            continue
-        o1, state, links, linear = how
-        x = []
-        while links[state]:
-            state, g = links[state]
-            x.append(g)
-        x.reverse()
-        out[group] = ("gen", o1, tuple(g[0] for g in x),
-                      tuple(g[0] for g in x if not g[1] & linear))
-    return out
+    return {_group(lay, value) for value in found}
 
 
 def match2(e1: ShLin2Element, e2: ShLin2Element) -> ShLin2Element:

@@ -22,7 +22,8 @@ that uses up a target is decoded once, into counts that are merged
 straight into the first-argument groups over that target: their supports
 are disjoint, so the merge is the multiset sum.
 ``star_decompose`` folds what is left of one group with ``fold_frontier``,
-and reads the summands off the links back from nothing left.
+a field at the ceiling staying at zero once a summand overshoots it, and
+reads the summands off the links back from nothing left.
 
 Projection, renaming, union, ``extend``, ``join_disjoint``, ``clip`` and
 ``groups_of`` build through the element's own class, so they serve all
@@ -79,15 +80,20 @@ class ShLinOmegaElement:
 
     @classmethod
     def of(cls, groups: Iterable[Multiset], interest: Iterable[str]):
-        """Build an element, inserting the empty group into nonempty ones."""
+        """Build an element, inserting the empty group into nonempty ones.
+        The error names the first group in ``Multiset.sort_key`` order that
+        is not over the interest set or has a count above the ceiling."""
         u = frozenset(interest)
         gs = set(groups)
         top = cls.ceiling
         for g in gs:
-            if not g.support <= u:
-                raise ValueError(f"group {format_group(g, top)} not over interest set {sorted(u)}")
-            if top and any(n > top for _, n in g.items()):
-                raise ValueError(f"group {g} has a count above {top}")
+            if not g.support <= u or top and any(n > top for _, n in g.items()):
+                for h in sorted(gs, key=Multiset.sort_key):
+                    if not h.support <= u:
+                        raise ValueError(
+                            f"group {format_group(h, top)} not over interest set {sorted(u)}")
+                    if top and any(n > top for _, n in h.items()):
+                        raise ValueError(f"group {h} has a count above {top}")
         if gs:
             gs.add(EMPTY)
         return cls(cls.normalize(gs), u)
@@ -130,32 +136,42 @@ def leq_omega(e1: ShLinOmegaElement, e2: ShLinOmegaElement) -> bool:
 
 
 def star_decompose(
-    x: Multiset, s: Iterable[Multiset]
+    x: Multiset, s: Iterable[Multiset], ceiling: int | None = None
 ) -> tuple[bool, tuple[tuple[Multiset, int], ...] | None]:
     """Is ``x`` a finite sum of groups from ``s``? Returns (answer, witness).
 
-    The witness lists (group, repetition) pairs summing to ``x``, distinct
-    groups in ``Multiset.sort_key`` order, so it does not depend on the
-    order of ``s``. Empty groups add nothing and are ignored. A state is
-    what is left of ``x``, packed by a guarded ``Layout`` of its variables:
-    taking a group away is a subtraction, and it fits when every guard
-    survives. ``fold_frontier`` takes each group within ``x`` as often as
-    it fits; the summands are read off the links back from nothing left.
+    A count of ``x`` at ``ceiling`` reads "that many or more": the sum may
+    exceed it there, and must equal ``x`` elsewhere. The witness lists
+    (group, repetition) pairs, distinct groups in ``Multiset.sort_key``
+    order, so it does not depend on the order of ``s``; their sum clipped
+    at the ceiling is ``x``. Empty groups are ignored. A state is what is
+    left of ``x``, packed by a guarded ``Layout`` of its variables: taking
+    a group away is a subtraction, a field at the ceiling taken below zero
+    is left at zero, and the group fits when every other guard survives.
+    ``fold_frontier`` takes each group up to the largest ⌈x(v)/n⌉ over its
+    fields; the summands are read off the links back from nothing left.
     """
-    lay = Layout.of(x.support, max((n for _, n in x.items()), default=0).bit_length(), True)
-    guards, start = lay.guards, lay.guards | lay.pack(x.items())
-    fits = {(lay.pack(g.items()), g): k
+    w = max((n for _, n in x.items()), default=0).bit_length()
+    lay = Layout.of(x.support, w, True)
+    guards, start, low = lay.guards, lay.guards | lay.pack(x.items()), (1 << w) - 1
+    sat = sum(1 << lay.offsets[v] + w for v, n in x.items() if n == ceiling)
+    fits = {(lay.pack((v, min(n, x.count(v))) for v, n in g.items()), g):
+            max(-(-x.count(v) // n) for v, n in g.items())
             for g in sorted({g for g in s if g and g.support <= x.support}, key=Multiset.sort_key)
-            if (k := min(x.count(v) // n for v, n in g.items()))}
+            if all(n <= x.count(v) or x.count(v) == ceiling for v, n in g.items())}
     links = {start: None}
 
     def advance(frontier, part):
         reached = set()
         for left in frontier:
             r = left - part[0]
-            if r & guards == guards:
-                reached.add(r)
-                links.setdefault(r, (left, part))
+            if r & guards != guards:
+                lost = guards & ~r
+                if lost & ~sat:
+                    continue
+                r = r & ~((lost >> w) * low) | lost
+            reached.add(r)
+            links.setdefault(r, (left, part))
         return reached
 
     if guards not in fold_frontier(start, fits, advance):

@@ -705,6 +705,32 @@ def test_optimality_report_independent_of_hash_seed():
     assert outs[0] == outs[1]
 
 
+COUNT_SCRIPT = """
+from sharlin.multiset import Multiset
+from sharlin.shlin2 import two_element
+two_element([Multiset({"x": 3}), Multiset({"y": 3})], {"x", "y"})
+"""
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["-m", "sharlin.cli", "eval", "--domain", "two", "--op", "match",
+      "[xy, z^*, u]_{}", "[x]_{x}"], b"sharlin: group u not over interest set []\n"),
+    (["-c", COUNT_SCRIPT], b"ValueError: group x^3 has a count above 2\n"),
+])
+def test_element_errors_name_the_first_offending_group_under_any_hash_seed(argv, stderr):
+    """Of several offending groups, the first in ``Multiset.sort_key``
+    order is named, whatever the hash seed."""
+    errs = []
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 1
+        errs.append(proc.stderr)
+    assert errs == [errs[0]] * 4
+    assert errs[0].endswith(stderr)
+
+
 def _run_cli_into(args, stdout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))

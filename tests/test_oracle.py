@@ -26,7 +26,7 @@ from sharlin.oracle import (
     witness_theta2,
 )
 from sharlin.shlin_omega import alpha_omega, leq_omega, parse_omega
-from sharlin import shlin2, shlin_sl
+from sharlin import oracle, shlin2, shlin_sl
 from sharlin.shlin2 import parse_two
 from sharlin.shlin_sl import parse_sl
 from sharlin.terms import parse_substitution, preimage_var
@@ -150,9 +150,11 @@ from sharlin.oracle import check_optimality
 from sharlin.shlin_omega import parse_omega
 from sharlin import shlin2, shlin_sl
 from sharlin.shlin2 import parse_two
+from sharlin.shlin_sl import parse_sl
 for parse, domain, first, second in (
     (parse_omega, "omega", "[x^2, xz]_{x,y,z}", "[uv, ux, vx^2, x]_{u,v,x}"),
     (parse_two, "two", "[x^*, xz]_{x,y,z}", "[uv, ux, vx^*, x]_{u,v,x}"),
+    (parse_sl, "sl", "[{x, xz}, lin={y,z}]_{x,y,z}", "[{uv, ux, vx, x}, lin={u,v}]_{u,v,x}"),
 ):
     for r in check_optimality(parse(first), parse(second), domain):
         print(domain, r.group, r.theta1, r.theta2, r.verified)
@@ -171,6 +173,7 @@ def test_check_optimality_witnesses_independent_of_hash_seed():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert outs[0].count(b"omega ") == 8 and outs[0].count(b"two ") == 9
+    assert outs[0].count(b"sl ") == 10
     assert b"False" not in outs[0]
 
 
@@ -247,6 +250,33 @@ def test_optimality_fails_when_the_record_match_adds_a_group(monkeypatch, domain
     assert run_optimality(cfg, domain)["failures"] == []
     monkeypatch.setattr(d, "match", _adding(d.match))
     assert run_optimality(cfg, domain)["failures"]
+
+
+def _with_all_twos(generators):
+    """``match2_opt_generators`` plus one group holding every variable at 2."""
+    def spurious(t1, u1, t2, u2):
+        return generators(t1, u1, t2, u2) | {Multiset(dict.fromkeys(set(u1) | set(u2), 2))}
+    return spurious
+
+
+def _blind_to_the_ceiling(decompose):
+    """``star_decompose`` reading every count as exact."""
+    return lambda x, s, ceiling=None: decompose(x, s)
+
+
+@pytest.mark.parametrize("domain", ["two", "sl"])
+@pytest.mark.parametrize("name, mutant", [("match2_opt_generators", _with_all_twos),
+                                          ("star_decompose", _blind_to_the_ceiling)])
+def test_a_group_no_sum_realizes_is_a_failed_witness(monkeypatch, domain, name, mutant):
+    """A group of the matching witnessed that no decomposition realizes
+    is reported as failed, with no pair, and nothing is raised. A group
+    whose realization must overshoot the ceiling, as ``v^*xy^*`` over
+    ``[vx^*, v^*y]`` does, is rare: 400 trials hold two per domain."""
+    cfg = TrialConfig(seed=3, trials=400)
+    assert run_optimality(cfg, domain)["failures"] == []
+    monkeypatch.setattr(oracle, name, mutant(getattr(oracle, name)))
+    failures = run_optimality(cfg, domain)["failures"]
+    assert any(f["theta1"] == f["theta2"] == "None" for f in failures)
 
 
 def _equivalence_failures(check):

@@ -28,6 +28,7 @@ from sharlin.shlin2 import (
     two_group,
 )
 from sharlin.shlin_omega import InterestMismatch
+from sharlin.oracle import _realize
 from sharlin.shlin_sl import parse_sl
 from sharlin.terms import ParseError, Scanner
 
@@ -261,7 +262,11 @@ def _wedge_by_definition(o1, xsum, u1, u2):
     return two_group(exps)
 
 
-def test_match2_provenance_rebuilds_every_group():
+def test_realize_rebuilds_every_raw_group_of_match2():
+    """The oracle's realization lifts each raw group of
+    ``match2_opt_generators`` to an exact group ``c`` that clips back to
+    it: ``c`` on u1 lies below the first argument, and each summand below
+    the second."""
     rng = random.Random(43)
     for _ in range(300):
         names = rng.sample("uvwxyz", rng.randint(2, 6))
@@ -269,21 +274,15 @@ def test_match2_provenance_rebuilds_every_group():
         u2 = frozenset(names[rng.randint(0, len(names) - 1):])
         e1, e2 = _random_two(rng, u1), _random_two(rng, u2)
         e2 = union_omega(e2, _random_two(rng, u2))
-        generators = match2_opt_generators(e1.groups, u1, e2.groups, u2)
-        for group, provenance in generators.items():
-            if provenance[0] == "pass":
-                assert provenance == ("pass", group) and group in e2.groups
-                assert not group.support & u1
-                continue
-            kind, o1, x, xbar = provenance
-            assert kind == "gen" and o1 in e1.groups
-            assert set(xbar) <= set(x) <= e2.groups and len(set(x)) == len(x)
-            xsum, xbar_sum = EMPTY, EMPTY
-            for op in x:
-                xsum = oplus(xsum, op)
-            for op in xbar:
-                xbar_sum = oplus(xbar_sum, op)
-            assert oplus(_wedge_by_definition(o1, xsum, u1, u2), xbar_sum) == group
+        if e1.is_bottom():
+            continue
+        _, realize = _realize(e1, e2)
+        below1, below2 = down_closure(e1.groups), down_closure(e2.groups)
+        for group in match2_opt_generators(e1.groups, u1, e2.groups, u2):
+            xs, c, _ = realize(group)
+            assert c.clip(2) == group, (str(e1), str(e2), group)
+            assert c.restrict(u1).clip(2) in below1
+            assert all(g.clip(2) in below2 for g in xs if g)
 
 
 def test_galois_insertion_round_trip():
@@ -567,7 +566,7 @@ def _linear_subsets_by_subsets(rest, n, m1, cover, linear):
     return states
 
 
-def test_linear_subsets_equal_the_subset_enumeration_and_link_back():
+def test_linear_subsets_equal_the_subset_enumeration():
     rng = random.Random(67)
     edges = set()
     for i in range(240):
@@ -584,20 +583,6 @@ def test_linear_subsets_equal_the_subset_enumeration_and_link_back():
             rest.append((key, gm or 1 << rng.randrange(n), rng.randint(0, full) & gm))
         edges |= {cover == 0 and "no cover", linear == cover and "all linear",
                   linear == 0 and "none linear", any(g[1] & m1 & ~cover for g in rest) and "off"}
-        links = linear_subsets(rest, n, m1, cover, linear)
-        assert set(links) == _linear_subsets_by_subsets(rest, n, m1, cover, linear), i
-        order = {s: k for k, s in enumerate(links)}
-        assert links[0] is None
-        for state in links:
-            taken = set()
-            while links[state]:
-                s, g = links[state]
-                _, gm, gs = g
-                doubled = 0 if gm & linear else gm << 2 * n
-                assert g in rest and not gm & m1 & ~cover and g[0] not in taken
-                assert not s & gm & linear and order[s] < order[state]
-                assert state == s | gm | (s & gm | gs) << n | doubled
-                taken.add(g[0])
-                state = s
-            assert state == 0
+        states = linear_subsets(rest, n, m1, cover, linear)
+        assert states == _linear_subsets_by_subsets(rest, n, m1, cover, linear), i
     assert {"no cover", "all linear", "none linear", "off"} <= edges

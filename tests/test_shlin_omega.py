@@ -95,6 +95,47 @@ def test_star_decompose_randomized_against_count_vectors():
     assert 100 < sum(outcomes) < 300
 
 
+def test_star_decompose_at_a_ceiling():
+    """A count at the ceiling reads "that many or more": the sum may pass
+    it there, and a group may repeat until its every field is used up."""
+    xy, x2 = parse_group("xy"), parse_group("x^2")
+    ok, witness = star_decompose(parse_group("x^2y"), [xy, x2], 2)
+    assert ok and dict(witness) == {x2: 1, xy: 1}
+    assert star_decompose(parse_group("x^2y"), [xy, x2]) == (False, None)
+    assert star_decompose(parse_group("x^2y^2"), [xy], 2) == (True, ((xy, 2),))
+    u2v = parse_group("u^2v")
+    assert star_decompose(parse_group("u^2v^2"), [u2v], 2) == (True, ((u2v, 2),))
+    assert star_decompose(parse_group("xy"), [parse_group("x^2y")], 2) == (False, None)
+
+
+def test_star_decompose_at_ceiling_2_against_repetition_vectors():
+    rng = random.Random(7)
+    names = "uvxy"
+    found = overshoot = 0
+    for _ in range(4000):
+        x = Multiset({v: rng.randint(1, 2) for v in rng.sample(names, rng.randint(1, 4))})
+        s = [Multiset({v: rng.randint(1, 2) for v in rng.sample(names, rng.randint(1, 4))})
+             for _ in range(rng.randint(1, 4))]
+        vecs = [tuple(g.count(v) for v in names) for g in s]
+        want = tuple(x.count(v) for v in names)
+        expected = any(
+            all(n >= 2 if w == 2 else n == w
+                for w, n in zip(want, (sum(k * g[i] for k, g in zip(ks, vecs))
+                                       for i in range(len(names)))))
+            for ks in product(range(4), repeat=len(s))
+        )
+        ok, witness = star_decompose(x, s, 2)
+        assert ok == expected, (x, s)
+        if ok:
+            assert sum((g.scale(k) for g, k in witness), EMPTY).clip(2) == x
+            assert {g for g, _ in witness} <= set(s) and all(k >= 1 for _, k in witness)
+        else:
+            assert witness is None
+        found += ok
+        overshoot += ok and not star_decompose(x, s)[0]
+    assert 250 < found < 450 and overshoot > 50
+
+
 def test_match_worked_example():
     r = match_omega(parse_omega("[x^2, xz]_{x,y,z}"), parse_omega("[uv, ux, vx^2, x]_{u,v,x}"))
     assert r == parse_omega("[uv, uxz, xz, u^2x^2, ux^2, vx^2, x^2]_{u,v,x,y,z}")
