@@ -51,11 +51,11 @@ for every n, so no finite exact answer covers it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from . import shlin_omega
+from ._record import Record
 from .domains import DOMAINS
 from .terms import (
     EPSILON,
@@ -99,10 +99,17 @@ class FixpointLimitExceeded(ValueError):
     """The tabulation did not stabilize within the configured pass limit."""
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     pred: str
     args: tuple[Term, ...]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pred == other.pred and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pred, self.args))
 
     @cached_property
     def variables(self) -> frozenset[str]:
@@ -114,8 +121,7 @@ class Atom:
         return self.pred + "(" + ", ".join(format_term(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     head: Atom
     body: tuple[Atom, ...] = ()
 
@@ -129,8 +135,7 @@ class Clause:
         return f"{self.head} :- " + ", ".join(map(str, self.body)) + "."
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     clauses: tuple[Clause, ...]
 
     def __str__(self) -> str:
@@ -252,8 +257,7 @@ def backward_unify(call, exit_elem, full, theta: Substitution | None, mode: str,
 # --- analysis requests -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
+class AnalysisRequest(Record):
     program: Program
     goal: Atom
     call: object
@@ -264,8 +268,7 @@ class AnalysisRequest:
     injection: Mapping[tuple[int, int], object] | None = None
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One clause of the final pass: the (renamed) goal and the domain
     elements of its pipeline, printed with ``str``."""
 
@@ -279,8 +282,7 @@ class TraceStep:
     answer: object
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Record):
     answer: object
     trace: tuple[TraceStep, ...]
     passes: int

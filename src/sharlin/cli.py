@@ -20,15 +20,17 @@ Each value is converted by its flag's own type and must be one of its
 choices, and a switch takes only ``true`` or ``false``. The running
 subcommand's values are checked whether or not a flag overrides them, and
 a bad one exits 1 naming its key and line.
+
+Each subcommand imports only what it runs: the oracle is loaded by
+``verify`` and ``equiv`` alone, and the process pool only when ``--jobs``
+splits the trials, so ``eval``, ``analyze`` and ``diff`` start without
+either.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import shlin_omega
@@ -40,15 +42,6 @@ from .analyzer import (
     parse_program,
 )
 from .domains import DOMAINS
-from .oracle import (
-    DOMAIN_TAGS,
-    TrialConfig,
-    check_equivalences,
-    merge_reports,
-    render_report,
-    run_correctness,
-    run_optimality,
-)
 from .terms import Scanner
 
 __all__ = ["main"]
@@ -139,7 +132,7 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="randomized theorem suites")
     p_ver.add_argument("kind", choices=("correctness", "optimality"))
-    p_ver.add_argument("--domain", default="all", choices=("all",) + DOMAIN_TAGS)
+    p_ver.add_argument("--domain", default="all", choices=("all",) + tuple(DOMAINS))
     p_ver.add_argument("--trials", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--max-vars", type=int, default=4,
@@ -255,12 +248,20 @@ def _run(suite, trials: int, jobs: int) -> dict:
     los = range(0, trials, size)
     if len(los) == 1:
         return suite(0, trials)
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .oracle import merge_reports
+
     his = [min(lo + size, trials) for lo in los]
     with ProcessPoolExecutor(max_workers=min(len(los), os.cpu_count() or 1)) as pool:
         return merge_reports(list(pool.map(suite, los, his)))
 
 
 def _emit(report: dict, as_json: bool) -> int:
+    import json
+
+    from .oracle import render_report
+
     if as_json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -278,6 +279,8 @@ def _check_least(args, **least) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import TrialConfig, run_correctness, run_optimality
+
     _check_least(args, trials=1, depth=1, max_vars=1, cap=1, jobs=1)
     cfg = TrialConfig(
         seed=args.seed,
@@ -286,7 +289,7 @@ def _cmd_verify(args) -> int:
         max_vars=args.max_vars,
         multiplicity_cap=args.cap,
     )
-    domains = (args.domain,) if args.domain in DOMAINS else DOMAIN_TAGS
+    domains = (args.domain,) if args.domain in DOMAINS else tuple(DOMAINS)
     if args.kind == "correctness":
         suites = [partial(run_correctness, cfg, domains)]
     else:
@@ -296,6 +299,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .oracle import TrialConfig, check_equivalences
+
     _check_least(args, trials=1, max_vars=2, jobs=1)
     cfg = TrialConfig(seed=args.seed, trials=args.trials, max_vars=args.max_vars)
     report = _run(partial(check_equivalences, cfg), args.trials, args.jobs)
@@ -306,7 +311,7 @@ def _cmd_diff(args) -> int:
     _check_least(args, cap=1)
     req = _make_request(args)
     match_result = analyze(req)
-    mgu_result = analyze(dataclasses.replace(req, mode="mgu"))
+    mgu_result = analyze(AnalysisRequest(**{**vars(req), "mode": "mgu"}))
     print(f"matching: {match_result.answer}")
     print(f"mgu:      {mgu_result.answer}")
     extra = sorted(shlin_omega.groups_of(mgu_result.answer)

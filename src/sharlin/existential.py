@@ -23,9 +23,9 @@ the first argument is not instantiated on shared interest variables, with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record, setfield
 from .terms import (
     App,
     Scanner,
@@ -78,16 +78,17 @@ class Undefined:
 UNDEFINED = Undefined()
 
 
-@dataclass(frozen=True)
-class ExistentialSubstitution:
+class ExistentialSubstitution(Record):
     """Canonical representative plus the set of variables of interest."""
 
     rep: Substitution
     interest: frozenset[str]
 
-    def __post_init__(self):
-        if not self.rep.domain <= self.interest:
+    def __init__(self, rep: Substitution, interest: frozenset[str]):
+        if not rep.domain <= interest:
             raise ValueError("representative binds a variable outside the interest set")
+        setfield(self, "rep", rep)
+        setfield(self, "interest", interest)
 
     def __str__(self) -> str:
         vs = ", ".join(sorted(self.interest))

@@ -35,10 +35,10 @@ saturates at the element's ceiling, or else at the analysis cap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import existential
+from ._record import Record, setfield
 from .existential import ExistentialSubstitution
 from .multiset import EMPTY, Layout, Multiset, fold_frontier, format_group, random_groups
 from .terms import Scanner, occurrences, preimages
@@ -62,8 +62,7 @@ class InterestMismatch(ValueError):
     """Operation requires equal interest sets."""
 
 
-@dataclass(frozen=True)
-class ShLinOmegaElement:
+class ShLinOmegaElement(Record):
     """A set of sharing groups over an interest set; bottom has no groups.
 
     ``ceiling`` is the largest count a group may hold (``None``: exact); a
@@ -77,6 +76,18 @@ class ShLinOmegaElement:
     interest: frozenset[str]
     ceiling = None
     normalize = staticmethod(frozenset)
+
+    def __init__(self, groups: frozenset[Multiset], interest: frozenset[str]):
+        setfield(self, "groups", groups)
+        setfield(self, "interest", interest)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.groups == other.groups and self.interest == other.interest
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.groups, self.interest))
 
     @classmethod
     def of(cls, groups: Iterable[Multiset], interest: Iterable[str]):

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from typing import NoReturn, TypeVar
 
+from ._record import Record, setfield
 from .multiset import Multiset
 
 __all__ = [
@@ -68,20 +68,40 @@ def is_variable_name(name: str) -> bool:
     return bool(_VAR_NAME.match(name))
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+class Term(Record):
+    """A first-order term: a ``Var`` or an ``App``."""
 
 
-@dataclass(frozen=True)
 class Var(Term):
     name: str
 
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
 class App(Term):
     symbol: str
     args: tuple[Term, ...] = ()
+
+    def __init__(self, symbol: str, args: tuple[Term, ...] = ()):
+        setfield(self, "symbol", symbol)
+        setfield(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbol == other.symbol and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.args))
 
 
 class UnificationError(Exception):

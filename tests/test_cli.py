@@ -155,7 +155,8 @@ def test_jobs_pool_is_bounded_by_the_cpu_count(monkeypatch):
     def suite(lo, hi):
         return {"kind": "stub", "seed": 5, "trials": hi - lo, "failures": [(lo, hi)]}
 
-    monkeypatch.setattr(sharlin.cli, "ProcessPoolExecutor", StubPool)
+    # _run imports the executor from its package only when it splits trials
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
     for cpus, trials, jobs, chunks, workers in (
         (2, 3000, 3000, 3000, 2),
         (2, 30, 3, 3, 2),

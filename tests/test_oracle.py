@@ -279,6 +279,24 @@ def test_a_group_no_sum_realizes_is_a_failed_witness(monkeypatch, domain, name, 
     assert any(f["theta1"] == f["theta2"] == "None" for f in failures)
 
 
+@pytest.mark.parametrize("domain, e1, e2, group", [
+    ("two", "[xy^*]_{x,y}", "[vx^*, v^*y]_{v,x,y}", "v^2xy^2"),
+    # trial 295 of run_optimality's seed-3 suite
+    ("sl", "[{wy, y}, lin={y}]_{w,y}", "[{vw, vxy}, lin={u,v,w,y}]_{u,v,w,x,y}", "v^2w^2x^2y"),
+])
+def test_a_group_realized_past_the_ceiling_fails_under_a_blind_decomposition(
+        monkeypatch, domain, e1, e2, group):
+    """The exact group that realizes ``group`` sums second-argument groups
+    past the ceiling on a ``^*`` variable, so a ``star_decompose`` that
+    reads every count as exact finds no sum: one call shows it."""
+    d = DOMAINS[domain]
+    e1, e2 = d.parse(e1), d.parse(e2)
+    assert all(r.verified for r in check_optimality(e1, e2, domain))
+    monkeypatch.setattr(oracle, "star_decompose", _blind_to_the_ceiling(oracle.star_decompose))
+    failed = [r for r in check_optimality(e1, e2, domain) if not r.verified]
+    assert [(str(r.group), r.theta1, r.theta2) for r in failed] == [(group, None, None)]
+
+
 def _equivalence_failures(check):
     report = check_equivalences(TrialConfig(seed=3, trials=60, max_vars=5))
     return [f for f in report["failures"] if f["check"] == check]
